@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exploration import SigmaGraph
 from .oracle import all_simple_cycles, lamination_space_bruteforce, max_disjoint_type
-from .polytope import check_realizable, lamination_space, nu_transform
+from .polytope import check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
 
@@ -41,14 +41,16 @@ def _load_graph(path: str) -> SigmaGraph:
 def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
     sg = _load_graph(path)
     tau = sigma_of(sg)
-    print("sigma = %s" % (tuple(tau),))
-    print("nu = %s" % (tuple(nu_transform(tau)),))
-    points = lamination_space(sg).points
+    points = enumerate_points(tau).points
     if exclude_origin:
         points = tuple(p for p in points if p != (0, 0, 0))
-    print("lamination points (%d):" % len(points))
-    for p in points:
-        print("%d %d %d" % p)
+    lines = [
+        "sigma = %s" % (tuple(tau),),
+        "nu = %s" % (tuple(nu_transform(tau)),),
+        "lamination points (%d):" % len(points),
+    ]
+    lines.extend("%d %d %d" % p for p in points)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -143,9 +145,10 @@ def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
     kwargs = {} if cycle_limit is None else {"cycle_limit": cycle_limit}
     cat = all_simple_cycles(sg, **kwargs)
     brute_m = tuple(max_disjoint_type(sg, i, cat) for i in (1, 2, 3))
-    pipe_m = tuple(len(special_family(sg, i)) for i in (1, 2, 3))
+    tau = sigma_of(sg)
+    pipe_m = tau.mu
     brute_pts = lamination_space_bruteforce(sg, cat)
-    pipe_pts = frozenset(lamination_space(sg).points)
+    pipe_pts = frozenset(enumerate_points(tau).points)
     print("cycles cataloged: %d" % len(cat))
     print("packing numbers: bruteforce %s pipeline %s" % (brute_m, pipe_m))
     print("lamination points: bruteforce %d pipeline %d"

@@ -201,7 +201,15 @@ class CombinatorialMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CombinatorialMap":
-        return cls(data["vertices"])
+        """Map from parsed JSON; rotations must be lists of plain ints."""
+        rots = data["vertices"]
+        if not isinstance(rots, list) or not all(isinstance(r, list) for r in rots):
+            raise MalformedRotation("vertices must be a list of dart lists")
+        for r in rots:
+            for d in r:
+                if type(d) is not int:
+                    raise MalformedRotation("vertices: dart %r is not an int" % (d,))
+        return cls(rots)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -8,6 +8,23 @@ tightest-turn rule that always hugs the region on the left.  Each
 resulting closed walk is required to be vertex-simple, and a simple
 closed curve on the sphere has exactly two sides, which is what the
 classification routines exploit.
+
+Two facts make the exploration linear in the number of darts once the
+distances from m are known:
+
+- Faces that share a vertex differ in distance by at most 1, so dart d
+  lies on the boundary of the level-k region exactly when the face on
+  its left is at distance k-1 and the face on its right at distance k.
+  Each dart therefore belongs to at most one level, and one pass over
+  the darts buckets all levels.
+- The far side of a vertex-simple boundary walk at level k (the side
+  without m) is exactly one edge-connected component of the outer
+  region {f : dist(f) >= k}: every face at a vertex of the walk on its
+  right lies outside the region, so the region stays on the near side,
+  and the only edges leaving the far side are the walk's own.  One
+  union-find that adds faces in decreasing distance labels these
+  components for every level at once, so the walk toward another
+  marked face is the one whose right faces share that face's label.
 """
 
 from __future__ import annotations
@@ -97,10 +114,62 @@ def loop_sides(
     return left, right
 
 
+class _Layers:
+    """The levels around one marked face, built once from its distances.
+
+    buckets[k] lists the darts on the boundary of the level-k region in
+    increasing order.  root[d] labels the component of the outer region
+    of dart d's level that holds the face right of d (-1 for darts on no
+    boundary), and marked_root[k][j] labels the component holding marked
+    face j at level k (-1 while j lies inside the region).  Labels are
+    only comparable within one level.
+    """
+
+    __slots__ = ("dist", "buckets", "root", "marked_root")
+
+    def __init__(self, cm: CombinatorialMap, dist: Sequence[int], marked: Sequence[int]):
+        face = cm.face_of_dart
+        top = max(dist)
+        buckets: list[list[int]] = [[] for _ in range(top + 1)]
+        # edges by the distance of their nearer face: an edge in joins[k]
+        # lies inside every outer region of level k or less
+        joins: list[list[int]] = [[] for _ in range(top + 1)]
+        for d in range(0, cm.num_darts, 2):
+            a, b = face[d], face[d + 1]
+            da, db = dist[a], dist[b]
+            if da == db + 1:
+                buckets[da].append(d)
+            elif db == da + 1:
+                buckets[db].append(d + 1)
+            joins[min(da, db)].append(d)
+
+        parent = list(range(cm.num_faces))
+
+        def find(f: int) -> int:
+            while parent[f] != f:
+                parent[f] = f = parent[parent[f]]
+            return f
+
+        root = [-1] * cm.num_darts
+        marked_root: list[tuple[int, ...]] = [()] * (top + 1)
+        for k in range(top, 0, -1):
+            for d in joins[k]:
+                a, b = find(face[d]), find(face[d + 1])
+                if a != b:
+                    parent[a] = b
+            for d in buckets[k]:
+                root[d] = find(face[d])
+            marked_root[k] = tuple(find(m) if dist[m] >= k else -1 for m in marked)
+        self.dist = dist
+        self.buckets = buckets
+        self.root = root
+        self.marked_root = marked_root
+
+
 class SigmaGraph:
     """Sphere map with an ordered triple of distinct marked faces."""
 
-    __slots__ = ("cmap", "marked", "_adj", "_dist_cache")
+    __slots__ = ("cmap", "marked", "_adj", "_dist_cache", "_layer_cache")
 
     def __init__(self, cmap: CombinatorialMap, marked: Sequence[int]):
         marked = tuple(marked)
@@ -115,6 +184,7 @@ class SigmaGraph:
         self.marked = marked
         self._adj: Optional[tuple[frozenset[int], ...]] = None
         self._dist_cache: dict[int, tuple[int, ...]] = {}
+        self._layer_cache: dict[int, _Layers] = {}
 
     # -- serialization ---------------------------------------------------
 
@@ -125,7 +195,13 @@ class SigmaGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SigmaGraph":
-        return cls(CombinatorialMap(data["vertices"]), data["marked_faces"])
+        marked = data["marked_faces"]
+        if not isinstance(marked, list):
+            raise BadFaceIndex("marked_faces must be a list of face indices")
+        for f in marked:
+            if type(f) is not int:
+                raise BadFaceIndex("marked_faces: %r is not an int" % (f,))
+        return cls(CombinatorialMap.from_dict(data), marked)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -184,26 +260,26 @@ class SigmaGraph:
 
     # -- layered regions and their boundary walks --------------------------
 
-    def region(self, i: int, k: int) -> frozenset[int]:
-        """Faces within distance k-1 of marked face i."""
+    def _layers_of(self, i: int) -> _Layers:
+        layers = self._layer_cache.get(i)
+        if layers is None:
+            dist = self._dist_from(self.marked[i])
+            layers = self._layer_cache[i] = _Layers(self.cmap, dist, self.marked)
+        return layers
+
+    def _bucket(self, i: int, k: int) -> list[int]:
         if i not in (0, 1, 2):
             raise BadFaceIndex(i)
         if k < 1:
             raise OutOfRange("level must be at least 1, got %d" % k)
-        dist = self._dist_from(self.marked[i])
-        return frozenset(f for f, d in enumerate(dist) if d <= k - 1)
+        buckets = self._layers_of(i).buckets
+        if k >= len(buckets) or not buckets[k]:
+            raise EmptyLayer("level %d around marked face %d" % (k, i))
+        return buckets[k]
 
     def boundary_darts(self, i: int, k: int) -> frozenset[int]:
-        reg = self.region(i, k)
-        cm = self.cmap
-        out = frozenset(
-            d
-            for d in range(cm.num_darts)
-            if cm.left_face(d) in reg and cm.face_of(d) not in reg
-        )
-        if not out:
-            raise EmptyLayer("level %d around marked face %d" % (k, i))
-        return out
+        """Darts with the level-k region on the left and the rest on the right."""
+        return frozenset(self._bucket(i, k))
 
     def boundary_loops(self, i: int, k: int) -> tuple[Loop, ...]:
         """Boundary walks of the level-k region, each keeping it on the left.
@@ -213,23 +289,24 @@ class SigmaGraph:
         and exits along the first dart that again has the region on its
         left, thereby sweeping past one whole fan of outside corners.  Walks
         around distinct outside pockets stay distinct, and every walk must
-        be vertex-simple.
+        be vertex-simple.  Walks come out ordered by their least dart.
         """
-        reg = self.region(i, k)
+        darts = self._bucket(i, k)
+        dist = self._layers_of(i).dist
         cm = self.cmap
-        darts = self.boundary_darts(i, k)
+        left_face, rotation_next = cm.left_face, cm.rotation_next
 
         def successor(d: int) -> int:
             x = d ^ 1
             for _ in range(cm.degree(cm.head(d)) - 1):
-                x = cm.rotation_next(x)
-                if cm.left_face(x) in reg:
+                x = rotation_next(x)
+                if dist[left_face(x)] < k:
                     return x
             raise InvariantViolated("no exit dart at vertex %d" % cm.head(d))
 
         loops = []
         visited: set[int] = set()
-        for start in sorted(darts):
+        for start in darts:
             if start in visited:
                 continue
             walk = []
@@ -247,9 +324,8 @@ class SigmaGraph:
             if len(set(tails)) != len(tails):
                 raise NotSimple("boundary walk revisits a vertex: %r" % (loop,))
             loops.append(loop)
-        if visited != darts:
+        if visited != set(darts):
             raise InvariantViolated("boundary walks missed some darts")
-        loops.sort(key=lambda lo: lo.darts[0])
         return tuple(loops)
 
     # -- classification -----------------------------------------------------
@@ -268,11 +344,6 @@ class SigmaGraph:
         if len(on_left) == 1:
             return on_left[0]
         return next(j for j in (0, 1, 2) if j not in on_left)
-
-    def side_away_from(self, loop: Loop, i: int) -> frozenset[int]:
-        """Faces on the side of the loop not containing marked face i."""
-        left, right = loop_sides(self.cmap, loop)
-        return right if self.marked[i] in left else left
 
 
 # -- public interface, marked indices numbered 1..3 -------------------------

@@ -1,11 +1,14 @@
 """Distinguished loop families around each marked face and the signature.
 
-For marked face i and level k there is at most one boundary loop of the
-level-k region that keeps a chosen second marked face on its far side.
-When the loop toward each of the two other marked faces is the same
-curve, that curve separates i from both and is counted into the family
-of i.  The family sizes together with the pairwise distances form the
-six-entry signature of the marked graph.
+For marked face i and level k there is exactly one boundary loop of the
+level-k region that keeps a chosen second marked face on its far side:
+that far side is one edge-connected component of the faces at distance
+at least k from i, so the loop is found by comparing component labels
+rather than by flooding (see `exploration`).  When the loop toward each
+of the two other marked faces is the same curve, that curve separates i
+from both and is counted into the family of i.  The family sizes
+together with the pairwise distances form the six-entry signature of
+the marked graph.
 
 Marked faces are numbered 1..3 throughout the public interface.
 """
@@ -61,6 +64,35 @@ class SpecialLoopFamily:
         return len(self.loops)
 
 
+def _far_loops(sg: SigmaGraph, i0: int, k: int, targets: tuple[int, ...]) -> tuple[Loop, ...]:
+    """For each 0-based marked index in targets, its loop among the level-k loops.
+
+    A loop's far side is the outer-region component holding its right
+    faces; the loop toward marked face j is the one whose component
+    holds j.  All loops of the level come from one boundary walk.
+    """
+    loops = sg.boundary_loops(i0, k)
+    layers = sg._layers_of(i0)
+    want = [layers.marked_root[k][j] for j in targets]
+    hits: list[list[Loop]] = [[] for _ in targets]
+    for loop in loops:
+        roots = {layers.root[d] for d in loop.darts}
+        if len(roots) != 1:
+            raise InvariantViolated(
+                "far side of a level-%d loop spans %d components" % (k, len(roots))
+            )
+        (r,) = roots
+        for t, w in enumerate(want):
+            if r == w:
+                hits[t].append(loop)
+    for found in hits:
+        if len(found) != 1:
+            raise InvariantViolated(
+                "expected one separating loop at level %d, found %d" % (k, len(found))
+            )
+    return tuple(found[0] for found in hits)
+
+
 def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:
     """The unique level-k loop around marked face i with face j beyond it.
 
@@ -74,38 +106,27 @@ def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:
         raise OutOfRange(
             "level %d outside 1..%d for marked pair (%d, %d)" % (k, dij, i, j)
         )
-    hits = []
-    for loop in sg.boundary_loops(i0, k):
-        if sg.marked[j0] in sg.side_away_from(loop, i0):
-            hits.append(loop)
-    if len(hits) != 1:
-        raise InvariantViolated(
-            "expected one separating loop at level %d, found %d" % (k, len(hits))
-        )
-    return hits[0]
+    (loop,) = _far_loops(sg, i0, k, (j0,))
+    return loop
 
 
 def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     """Loops around marked face i separating it from both other marked faces.
 
-    Levels are scanned upward from 1; the family ends at the first level
-    where the loop toward one far face differs from the loop toward the
-    other.  Divergence is permanent, so no lookahead is needed.
+    Levels are scanned upward from 1, with one boundary walk per level;
+    the family ends at the first level where the loop toward one far face
+    differs from the loop toward the other.  Divergence is permanent, so
+    no lookahead is needed.
     """
     if i not in (1, 2, 3):
         raise OutOfRange("marked index must be 1, 2 or 3, got %r" % (i,))
     i0 = i - 1
-    j1 = (i0 + 1) % 3
-    j2 = (i0 + 2) % 3
-    top = min(
-        sg.face_distance(sg.marked[i0], sg.marked[j1]),
-        sg.face_distance(sg.marked[i0], sg.marked[j2]),
-    )
+    far = ((i0 + 1) % 3, (i0 + 2) % 3)
+    top = min(sg.face_distance(sg.marked[i0], sg.marked[j]) for j in far)
     out = []
     for k in range(1, top + 1):
-        a = loop_toward(sg, i, j1 + 1, k)
-        b = loop_toward(sg, i, j2 + 1, k)
-        if a.edge_set() != b.edge_set():
+        a, b = _far_loops(sg, i0, k, far)
+        if a != b:
             break
         out.append(a)
     return SpecialLoopFamily(i, tuple(out))

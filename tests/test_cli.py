@@ -148,3 +148,42 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, data",
+    [
+        ("vertices", {"vertices": [[0, 2, 4], [5, 3, True]], "marked_faces": [0, 1, 2]}),
+        ("vertices", {"vertices": [[0, 2, 4], [5, 3, 1.0]], "marked_faces": [0, 1, 2]}),
+        ("marked_faces", {"vertices": [[0, 2, 4], [5, 3, 1]], "marked_faces": [0, True, 2]}),
+        ("marked_faces", {"vertices": [[0, 2, 4], [5, 3, 1]], "marked_faces": [0, 1, 2.0]}),
+    ],
+)
+def test_non_int_json_entries_are_input_errors(tmp_path, capsys, field, data):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert field + ":" in out
+    assert "TypeError" not in out
+
+
+def test_analyze_output_lines_exact(theta_file, capsys):
+    assert main(["analyze", theta_file]) == 0
+    assert capsys.readouterr().out == (
+        "sigma = (1, 1, 1, 1, 1, 1)\n"
+        "nu = (1, 1, 1)\n"
+        "lamination points (4):\n"
+        "0 0 0\n0 0 1\n0 1 0\n1 0 0\n"
+    )
+
+
+def test_analyze_empty_point_list(theta_file, capsys, monkeypatch):
+    # a signature whose only point is the origin leaves an empty list
+    from pantslam import cli
+    from pantslam.special_loops import SigmaVector
+
+    monkeypatch.setattr(cli, "sigma_of", lambda sg: SigmaVector(0, 0, 0, 1, 1, 1))
+    assert main(["analyze", theta_file, "--exclude-origin"]) == 0
+    out = capsys.readouterr().out
+    assert out == "sigma = (0, 0, 0, 1, 1, 1)\nnu = (-1, -1, -1)\nlamination points (0):\n"

@@ -5,12 +5,16 @@ is already connected and planar; properties below assert what the rest
 of the pipeline promises on top of that.
 """
 
+from itertools import permutations
+from random import Random
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import (
     Loop,
+    SigmaGraph,
     boundary_loops,
     classify_loop,
     distance_matrix,
@@ -292,3 +296,78 @@ def test_slack_form_equals_inequality_form(tau):
 @PROPERTY_SETTINGS
 def test_signature_is_stable_across_runs(sg):
     assert tuple(sigma_of(sg)) == tuple(sigma_of(sg))
+
+
+# -- metamorphic invariants on maps with 10^3 to 10^4 faces -------------------
+
+BIG_BLOCKS = [(100, 100, 100, 33, 33, 33), (100, 37, 64, 20, 30, 11), (45, 60, 80, 20, 15, 12)]
+
+
+def test_block_closed_form_on_large_ladders():
+    for t in BIG_BLOCKS:
+        sg = block_graph(t)
+        assert sg.cmap.num_faces >= 1000
+        assert tuple(sigma_of(sg)) == tuple(block_signature(t))
+
+
+def test_relabeling_permutes_large_signature():
+    sg = block_graph(BIG_BLOCKS[2])
+    tau = sigma_of(sg)
+    for perm in permutations(range(3)):
+        relabeled = SigmaGraph(sg.cmap, tuple(sg.marked[p] for p in perm))
+        assert sigma_of(relabeled) == permute_signature(tau, perm)
+
+
+def _mirrored(sg):
+    """Every rotation reversed; a face right of d now lies right of its twin."""
+    cm = sg.cmap
+    new = CombinatorialMap([r[::-1] for r in cm.rotations])
+    return SigmaGraph(new, tuple(new.face_of(cm.faces[f][0] ^ 1) for f in sg.marked))
+
+
+def _renumbered(sg, seed):
+    """Edges, edge directions, vertices and rotation starts shuffled."""
+    rng = Random(seed)
+    cm = sg.cmap
+    edges = list(range(cm.num_edges))
+    rng.shuffle(edges)
+    dmap = [0] * cm.num_darts
+    for e, e2 in enumerate(edges):
+        flip = rng.randrange(2)
+        dmap[2 * e] = 2 * e2 + flip
+        dmap[2 * e + 1] = 2 * e2 + 1 - flip
+    order = list(range(cm.num_vertices))
+    rng.shuffle(order)
+    rots = []
+    for v in order:
+        r = [dmap[d] for d in cm.rotations[v]]
+        s = rng.randrange(len(r))
+        rots.append(r[s:] + r[:s])
+    new = CombinatorialMap(rots)
+    return SigmaGraph(new, tuple(new.face_of(dmap[cm.faces[f][0]]) for f in sg.marked))
+
+
+def _subdivided(sg, edges):
+    """Each listed edge split by a new vertex of degree 2."""
+    cm = sg.cmap
+    rots = [list(r) for r in cm.rotations]
+    where = {d: (v, p) for v, r in enumerate(rots) for p, d in enumerate(r)}
+    m = cm.num_edges
+    for e in edges:
+        v, p = where[2 * e + 1]
+        rots[v][p] = 2 * m + 1
+        rots.append([2 * e + 1, 2 * m])
+        m += 1
+    new = CombinatorialMap(rots)
+    return SigmaGraph(new, tuple(new.face_of(cm.faces[f][0]) for f in sg.marked))
+
+
+def test_large_signature_survives_mirroring_renumbering_and_subdivision():
+    for t in BIG_BLOCKS[1:]:
+        sg = block_graph(t)
+        tau = sigma_of(sg)
+        assert sigma_of(_mirrored(sg)) == tau
+        assert sigma_of(_renumbered(sg, sum(t))) == tau
+        sub = _subdivided(sg, range(0, sg.cmap.num_edges, 3))
+        assert sub.cmap.num_vertices > sg.cmap.num_vertices
+        assert sigma_of(sub) == tau

@@ -1,8 +1,12 @@
 """Nested separating loop families and the six-number signature."""
 
+from itertools import permutations
+
 import pytest
 
 from pantslam.errors import OutOfRange
+from pantslam.exploration import SigmaGraph, loop_sides
+from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import (
     NuVector,
     SigmaVector,
@@ -12,7 +16,7 @@ from pantslam.special_loops import (
     special_family,
 )
 
-from conftest import theta_graph
+from conftest import build_corpus_graph, corpus_jobs, theta_graph
 
 
 def test_sigma_vector_views():
@@ -104,3 +108,56 @@ def test_depth_matches_signature_arithmetic(triple_ring):
     m1, m2, m3, d1, d2, d3 = sigma_of(triple_ring)
     n = NuVector(m2 + m3 - d1, m3 + m1 - d2, m1 + m2 - d3)
     assert depth_vector(triple_ring) == n
+
+
+# -- differential check against flood-based references ------------------------
+
+
+def _reference_toward(sg, i0, j0, k):
+    """The level-k loop around i0 with j0 on its far side, found by floods."""
+    hits = []
+    for loop in sg.boundary_loops(i0, k):
+        left, right = loop_sides(sg.cmap, loop)
+        away = right if sg.marked[i0] in left else left
+        if sg.marked[j0] in away:
+            hits.append(loop)
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _reference_family(sg, i0):
+    far = ((i0 + 1) % 3, (i0 + 2) % 3)
+    top = min(sg.face_distance(sg.marked[i0], sg.marked[j]) for j in far)
+    out = []
+    for k in range(1, top + 1):
+        a, b = (_reference_toward(sg, i0, j, k) for j in far)
+        if a.edge_set() != b.edge_set():
+            break
+        out.append(a)
+    return tuple(out)
+
+
+def _differential_graphs():
+    graphs = [random_sigma_graph(seed, max_faces=40) for seed in range(40)]
+    graphs += [random_sigma_graph(seed, max_faces=300, min_faces=150) for seed in range(3)]
+    graphs += [build_corpus_graph(*job) for job in corpus_jobs()[::25]]
+    return graphs
+
+
+def test_families_match_flood_reference_in_every_marked_order():
+    checked = 0
+    for g in _differential_graphs():
+        for order in permutations(g.marked):
+            sg = SigmaGraph(g.cmap, order)
+            for i0 in (0, 1, 2):
+                fam = special_family(sg, i0 + 1)
+                assert fam.loops == _reference_family(sg, i0)
+                for j0 in (0, 1, 2):
+                    if j0 == i0:
+                        continue
+                    dij = sg.face_distance(sg.marked[i0], sg.marked[j0])
+                    for k in range(1, min(len(fam) + 1, dij) + 1):
+                        got = loop_toward(sg, i0 + 1, j0 + 1, k)
+                        assert got == _reference_toward(sg, i0, j0, k)
+                        checked += 1
+    assert checked > 1000
