@@ -9,8 +9,10 @@ resulting closed walk is required to be vertex-simple, and a simple
 closed curve on the sphere has exactly two sides, which is what the
 classification routines exploit.
 
-Two facts make the exploration linear in the number of darts once the
-distances from m are known:
+The distances from m come from a breadth-first search over face-vertex
+incidence that expands each face and each vertex once (see
+`SigmaGraph._dist_from`).  Two more facts make the rest of the
+exploration linear in the number of darts:
 
 - Faces that share a vertex differ in distance by at most 1, so dart d
   lies on the boundary of the level-k region exactly when the face on
@@ -169,7 +171,7 @@ class _Layers:
 class SigmaGraph:
     """Sphere map with an ordered triple of distinct marked faces."""
 
-    __slots__ = ("cmap", "marked", "_adj", "_dist_cache", "_layer_cache")
+    __slots__ = ("cmap", "marked", "_dist_cache", "_layer_cache")
 
     def __init__(self, cmap: CombinatorialMap, marked: Sequence[int]):
         marked = tuple(marked)
@@ -182,7 +184,6 @@ class SigmaGraph:
             raise DuplicateMarkedFace(marked)
         self.cmap = cmap
         self.marked = marked
-        self._adj: Optional[tuple[frozenset[int], ...]] = None
         self._dist_cache: dict[int, tuple[int, ...]] = {}
         self._layer_cache: dict[int, _Layers] = {}
 
@@ -212,32 +213,38 @@ class SigmaGraph:
 
     # -- face distances ---------------------------------------------------
 
-    def _face_adjacency(self) -> tuple[frozenset[int], ...]:
-        if self._adj is None:
-            sets: list[set[int]] = [set() for _ in range(self.cmap.num_faces)]
-            for v in range(self.cmap.num_vertices):
-                here = self.cmap.faces_at(v)
-                for f in here:
-                    sets[f].update(here)
-            for f, s in enumerate(sets):
-                s.discard(f)
-            self._adj = tuple(frozenset(s) for s in sets)
-        return self._adj
-
     def _dist_from(self, src: int) -> tuple[int, ...]:
+        """Face distances from face src by a BFS over face-vertex incidence.
+
+        Faces leave the queue in order of distance, so the first face to
+        reach a vertex v is one nearest to src, at distance d say.  Every
+        face at v is then within d+1, and one not yet reached is exactly
+        d+1 away.  Each face and each vertex is expanded once, so the BFS
+        reads every dart twice.
+        """
         cached = self._dist_cache.get(src)
         if cached is not None:
             return cached
-        adj = self._face_adjacency()
-        dist = [-1] * self.cmap.num_faces
+        cm = self.cmap
+        faces, rotations = cm.faces, cm.rotations
+        tail, face_of = cm.dart_vertex, cm.face_of_dart
+        dist = [-1] * cm.num_faces
         dist[src] = 0
+        expanded = [False] * cm.num_vertices
         queue = deque([src])
         while queue:
             f = queue.popleft()
-            for g in adj[f]:
-                if dist[g] < 0:
-                    dist[g] = dist[f] + 1
-                    queue.append(g)
+            near = dist[f] + 1
+            for d in faces[f]:
+                v = tail[d]
+                if expanded[v]:
+                    continue
+                expanded[v] = True
+                for x in rotations[v]:
+                    g = face_of[x]
+                    if dist[g] < 0:
+                        dist[g] = near
+                        queue.append(g)
         out = tuple(dist)
         self._dist_cache[src] = out
         return out

@@ -2,14 +2,17 @@
 
 Maps grow from a single self-loop by local surgeries on the rotation
 system; every surgery preserves planarity, so each intermediate map
-stays a valid sphere map.  The map is rebuilt and revalidated after
-every step.
+stays a valid sphere map.  The rotations live in per-dart successor and
+predecessor links while the map grows, so each surgery costs O(1) plus
+the length of the faces it touches, and the finished rotations are built
+into one `CombinatorialMap`, which validates them once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from random import Random
-from typing import Optional, Union
+from typing import Union
 
 from .combmap import CombinatorialMap
 from .errors import OutOfRange
@@ -29,53 +32,132 @@ def initial_map() -> CombinatorialMap:
     return CombinatorialMap([[0, 1]])
 
 
-def _locate(rots: list[list[int]], d: int) -> tuple[int, int]:
-    for v, rot in enumerate(rots):
-        for p, x in enumerate(rot):
-            if x == d:
-                return v, p
-    raise AssertionError("dart %d missing" % d)
+class _Rotations:
+    """A growing rotation system that keeps the canonical face order.
+
+    nxt[d] and prv[d] are the rotation neighbours of dart d, vertex[d] is
+    its tail, and head[v] is the dart the rotation list of v starts with.
+    least holds every face's least dart in increasing order, which is the
+    face order of `CombinatorialMap`; a face lies right of its darts and
+    continues from d to nxt[d ^ 1].  New edges take the next free number,
+    so only surgeries that reuse an old dart can move a face's least dart.
+    """
+
+    __slots__ = ("nxt", "prv", "vertex", "head", "least")
+
+    def __init__(self) -> None:
+        # initial_map(): faces (0,) and (1,)
+        self.nxt = [1, 0]
+        self.prv = [1, 0]
+        self.vertex = [0, 0]
+        self.head = [0]
+        self.least = [0, 1]
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.vertex) // 2
+
+    def face(self, i: int) -> list[int]:
+        """Face i in canonical order: its orbit from its least dart."""
+        return self._orbit(self.least[i])
+
+    def _orbit(self, d: int) -> list[int]:
+        nxt = self.nxt
+        out = [d]
+        x = nxt[d ^ 1]
+        while x != d:
+            out.append(x)
+            x = nxt[x ^ 1]
+        return out
+
+    def _new_edge(self) -> int:
+        m = self.num_edges
+        for links in (self.nxt, self.prv, self.vertex):
+            links += (0, 0)
+        return m
+
+    def _new_vertex(self, d: int) -> None:
+        self.nxt[d] = self.prv[d] = d
+        self.vertex[d] = len(self.head)
+        self.head.append(d)
+
+    def _insert_after(self, x: int, d: int) -> None:
+        y = self.nxt[x]
+        self.nxt[x], self.prv[d], self.nxt[d], self.prv[y] = d, x, y, d
+        self.vertex[d] = self.vertex[x]
+
+    def _insert_before(self, x: int, d: int) -> None:
+        self._insert_after(self.prv[x], d)
+        v = self.vertex[x]
+        if self.head[v] == x:
+            self.head[v] = d
+
+    def subdivide(self, k: int) -> None:
+        """Split edge k with a degree-2 vertex; face count unchanged."""
+        m = self._new_edge()
+        x = 2 * k + 1
+        self._insert_before(x, 2 * m + 1)
+        p, n = self.prv[x], self.nxt[x]
+        self.nxt[p], self.prv[n] = n, p
+        self._new_vertex(x)
+        self._insert_after(x, 2 * m)
+
+    def pendant(self, a: int) -> None:
+        """Grow a leaf edge out of the corner after dart a; faces unchanged."""
+        m = self._new_edge()
+        self._insert_after(a ^ 1, 2 * m)
+        self._new_vertex(2 * m + 1)
+
+    def double(self, k: int) -> None:
+        """Add an edge parallel to edge k, cutting off a two-sided face.
+
+        The new face is (2k+1, 2m); dart 2m+1 takes the place of 2k+1 in
+        the face 2k+1 leaves.
+        """
+        m = self._new_edge()
+        x = 2 * k + 1
+        self._insert_after(2 * k, 2 * m)
+        self._insert_before(x, 2 * m + 1)
+        least = self.least
+        i = bisect_left(least, x)
+        if i < len(least) and least[i] == x:
+            # the new face keeps the entry of x; its old face starts anew
+            insort(least, min(self._orbit(2 * m + 1)))
+        else:
+            least.insert(i, x)
+
+    def loop(self, d: int) -> None:
+        """Hang a little loop in the corner after dart d; adds face (2m+1,)."""
+        m = self._new_edge()
+        self._insert_after(d, 2 * m)
+        self._insert_after(2 * m, 2 * m + 1)
+        self.least.append(2 * m + 1)
+
+    def chord(self, i: int, a: int, b: int) -> None:
+        """Join the corners after darts a and b of face i; splits face i."""
+        m = self._new_edge()
+        self._insert_after(a ^ 1, 2 * m)
+        self._insert_after(b ^ 1, 2 * m + 1)
+        del self.least[i]
+        insort(self.least, min(self._orbit(2 * m)))
+        insort(self.least, min(self._orbit(2 * m + 1)))
+
+    def rotations(self) -> list[list[int]]:
+        nxt = self.nxt
+        rots = []
+        for h in self.head:
+            rot = [h]
+            x = nxt[h]
+            while x != h:
+                rot.append(x)
+                x = nxt[x]
+            rots.append(rot)
+        return rots
 
 
-def _subdivide(rots: list[list[int]], k: int) -> None:
-    """Split edge k with a degree-2 vertex; face count unchanged."""
-    m = sum(len(r) for r in rots) // 2
-    v, p = _locate(rots, 2 * k + 1)
-    rots[v][p] = 2 * m + 1
-    rots.append([2 * k + 1, 2 * m])
-
-
-def _double(rots: list[list[int]], k: int) -> None:
-    """Add an edge parallel to edge k, cutting off a two-sided face."""
-    m = sum(len(r) for r in rots) // 2
-    u, p = _locate(rots, 2 * k)
-    rots[u].insert(p + 1, 2 * m)
-    v, q = _locate(rots, 2 * k + 1)
-    rots[v].insert(q, 2 * m + 1)
-
-
-def _loop(rots: list[list[int]], d: int) -> None:
-    """Hang a little loop in the corner after dart d; adds one face."""
-    m = sum(len(r) for r in rots) // 2
-    u, p = _locate(rots, d)
-    rots[u][p + 1:p + 1] = [2 * m, 2 * m + 1]
-
-
-def _chord(rots: list[list[int]], a: int, b: int) -> None:
-    """Join the corners after darts a and b of one face; adds one face."""
-    m = sum(len(r) for r in rots) // 2
-    u, p = _locate(rots, a ^ 1)
-    rots[u].insert(p + 1, 2 * m)
-    v, q = _locate(rots, b ^ 1)
-    rots[v].insert(q + 1, 2 * m + 1)
-
-
-def _pendant(rots: list[list[int]], a: int) -> None:
-    """Grow a leaf edge out of the corner after dart a; faces unchanged."""
-    m = sum(len(r) for r in rots) // 2
-    u, p = _locate(rots, a ^ 1)
-    rots[u].insert(p + 1, 2 * m)
-    rots.append([2 * m + 1])
+def _check_count(name: str, value: object) -> None:
+    if type(value) is not int:
+        raise OutOfRange("%s must be an int, got %r" % (name, value))
 
 
 def random_map(
@@ -87,38 +169,40 @@ def random_map(
 
     Doubling, loop and chord surgeries each add one face; subdivision and
     pendant edges reshape without adding faces and are mixed in with the
-    given probability.
+    given probability.  They are the only surgeries that add vertices and
+    stop after the first 500 steps, so large maps carry all their edges
+    on a few hundred vertices, some of them hubs of very high degree.
     """
     if isinstance(rng, int):
         rng = Random(rng)
+    _check_count("num_faces", num_faces)
     if num_faces < 2:
         raise OutOfRange("a sphere map has at least 2 faces")
-    cm = initial_map()
+    rs = _Rotations()
     steps = 0
-    while cm.num_faces < num_faces:
-        rots = [list(r) for r in cm.rotations]
+    while len(rs.least) < num_faces:
         steps += 1
-        nd = cm.num_darts
+        ne = rs.num_edges
         if steps <= 500 and rng.random() < neutral_prob:
             if rng.random() < 0.5:
-                _subdivide(rots, rng.randrange(cm.num_edges))
+                rs.subdivide(rng.randrange(ne))
             else:
-                _pendant(rots, rng.randrange(nd))
+                rs.pendant(rng.randrange(2 * ne))
         else:
             pick = rng.random()
             if pick < 0.4:
-                _double(rots, rng.randrange(cm.num_edges))
+                rs.double(rng.randrange(ne))
             elif pick < 0.7:
-                _loop(rots, rng.randrange(nd))
+                rs.loop(rng.randrange(2 * ne))
             else:
-                face = cm.faces[rng.randrange(cm.num_faces)]
+                i = rng.randrange(len(rs.least))
+                face = rs.face(i)
                 if len(face) < 2:
-                    _loop(rots, rng.randrange(nd))
+                    rs.loop(rng.randrange(2 * ne))
                 else:
                     a, b = rng.sample(face, 2)
-                    _chord(rots, a, b)
-        cm = CombinatorialMap(rots)
-    return cm
+                    rs.chord(i, a, b)
+    return CombinatorialMap(rs.rotations())
 
 
 def random_sigma_graph(
@@ -129,8 +213,12 @@ def random_sigma_graph(
     """A random sphere map with three random distinct marked faces."""
     if isinstance(rng, int):
         rng = Random(rng)
+    _check_count("max_faces", max_faces)
+    _check_count("min_faces", min_faces)
     if min_faces < 3:
         raise OutOfRange("marking needs at least 3 faces")
+    if max_faces < min_faces:
+        raise OutOfRange("max_faces %d is below min_faces %d" % (max_faces, min_faces))
     nf = rng.randint(min_faces, max_faces)
     cm = random_map(rng, nf)
     marked = tuple(rng.sample(range(cm.num_faces), 3))

@@ -21,8 +21,9 @@ from pantslam.exploration import (
     make_sigma_graph,
 )
 from pantslam.ladders import block_graph
+from pantslam.randmaps import random_sigma_graph
 
-from conftest import theta_graph
+from conftest import build_corpus_graph, corpus_jobs, theta_graph
 
 
 def test_marked_faces_must_be_distinct():
@@ -144,3 +145,34 @@ def test_loop_accessors():
     assert lp.darts == (1, 4)
     assert lp.edge_set() == frozenset({0, 2})
     assert set(lp.vertices(sg.cmap)) == {0, 1}
+
+
+def _adjacency_distances(sg, src):
+    """Face distances by a BFS over face-adjacency sets built from scratch."""
+    cm = sg.cmap
+    adj = [set() for _ in range(cm.num_faces)]
+    for rot in cm.rotations:
+        here = {cm.face_of(d) for d in rot}
+        for f in here:
+            adj[f] |= here
+    dist = [-1] * cm.num_faces
+    dist[src] = 0
+    queue = [src]
+    for f in queue:
+        for g in adj[f]:
+            if dist[g] < 0:
+                dist[g] = dist[f] + 1
+                queue.append(g)
+    return tuple(dist)
+
+
+def test_incidence_bfs_matches_adjacency_bfs():
+    graphs = [random_sigma_graph(seed, 900, 300) for seed in range(6)]
+    # only the first 500 growth steps add vertices, so these maps have hubs
+    assert max(len(r) for g in graphs for r in g.cmap.rotations) > 200
+    graphs += [block_graph(t) for t in ((4, 3, 2, 0, 1, 3), (9, 5, 7, 2, 4, 3))]
+    graphs += [build_corpus_graph(*job) for job in corpus_jobs()[::40]]
+    for sg in graphs:
+        nf = sg.cmap.num_faces
+        for src in set(sg.marked) | {0, nf // 2, nf - 1}:
+            assert sg._dist_from(src) == _adjacency_distances(sg, src), (sg.cmap, src)

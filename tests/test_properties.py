@@ -371,3 +371,30 @@ def test_large_signature_survives_mirroring_renumbering_and_subdivision():
         sub = _subdivided(sg, range(0, sg.cmap.num_edges, 3))
         assert sub.cmap.num_vertices > sg.cmap.num_vertices
         assert sigma_of(sub) == tau
+
+
+# (seed, faces) of random marked maps with asymmetric signatures; the
+# generator adds vertices only in its first 500 steps, so these maps put
+# thousands of edges on a few hundred vertices
+BIG_RANDOM = [(2, 2000), (2, 5000), (0, 10000)]
+
+
+def test_relabeling_permutes_large_random_signature():
+    for seed, nf in BIG_RANDOM:
+        sg = random_sigma_graph(seed, nf, nf)
+        tau = sigma_of(sg)
+        assert len(set(permute_signature(tau, p) for p in permutations(range(3)))) == 6
+        for perm in permutations(range(3)):
+            relabeled = SigmaGraph(sg.cmap, tuple(sg.marked[p] for p in perm))
+            assert sigma_of(relabeled) == permute_signature(tau, perm)
+
+
+def test_large_random_signature_survives_mirroring_renumbering_and_subdivision():
+    for seed, nf in BIG_RANDOM:
+        sg = random_sigma_graph(seed, nf, nf)
+        tau = sigma_of(sg)
+        assert sigma_of(_mirrored(sg)) == tau
+        assert sigma_of(_renumbered(sg, seed + nf)) == tau
+        sub = _subdivided(sg, range(0, sg.cmap.num_edges, 3))
+        assert sub.cmap.num_vertices > sg.cmap.num_vertices
+        assert sigma_of(sub) == tau
