@@ -7,22 +7,14 @@ lamination polytope, decides realizability of a prospective signature,
 and constructs witness maps for the realizable ones.
 """
 
-from .combmap import CombinatorialMap, build_map, faces, faces_sharing_vertex
+from .combmap import CombinatorialMap, build_map
 from .constructor import (
     ConstructionResult,
     FamilySpec,
-    LabeledBlock,
-    connector,
     construct,
     construct_detailed,
     family_graph,
-    gamma,
-    leg,
-    pillowcase,
-    pillowcase_mirror,
-    pillowcase_sigma,
     search,
-    web,
 )
 from .errors import (
     BadFaceIndex,
@@ -45,17 +37,11 @@ from .errors import (
     UnknownVertex,
 )
 from .exploration import (
-    BoundaryLoopSet,
-    DistanceMatrix,
-    LayerSet,
     Loop,
     SigmaGraph,
-    boundary_loops,
-    classify_loop,
     distance_matrix,
     hemispheres,
     layer,
-    make_sigma_graph,
 )
 from .oracle import (
     CycleCatalog,
@@ -79,29 +65,24 @@ from .special_loops import (
     NuVector,
     SigmaVector,
     SpecialLoopFamily,
-    depth_vector,
     loop_toward,
     sigma_of,
     special_family,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BadFaceIndex",
-    "BoundaryLoopSet",
     "CombinatorialMap",
     "ConstructionResult",
     "CycleCatalog",
     "Disconnected",
-    "DistanceMatrix",
     "DuplicateMarkedFace",
     "EmptyLayer",
     "FamilySpec",
     "InvariantViolated",
-    "LabeledBlock",
     "LaminationPolytope",
-    "LayerSet",
     "LimitExceeded",
     "Loop",
     "MalformedRotation",
@@ -122,35 +103,23 @@ __all__ = [
     "SpecialLoopFamily",
     "UnknownVertex",
     "all_simple_cycles",
-    "boundary_loops",
     "build_map",
     "check_realizable",
-    "classify_loop",
-    "connector",
     "construct",
     "construct_detailed",
     "delete_edge",
-    "depth_vector",
     "distance_matrix",
     "enumerate_points",
-    "faces",
-    "faces_sharing_vertex",
     "family_graph",
-    "gamma",
     "hemispheres",
     "lamination_space",
     "lamination_space_bruteforce",
     "layer",
-    "leg",
     "loop_toward",
-    "make_sigma_graph",
     "max_disjoint_type",
     "non_bridge_edges",
     "nu_transform",
     "permute_signature",
-    "pillowcase",
-    "pillowcase_mirror",
-    "pillowcase_sigma",
     "random_map",
     "random_sigma_graph",
     "render_svg",
@@ -158,5 +127,4 @@ __all__ = [
     "sigma_of",
     "special_family",
     "tau_from_mu_nu",
-    "web",
 ]

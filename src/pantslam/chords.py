@@ -43,13 +43,6 @@ def _axis_point(u: Fraction) -> Vec:
     return ((1 - u * u) / den, 2 * u / den)
 
 
-def _invert(p: Vec) -> Vec:
-    n = p[0] * p[0] + p[1] * p[1]
-    if n == 0:
-        raise _Degenerate
-    return (p[0] / n, p[1] / n)
-
-
 def _tangent(p: Vec) -> Vec:
     return (-p[1], p[0])
 

@@ -32,10 +32,17 @@ from .special_loops import sigma_of, special_family
 __all__ = ["main"]
 
 
-def _load_graph(path: str) -> SigmaGraph:
+def _load_json(path: str):
+    """Parsed contents of a graph file; nesting too deep to parse is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return SigmaGraph.from_dict(data)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise PantsError("%s is nested too deeply to parse" % path) from None
+
+
+def _load_graph(path: str) -> SigmaGraph:
+    return SigmaGraph.from_dict(_load_json(path))
 
 
 def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
@@ -126,8 +133,7 @@ def cmd_roundtrip(max_mu: int, workers: int = 1) -> int:
 
 
 def cmd_render(path: str, out_svg: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if "marked_faces" in data:
         sg = SigmaGraph.from_dict(data)
         groups = [special_family(sg, i).loops for i in (1, 2, 3)]

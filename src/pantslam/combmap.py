@@ -25,10 +25,6 @@ from .errors import (
 )
 
 
-def twin(d: int) -> int:
-    return d ^ 1
-
-
 class CombinatorialMap:
     """Immutable sphere map defined by vertex rotations.
 
@@ -138,9 +134,6 @@ class CombinatorialMap:
         if not 0 <= v < len(self.rotations):
             raise UnknownVertex(v)
         return frozenset(self.face_of_dart[d] for d in self.rotations[v])
-
-    def face_vertices(self, f: int) -> tuple[int, ...]:
-        return tuple(self.dart_vertex[d] for d in self.faces[f])
 
     def face_edges(self, f: int) -> frozenset[int]:
         return frozenset(d >> 1 for d in self.faces[f])
@@ -258,13 +251,3 @@ def build_map(
     if count != len(label_to_int):
         raise MalformedRotation("rotations and pairing disagree on dart count")
     return CombinatorialMap(int_rots)
-
-
-def faces(cmap: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
-    """The face orbits of the map, each a cyclic dart sequence."""
-    return cmap.faces
-
-
-def faces_sharing_vertex(cmap: CombinatorialMap, v: int) -> frozenset[int]:
-    """Indices of all faces with a corner at vertex v."""
-    return cmap.faces_at(v)

@@ -1,11 +1,17 @@
 """Witness construction: build a marked map realizing a target signature.
 
-Two constructions are available.  Pillowcase blocks glue a ladder complex
-to its mirror image and cap three spared edges with marked digons; chord
-families draw nested circle families on a disk and double it.  construct()
-picks a route from the slack coordinates of the target, verifies the
-result by full analysis, and falls back to a bounded parameter search
-when the direct recipe misses.
+Two constructions are available.  Ladder blocks (`ladders.block_graph`)
+glue a ladder complex to its mirror image and cap three spared edges with
+marked digons; chord families (`chords.family_graph`) draw nested circle
+families on a disk and double it.  construct() picks a route from the
+slack coordinates of the target, verifies the result by full analysis,
+and falls back to a bounded parameter search when the direct recipe
+misses.
+
+Marked faces are numbered 1..3, as everywhere in the package: position
+i of a signature half, of a slack triple or of FamilySpec.counts belongs
+to marked face i+1.  Only `ConstructionResult.relabel`, a permutation of
+tuple positions as in `polytope.permute_signature`, counts from 0.
 """
 
 from __future__ import annotations
@@ -15,17 +21,8 @@ from itertools import permutations, product
 from typing import Optional, Sequence
 
 from . import chords, ladders
-from .combmap import CombinatorialMap
-from .errors import (
-    ConstructionFailed,
-    NegativeParameter,
-    NotRealizable,
-    OutOfRange,
-    PantsError,
-    SearchExhausted,
-)
+from .errors import NotRealizable, PantsError, SearchExhausted
 from .exploration import SigmaGraph
-from .facecomplex import FaceComplex
 from .polytope import (
     check_realizable,
     nu_transform,
@@ -35,34 +32,13 @@ from .polytope import (
 from .special_loops import SigmaVector, sigma_of
 
 __all__ = [
-    "LabeledBlock",
     "FamilySpec",
     "ConstructionResult",
-    "connector",
-    "leg",
-    "web",
-    "gamma",
-    "pillowcase",
-    "pillowcase_mirror",
-    "pillowcase_sigma",
     "family_graph",
     "construct",
     "construct_detailed",
     "search",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledBlock:
-    """A planar piece of the gluing construction with named outer edges.
-
-    map is the piece viewed as a map on the sphere (its complement is the
-    outer face); labels sends each named edge to its edge index.  A web of
-    size zero is the empty piece: map is None and labels is empty.
-    """
-
-    map: Optional[CombinatorialMap]
-    labels: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -95,122 +71,6 @@ class ConstructionResult:
     @property
     def fallback(self) -> bool:
         return self.route.startswith("search")
-
-
-def _check_leg_index(i: int) -> int:
-    if i not in (1, 2, 3):
-        raise OutOfRange("leg index must be 1, 2 or 3, got %r" % (i,))
-    return i
-
-
-def _cyc(i: int, shift: int) -> int:
-    """1-based cyclic successor arithmetic on {1, 2, 3}."""
-    return (i - 1 + shift) % 3 + 1
-
-
-def connector() -> LabeledBlock:
-    """The central triangle; its edges e_i' receive the three legs."""
-    fc = FaceComplex()
-    fc.add_face((("T", 0), ("T", 1), ("T", 2)),
-                (("conn", 0), ("conn", 1), ("conn", 2)))
-    built = fc.to_map()
-    labels = {}
-    for j in range(3):
-        labels["e%d'" % (j + 1)] = built.dart_of_side[(0, j)] >> 1
-    return LabeledBlock(built.cmap, labels)
-
-
-def leg(i: int, length: int) -> LabeledBlock:
-    """A ladder of `length` boxes; outer rung E_i, inner rung e_i.
-
-    Bottom edges are labeled f<k>[i,i+1] and top edges f<k>[i,i+2]
-    (indices cyclic, k counted outward from 1).  A leg of length zero is
-    a single edge carrying both rung labels.
-    """
-    i = _check_leg_index(i)
-    if length < 0:
-        raise NegativeParameter("leg length must be >= 0, got %r" % (length,))
-    nxt, prv = _cyc(i, 1), _cyc(i, 2)
-    if length == 0:
-        cm = CombinatorialMap([[0], [1]])
-        return LabeledBlock(cm, {"E%d" % i: 0, "e%d" % i: 0})
-    fc = FaceComplex()
-    for m in range(1, length + 1):
-        fc.add_face(
-            (("b", m - 1), ("b", m), ("t", m), ("t", m - 1)),
-            (("bot", m), ("rung", m), ("top", m), ("rung", m - 1)),
-        )
-    built = fc.to_map()
-    labels = {
-        "E%d" % i: built.dart_of_side[(0, 3)] >> 1,
-        "e%d" % i: built.dart_of_side[(length - 1, 1)] >> 1,
-    }
-    for m in range(1, length + 1):
-        labels["f%d[%d,%d]" % (m, i, nxt)] = built.dart_of_side[(m - 1, 0)] >> 1
-        labels["f%d[%d,%d]" % (m, i, prv)] = built.dart_of_side[(m - 1, 2)] >> 1
-    return LabeledBlock(built.cmap, labels)
-
-
-def web(i: int, size: int) -> LabeledBlock:
-    """A triangular staircase of `size` rows filling corner i.
-
-    The bottom arm edges f<k>[i+1,i+2]' glue to leg i+1, the top arm
-    edges f<k>[i+2,i+1]' to leg i+2 (indices cyclic).  Size zero is the
-    empty piece.
-    """
-    i = _check_leg_index(i)
-    if size < 0:
-        raise NegativeParameter("web size must be >= 0, got %r" % (size,))
-    if size == 0:
-        return LabeledBlock(None, {})
-    nxt, prv = _cyc(i, 1), _cyc(i, 2)
-    fc = FaceComplex()
-    cell_index: dict[tuple[int, int], int] = {}
-    for x in range(1, size + 1):
-        for y in range(1, size + 2 - x):
-            cell_index[(x, y)] = fc.num_faces
-            fc.add_face(
-                (("w", x - 1, y - 1), ("w", x, y - 1), ("w", x, y), ("w", x - 1, y)),
-                (("h", x, y - 1), ("v", x, y), ("h", x, y), ("v", x - 1, y)),
-            )
-    built = fc.to_map()
-    labels = {}
-    for k in range(1, size + 1):
-        labels["f%d[%d,%d]'" % (k, nxt, prv)] = (
-            built.dart_of_side[(cell_index[(k, 1)], 0)] >> 1)
-        labels["f%d[%d,%d]'" % (k, prv, nxt)] = (
-            built.dart_of_side[(cell_index[(1, k)], 3)] >> 1)
-    return LabeledBlock(built.cmap, labels)
-
-
-def gamma(t: Sequence[int]) -> LabeledBlock:
-    """The fused half block: connector, three legs and three webs glued.
-
-    Labels name the three spared outer edges E1, E2, E3 that receive the
-    marked caps after doubling.
-    """
-    fc, spared = ladders.block_complex(t)
-    built = fc.to_map()
-    labels = {}
-    for j, eid in enumerate(spared):
-        face, pos = fc.edge_sides()[eid][0]
-        labels["E%d" % (j + 1)] = built.dart_of_side[(face, pos)] >> 1
-    return LabeledBlock(built.cmap, labels)
-
-
-def pillowcase(t: Sequence[int]) -> SigmaGraph:
-    """Double the half block across its boundary and cap the spared edges."""
-    return ladders.block_graph(t)
-
-
-def pillowcase_mirror(t: Sequence[int]) -> tuple[int, ...]:
-    """The reflection of pillowcase(t) as a dart involution."""
-    return ladders.block_mirror(t)
-
-
-def pillowcase_sigma(t: Sequence[int]) -> tuple[int, int, int, int, int, int]:
-    """Closed-form signature of pillowcase(t), without building the map."""
-    return ladders.block_signature(t)
 
 
 def family_graph(spec: FamilySpec) -> SigmaGraph:
@@ -289,7 +149,7 @@ def _dispatch(tau: SigmaVector) -> Optional[ConstructionResult]:
     for route, params in attempts:
         try:
             if route.startswith("blocks"):
-                built = pillowcase(params[0])
+                built = ladders.block_graph(params[0])
             else:
                 built = family_graph(params[0])
         except PantsError:
@@ -355,7 +215,7 @@ def _search_detailed(tau: SigmaVector) -> ConstructionResult:
         tau_p = permute_signature(tau, perm)
         for t in _block_candidates(tau_p):
             try:
-                built = pillowcase(t)
+                built = ladders.block_graph(t)
             except PantsError:
                 continue
             res = _verified(built, perm, tau, "search-blocks", (t,))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .combmap import CombinatorialMap
@@ -168,8 +167,18 @@ class _Layers:
         self.marked_root = marked_root
 
 
+def _marked_index(i: int) -> int:
+    if i not in (1, 2, 3):
+        raise OutOfRange("marked index must be 1, 2 or 3, got %r" % (i,))
+    return i - 1
+
+
 class SigmaGraph:
-    """Sphere map with an ordered triple of distinct marked faces."""
+    """Sphere map with an ordered triple of distinct marked faces.
+
+    Public methods number the marked faces 1..3; the private helpers
+    `_layers_of` and `_bucket` take 0-based positions into `marked`.
+    """
 
     __slots__ = ("cmap", "marked", "_dist_cache", "_layer_cache")
 
@@ -275,18 +284,12 @@ class SigmaGraph:
         return layers
 
     def _bucket(self, i: int, k: int) -> list[int]:
-        if i not in (0, 1, 2):
-            raise BadFaceIndex(i)
         if k < 1:
             raise OutOfRange("level must be at least 1, got %d" % k)
         buckets = self._layers_of(i).buckets
         if k >= len(buckets) or not buckets[k]:
-            raise EmptyLayer("level %d around marked face %d" % (k, i))
+            raise EmptyLayer("level %d around marked face %d" % (k, i + 1))
         return buckets[k]
-
-    def boundary_darts(self, i: int, k: int) -> frozenset[int]:
-        """Darts with the level-k region on the left and the rest on the right."""
-        return frozenset(self._bucket(i, k))
 
     def boundary_loops(self, i: int, k: int) -> tuple[Loop, ...]:
         """Boundary walks of the level-k region, each keeping it on the left.
@@ -297,9 +300,11 @@ class SigmaGraph:
         left, thereby sweeping past one whole fan of outside corners.  Walks
         around distinct outside pockets stay distinct, and every walk must
         be vertex-simple.  Walks come out ordered by their least dart.
+        Marked face i is numbered 1..3.
         """
-        darts = self._bucket(i, k)
-        dist = self._layers_of(i).dist
+        i0 = _marked_index(i)
+        darts = self._bucket(i0, k)
+        dist = self._layers_of(i0).dist
         cm = self.cmap
         left_face, rotation_next = cm.left_face, cm.rotation_next
 
@@ -340,78 +345,34 @@ class SigmaGraph:
     def classify(self, loop: Loop) -> Optional[int]:
         """Which marked face a simple loop encloses alone, if any.
 
-        Returns the index (0..2) of the marked face that sits on one side
+        Returns the index (1..3) of the marked face that sits on one side
         by itself, or None when one side holds no marked face at all, in
         which case the loop can be shrunk to a point without meeting any.
         """
         left, right = loop_sides(self.cmap, loop)
-        on_left = [j for j, m in enumerate(self.marked) if m in left]
+        on_left = [j for j, m in enumerate(self.marked, 1) if m in left]
         if not on_left or len(on_left) == 3:
             return None
         if len(on_left) == 1:
             return on_left[0]
-        return next(j for j in (0, 1, 2) if j not in on_left)
+        return next(j for j in (1, 2, 3) if j not in on_left)
 
 
-# -- public interface, marked indices numbered 1..3 -------------------------
+# -- public interface, marked faces numbered 1..3 -------------------------
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All pairwise face distances of a marked graph."""
-
-    dist: tuple[tuple[int, ...], ...]
-
-    def between(self, f: int, g: int) -> int:
-        return self.dist[f][g]
+def distance_matrix(sg: SigmaGraph) -> tuple[tuple[int, ...], ...]:
+    """All pairwise face distances: entry [f][g] is the distance from f to g."""
+    return tuple(sg._dist_from(f) for f in range(sg.cmap.num_faces))
 
 
-@dataclass(frozen=True)
-class LayerSet:
-    """The faces at distance exactly k from marked face i."""
-
-    i: int
-    k: int
-    faces: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BoundaryLoopSet:
-    """The boundary walks of the level-k region around marked face i."""
-
-    i: int
-    k: int
-    loops: tuple[Loop, ...]
-
-
-def _marked_index(i: int) -> int:
-    if i not in (1, 2, 3):
-        raise OutOfRange("marked index must be 1, 2 or 3, got %r" % (i,))
-    return i - 1
-
-
-def make_sigma_graph(cmap: CombinatorialMap, f1: int, f2: int, f3: int) -> SigmaGraph:
-    """A marked graph from a sphere map and three distinct face indices."""
-    return SigmaGraph(cmap, (f1, f2, f3))
-
-
-def distance_matrix(sg: SigmaGraph) -> DistanceMatrix:
-    nf = sg.cmap.num_faces
-    return DistanceMatrix(tuple(sg._dist_from(f) for f in range(nf)))
-
-
-def layer(sg: SigmaGraph, i: int, k: int) -> LayerSet:
+def layer(sg: SigmaGraph, i: int, k: int) -> frozenset[int]:
     """Faces at distance exactly k from marked face i (k >= 0)."""
     src = sg.marked[_marked_index(i)]
     if k < 0:
         raise OutOfRange("layer radius must be nonnegative, got %d" % k)
     dist = sg._dist_from(src)
-    return LayerSet(i, k, frozenset(f for f, d in enumerate(dist) if d == k))
-
-
-def boundary_loops(sg: SigmaGraph, i: int, k: int) -> BoundaryLoopSet:
-    """Boundary of the faces within distance k-1 of marked face i, as loops."""
-    return BoundaryLoopSet(i, k, sg.boundary_loops(_marked_index(i), k))
+    return frozenset(f for f, d in enumerate(dist) if d == k)
 
 
 def hemispheres(
@@ -427,9 +388,3 @@ def hemispheres(
     if len(set(tails)) != len(tails):
         raise NotSimple("walk revisits a vertex: %r" % (loop,))
     return loop_sides(cm, loop)
-
-
-def classify_loop(sg: SigmaGraph, loop: Loop) -> Optional[int]:
-    """1-based index of the marked face the loop isolates, None if contractible."""
-    j = sg.classify(loop)
-    return None if j is None else j + 1

@@ -48,7 +48,6 @@ class BuiltMap:
     face_index: tuple[int, ...]  # complex face -> map face
     outer_faces: tuple[int, ...]  # map faces not coming from the complex
     dart_of_side: dict  # (face, position) -> dart along that side
-    vertex_index: dict  # vertex label -> map vertex
 
 
 class FaceComplex:
@@ -79,9 +78,6 @@ class FaceComplex:
             for j, e in enumerate(eids):
                 sides.setdefault(e, []).append((f, j))
         return sides
-
-    def boundary_edges(self) -> set:
-        return {e for e, ss in self.edge_sides().items() if len(ss) == 1}
 
     def _side_ends(self, f: int, j: int) -> tuple[Label, Label]:
         verts = self._verts[f]
@@ -235,17 +231,9 @@ class FaceComplex:
         if len(set(face_index)) != self.num_faces:
             raise NotClosed("two complex faces collapsed together")
         outer = tuple(sorted(set(range(cmap.num_faces)) - set(face_index)))
-        vertex_index = {}
-        for vidx, orbit in enumerate(orbits):
-            for d in orbit:
-                vertex_index[tail[d]] = vidx
-        for verts in self._verts:
-            for v in verts:
-                vertex_index[v] = vertex_index[uf.find(v)]
         return BuiltMap(
             cmap=cmap,
             face_index=face_index,
             outer_faces=outer,
             dart_of_side=dart_of_side,
-            vertex_index=vertex_index,
         )

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import NegativeParameter, OutOfRange
 from .exploration import SigmaGraph
-from .facecomplex import BuiltMap, FaceComplex
+from .facecomplex import FaceComplex
 
 Params = tuple[int, int, int, int, int, int]
 
@@ -25,7 +25,10 @@ Params = tuple[int, int, int, int, int, int]
 def validate_params(t: Sequence[int]) -> Params:
     if len(t) != 6:
         raise NegativeParameter("need six block parameters")
-    l1, l2, l3, n1, n2, n3 = (int(v) for v in t)
+    for v in t:
+        if type(v) is not int:
+            raise OutOfRange("block parameters must be ints, got %r" % (v,))
+    l1, l2, l3, n1, n2, n3 = t
     ls, ns = (l1, l2, l3), (n1, n2, n3)
     if any(v < 0 for v in ls) or any(v < 0 for v in ns):
         raise NegativeParameter("block parameters must be nonnegative")
@@ -93,11 +96,6 @@ def block_complex(t: Sequence[int]) -> tuple[FaceComplex, list]:
         ("rung", j, 0) if ls[j] >= 1 else ("conn", j) for j in range(3)
     ]
     return fc, spared
-
-
-def block_half_map(t: Sequence[int]) -> BuiltMap:
-    """The half complex closed off with a single outer face."""
-    return block_complex(t)[0].to_map()
 
 
 def block_graph(t: Sequence[int]) -> SigmaGraph:

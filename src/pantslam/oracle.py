@@ -107,8 +107,7 @@ def all_simple_cycles(
     types = []
     masks = []
     for loop in found:
-        t = sg.classify(loop) if marked else None
-        types.append(None if t is None else t + 1)
+        types.append(sg.classify(loop) if marked else None)
         mask = 0
         for v in loop.vertices(cm):
             mask |= 1 << v

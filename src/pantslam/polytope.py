@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .errors import NegativeParameter, NonPositiveDelta
+from .errors import NegativeParameter, NonPositiveDelta, OutOfRange
 from .exploration import SigmaGraph
 from .special_loops import NuVector, SigmaVector, sigma_of
 
@@ -29,9 +29,12 @@ Signature = tuple[int, int, int, int, int, int]
 
 
 def validate_tau(tau: Sequence[int]) -> SigmaVector:
-    vals = tuple(int(x) for x in tau)
+    vals = tuple(tau)
     if len(vals) != 6:
         raise NegativeParameter("signature needs 6 entries, got %d" % len(vals))
+    for x in vals:
+        if type(x) is not int:
+            raise OutOfRange("signature entries must be ints, got %r" % (x,))
     for x in vals[:3]:
         if x < 0:
             raise NegativeParameter("family size %d" % x)
@@ -89,8 +92,7 @@ def nu_transform(tau: Sequence[int]) -> NuVector:
 
 def tau_from_mu_nu(mu: Sequence[int], nu: Sequence[int]) -> SigmaVector:
     """Signature with the given family sizes and slack values."""
-    mu = tuple(int(x) for x in mu)
-    nu = tuple(int(x) for x in nu)
+    mu, nu = tuple(mu), tuple(nu)
     if len(mu) != 3 or len(nu) != 3:
         raise NegativeParameter("need three family sizes and three slacks")
     d = tuple(mu[(i + 1) % 3] + mu[(i + 2) % 3] - nu[i] for i in range(3))

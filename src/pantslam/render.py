@@ -2,8 +2,9 @@
 
 Layout is barycentric: the vertices of a chosen outer face are pinned to
 a regular polygon and every other vertex solves to the average of its
-neighbors.  Parallel edges bow apart, self-loops become small circles,
-marked faces get labels, and any supplied loops are drawn bold.
+neighbors, found by conjugate gradients on the sparse Laplacian.
+Parallel edges bow apart, self-loops become small circles, marked faces
+get labels, and any supplied loops are drawn bold.
 """
 
 from __future__ import annotations
@@ -11,14 +12,43 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .combmap import CombinatorialMap
 from .exploration import Loop, SigmaGraph
 
 __all__ = ["layout", "render_svg"]
 
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#af601a", "#7d3c98")
+
+
+_CG_TOL = 1e-13  # stop once the residual falls below this share of |b|
+_CG_ROUNDS = 4  # iteration cap, in multiples of the number of unknowns
+
+
+def _conjugate_gradient(
+    nbrs: list[list[int]], diag: list[float], b: list[float]
+) -> list[float]:
+    """Solve A x = b for A = diag(diag) minus the adjacency nbrs.
+
+    A is the Laplacian of a connected map with its ring pinned, hence
+    symmetric positive definite, so conjugate gradients converge.
+    """
+    n = len(b)
+    x = [0.0] * n
+    r = list(b)
+    p = list(r)
+    rr = sum(v * v for v in r)
+    stop = rr * _CG_TOL * _CG_TOL
+    for _ in range(_CG_ROUNDS * n):
+        if rr <= stop:
+            break
+        ap = [diag[j] * p[j] - sum(p[u] for u in nbrs[j]) for j in range(n)]
+        alpha = rr / sum(pj * aj for pj, aj in zip(p, ap))
+        x = [xj + alpha * pj for xj, pj in zip(x, p)]
+        r = [rj - alpha * aj for rj, aj in zip(r, ap)]
+        rr, rr_old = sum(v * v for v in r), rr
+        beta = rr / rr_old
+        p = [rj + beta * pj for rj, pj in zip(r, p)]
+    return x
 
 
 def layout(
@@ -45,26 +75,27 @@ def layout(
     inner = [v for v in range(nv) if v not in pos]
     if inner:
         index = {v: j for j, v in enumerate(inner)}
-        a = np.zeros((len(inner), len(inner)))
-        bx = np.zeros(len(inner))
-        by = np.zeros(len(inner))
+        # the pinned-ring Laplacian: diag[j] counts the non-loop edges at
+        # inner vertex j, nbrs[j] lists its inner neighbors with multiplicity
+        nbrs: list[list[int]] = [[] for _ in inner]
+        diag = [0.0] * len(inner)
+        bx = [0.0] * len(inner)
+        by = [0.0] * len(inner)
         for j, v in enumerate(inner):
-            deg = 0
             for d in cmap.rotations[v]:
                 u = cmap.head(d)
                 if u == v:
                     continue
-                deg += 1
+                diag[j] += 1.0
                 if u in index:
-                    a[j, index[u]] -= 1.0
+                    nbrs[j].append(index[u])
                 else:
                     bx[j] += pos[u][0]
                     by[j] += pos[u][1]
-            a[j, j] = float(deg) if deg else 1.0
-        xs = np.linalg.solve(a, bx)
-        ys = np.linalg.solve(a, by)
+        xs = _conjugate_gradient(nbrs, diag, bx)
+        ys = _conjugate_gradient(nbrs, diag, by)
         for v, j in index.items():
-            pos[v] = (float(xs[j]), float(ys[j]))
+            pos[v] = (xs[j], ys[j])
     return pos, outer
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvariantViolated, OutOfRange
-from .exploration import Loop, SigmaGraph
+from .exploration import Loop, SigmaGraph, _marked_index
 
 
 class SigmaVector(NamedTuple):
@@ -71,7 +71,7 @@ def _far_loops(sg: SigmaGraph, i0: int, k: int, targets: tuple[int, ...]) -> tup
     faces; the loop toward marked face j is the one whose component
     holds j.  All loops of the level come from one boundary walk.
     """
-    loops = sg.boundary_loops(i0, k)
+    loops = sg.boundary_loops(i0 + 1, k)
     layers = sg._layers_of(i0)
     want = [layers.marked_root[k][j] for j in targets]
     hits: list[list[Loop]] = [[] for _ in targets]
@@ -118,9 +118,7 @@ def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     differs from the loop toward the other.  Divergence is permanent, so
     no lookahead is needed.
     """
-    if i not in (1, 2, 3):
-        raise OutOfRange("marked index must be 1, 2 or 3, got %r" % (i,))
-    i0 = i - 1
+    i0 = _marked_index(i)
     far = ((i0 + 1) % 3, (i0 + 2) % 3)
     top = min(sg.face_distance(sg.marked[i0], sg.marked[j]) for j in far)
     out = []
@@ -136,11 +134,3 @@ def sigma_of(sg: SigmaGraph) -> SigmaVector:
     """Six invariants of the marked graph: family sizes, then distances."""
     sizes = tuple(len(special_family(sg, i)) for i in (1, 2, 3))
     return SigmaVector(*(sizes + sg.distances()))
-
-
-def depth_vector(sg: SigmaGraph) -> NuVector:
-    """Interlock depth at each index, computed from the signature."""
-    m1, m2, m3, d1, d2, d3 = sigma_of(sg)
-    m = (m1, m2, m3)
-    d = (d1, d2, d3)
-    return NuVector(*(m[(i + 1) % 3] + m[(i + 2) % 3] - d[i] for i in range(3)))

@@ -12,9 +12,10 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 from pantslam.cli import main
-from pantslam.constructor import construct_detailed, pillowcase, pillowcase_sigma
+from pantslam.constructor import construct_detailed
 from pantslam.errors import LimitExceeded
-from pantslam.exploration import boundary_loops, hemispheres, layer
+from pantslam.exploration import hemispheres, layer
+from pantslam.ladders import block_graph, block_signature
 from pantslam.oracle import (
     all_simple_cycles,
     lamination_space_bruteforce,
@@ -29,7 +30,7 @@ from pantslam.polytope import (
     slack_form_ok,
 )
 from pantslam.randmaps import random_map, random_sigma_graph
-from pantslam.special_loops import depth_vector, sigma_of, special_family
+from pantslam.special_loops import sigma_of, special_family
 
 from conftest import build_corpus_graph, corpus_jobs
 
@@ -122,7 +123,7 @@ def test_criterion_2():
     grid = closed_form_grid(3)
     assert len(grid) == 571
     for t in grid:
-        assert tuple(sigma_of(pillowcase(t))) == pillowcase_sigma(t)
+        assert tuple(sigma_of(block_graph(t))) == block_signature(t)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print("criterion 2: PASS (%d closed-form signatures, %.1fs)" % (len(grid), elapsed))
@@ -156,8 +157,9 @@ def test_criterion_4():
         tau = sigma_of(g)
         if not check_realizable(tau):
             violations.append((seed, "inequalities", tuple(tau)))
-        if any(n < 0 for n in depth_vector(g)):
-            violations.append((seed, "negative depth", tuple(depth_vector(g))))
+        nu = nu_transform(tau)
+        if any(n < 0 for n in nu):
+            violations.append((seed, "negative depth", tuple(nu)))
         if sum(1 for m in tau.mu if m == 0) > 1:
             violations.append((seed, "two empty families", tuple(tau.mu)))
     assert violations == []
@@ -210,9 +212,9 @@ def test_criterion_7():
         all_faces = frozenset(range(g.cmap.num_faces))
         for i in (1, 2, 3):
             k = 1
-            while layer(g, i, k).faces:
+            while layer(g, i, k):
                 used = set()
-                for lp in boundary_loops(g, i, k).loops:
+                for lp in g.boundary_loops(i, k):
                     verts = lp.vertices(g.cmap)
                     assert len(set(verts)) == len(verts)
                     assert used.isdisjoint(lp.edge_set())

@@ -1,0 +1,45 @@
+"""The public surface: exported names, the version, marked-face numbering."""
+
+from pathlib import Path
+
+import pytest
+
+import pantslam
+from pantslam.combmap import CombinatorialMap
+from pantslam.errors import OutOfRange
+from pantslam.exploration import SigmaGraph
+
+from conftest import THETA_ROTATIONS
+
+
+def test_every_exported_name_resolves():
+    assert len(set(pantslam.__all__)) == len(pantslam.__all__)
+    for name in pantslam.__all__:
+        assert getattr(pantslam, name) is not None, name
+
+
+def test_version_has_one_source():
+    assert pantslam.__version__ == "0.1.0"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "pantslam.__version__"
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_boundary_loops_number_marked_faces_from_1(i):
+    sg = SigmaGraph(CombinatorialMap([list(r) for r in THETA_ROTATIONS]), (0, 1, 2))
+    with pytest.raises(OutOfRange):
+        sg.boundary_loops(i, 1)
+
+
+@pytest.mark.parametrize("marked", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_classify_returns_the_marked_number(marked):
+    # each level-1 loop of the theta graph isolates its own marked face
+    sg = SigmaGraph(CombinatorialMap([list(r) for r in THETA_ROTATIONS]), marked)
+    for i in (1, 2, 3):
+        (loop,) = sg.boundary_loops(i, 1)
+        assert sg.classify(loop) == i

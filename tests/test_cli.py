@@ -150,6 +150,19 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("verb", ["analyze", "oracle", "render"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, verb):
+    depth = 10 ** 5
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": %s%s, "marked_faces": [0, 1, 2]}'
+                    % ("[" * depth, "]" * depth))
+    argv = [verb, str(path)] + ([str(tmp_path / "out.svg")] if verb == "render" else [])
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("PantsError:") and "nested too deeply" in out
+    assert not (tmp_path / "out.svg").exists()
+
+
 @pytest.mark.parametrize(
     "field, data",
     [

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pantslam.combmap import CombinatorialMap, build_map, faces, faces_sharing_vertex
+from pantslam.combmap import CombinatorialMap, build_map
 from pantslam.errors import Disconnected, MalformedRotation, NonSpherical
 
 from conftest import THETA_ROTATIONS
@@ -94,12 +94,14 @@ def test_degree_and_vertex_lookup():
 
 def test_faces_helper_matches_attribute():
     cm = theta_map()
-    assert faces(cm) == cm.faces
+    for f, orbit in enumerate(cm.faces):
+        assert [cm.next_in_face(d) for d in orbit] == list(orbit[1:] + orbit[:1])
+        assert {cm.face_of(d) for d in orbit} == {f}
 
 
 def test_faces_sharing_vertex():
     cm = theta_map()
-    assert faces_sharing_vertex(cm, 0) == frozenset({0, 1, 2})
+    assert cm.faces_at(0) == frozenset({0, 1, 2})
 
 
 def test_build_map_relabels_pairing_order():

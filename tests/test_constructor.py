@@ -1,77 +1,10 @@
-"""Witness construction: labeled building blocks and signature dispatch."""
+"""Witness construction: signature dispatch, search and verification."""
 
 import pytest
 
-from pantslam.constructor import (
-    FamilySpec,
-    connector,
-    construct,
-    construct_detailed,
-    gamma,
-    leg,
-    search,
-    web,
-)
+from pantslam.constructor import FamilySpec, construct, construct_detailed, search
 from pantslam.errors import NegativeParameter, NotRealizable, OutOfRange
 from pantslam.special_loops import sigma_of
-
-
-def test_connector_block():
-    blk = connector()
-    assert set(blk.labels) == {"e1'", "e2'", "e3'"}
-    cm = blk.map
-    assert (cm.num_vertices, cm.num_edges, cm.num_faces) == (3, 3, 2)
-
-
-def test_zero_length_leg_is_one_edge():
-    blk = leg(2, 0)
-    assert blk.labels == {"E2": 0, "e2": 0}
-    cm = blk.map
-    assert (cm.num_vertices, cm.num_edges, cm.num_faces) == (2, 1, 1)
-
-
-def test_leg_labels():
-    blk = leg(2, 3)
-    assert blk.labels["E2"] == 3
-    assert blk.labels["e2"] == 8
-    assert set(blk.labels) == {
-        "E2",
-        "e2",
-        "f1[2,3]",
-        "f1[2,1]",
-        "f2[2,3]",
-        "f2[2,1]",
-        "f3[2,3]",
-        "f3[2,1]",
-    }
-    cm = blk.map
-    assert (cm.num_vertices, cm.num_edges, cm.num_faces) == (8, 10, 4)
-
-
-def test_leg_index_bounds():
-    with pytest.raises(OutOfRange):
-        leg(4, 1)
-    with pytest.raises(NegativeParameter):
-        leg(1, -1)
-
-
-def test_empty_web_has_no_map():
-    blk = web(1, 0)
-    assert blk.map is None
-    assert blk.labels == {}
-
-
-def test_web_labels():
-    blk = web(1, 2)
-    assert set(blk.labels) == {"f1[2,3]'", "f1[3,2]'", "f2[2,3]'", "f2[3,2]'"}
-    cm = blk.map
-    assert (cm.num_vertices, cm.num_edges, cm.num_faces) == (8, 10, 4)
-
-
-def test_gamma_exposes_spared_edges():
-    blk = gamma((1, 0, 0, 0, 0, 0))
-    assert set(blk.labels) == {"E1", "E2", "E3"}
-    assert (blk.map.num_vertices, blk.map.num_edges, blk.map.num_faces) == (5, 6, 3)
 
 
 def test_family_spec_cap_indices():
@@ -127,6 +60,12 @@ def test_construct_rejects_unrealizable():
     with pytest.raises(NotRealizable) as exc:
         construct((0, 0, 0, 1, 1, 1))
     assert "Violates(T1, 1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_construct_rejects_non_int_entries(bad):
+    with pytest.raises(OutOfRange):
+        construct_detailed((bad, 1, 1, 1, 1, 1))
 
 
 def test_construct_rejects_bad_domain():

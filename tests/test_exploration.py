@@ -11,15 +11,7 @@ from pantslam.errors import (
     NotSimple,
     OutOfRange,
 )
-from pantslam.exploration import (
-    Loop,
-    boundary_loops,
-    classify_loop,
-    distance_matrix,
-    hemispheres,
-    layer,
-    make_sigma_graph,
-)
+from pantslam.exploration import Loop, SigmaGraph, distance_matrix, hemispheres, layer
 from pantslam.ladders import block_graph
 from pantslam.randmaps import random_sigma_graph
 
@@ -29,13 +21,13 @@ from conftest import build_corpus_graph, corpus_jobs, theta_graph
 def test_marked_faces_must_be_distinct():
     cm = CombinatorialMap([[0, 2, 4], [5, 3, 1]])
     with pytest.raises(DuplicateMarkedFace):
-        make_sigma_graph(cm, 0, 0, 1)
+        SigmaGraph(cm, (0, 0, 1))
 
 
 def test_marked_face_must_exist():
     cm = CombinatorialMap([[0, 2, 4], [5, 3, 1]])
     with pytest.raises(BadFaceIndex):
-        make_sigma_graph(cm, 0, 1, 9)
+        SigmaGraph(cm, (0, 1, 9))
 
 
 def test_theta_distances():
@@ -47,10 +39,10 @@ def test_ladder_distance_matrix():
     sg = block_graph((4, 3, 2, 0, 1, 3))
     dm = distance_matrix(sg)
     f1, f2, f3 = sg.marked
-    assert dm.between(f1, f2) == 5
-    assert dm.between(f1, f3) == 6
-    assert dm.between(f2, f3) == 6
-    assert dm.between(f1, f1) == 0
+    assert dm[f1][f2] == 5
+    assert dm[f1][f3] == 6
+    assert dm[f2][f3] == 6
+    assert dm[f1][f1] == 0
 
 
 def test_distance_matrix_symmetric():
@@ -59,13 +51,13 @@ def test_distance_matrix_symmetric():
     nf = sg.cmap.num_faces
     for f in range(nf):
         for g in range(nf):
-            assert dm.between(f, g) == dm.between(g, f)
+            assert dm[f][g] == dm[g][f]
 
 
 def test_layer_zero_is_the_marked_face():
     sg = theta_graph()
     for i in (1, 2, 3):
-        assert layer(sg, i, 0).faces == frozenset({sg.marked[i - 1]})
+        assert layer(sg, i, 0) == frozenset({sg.marked[i - 1]})
 
 
 def test_layer_negative_radius_rejected():
@@ -74,7 +66,7 @@ def test_layer_negative_radius_rejected():
 
 
 def test_layer_beyond_diameter_is_empty():
-    assert layer(theta_graph(), 1, 5).faces == frozenset()
+    assert layer(theta_graph(), 1, 5) == frozenset()
 
 
 def test_layer_bad_marked_index():
@@ -84,28 +76,28 @@ def test_layer_bad_marked_index():
 
 def test_theta_boundary_loop():
     sg = theta_graph()
-    bl = boundary_loops(sg, 1, 1)
-    assert len(bl.loops) == 1
-    assert bl.loops[0].darts == (1, 4)
+    loops = sg.boundary_loops(1, 1)
+    assert len(loops) == 1
+    assert loops[0].darts == (1, 4)
 
 
 def test_boundary_loops_empty_layer_rejected():
     with pytest.raises(EmptyLayer):
-        boundary_loops(theta_graph(), 1, 3)
+        theta_graph().boundary_loops(1, 3)
 
 
 def test_theta_digons_are_type_loops():
     sg = theta_graph()
     got = {}
     for i in (1, 2, 3):
-        (lp,) = boundary_loops(sg, i, 1).loops
-        got[i] = classify_loop(sg, lp)
+        (lp,) = sg.boundary_loops(i, 1)
+        got[i] = sg.classify(lp)
     assert got == {1: 1, 2: 2, 3: 3}
 
 
 def test_theta_hemispheres():
     sg = theta_graph()
-    (lp,) = boundary_loops(sg, 1, 1).loops
+    (lp,) = sg.boundary_loops(1, 1)
     sides = hemispheres(sg, lp)
     assert set(map(frozenset, sides)) == {frozenset({0}), frozenset({1, 2})}
 
@@ -113,7 +105,7 @@ def test_theta_hemispheres():
 def test_hemispheres_partition_all_faces():
     sg = block_graph((2, 1, 1, 0, 1, 1))
     for i in (1, 2, 3):
-        for lp in boundary_loops(sg, i, 1).loops:
+        for lp in sg.boundary_loops(i, 1):
             a, b = hemispheres(sg, lp)
             assert a.isdisjoint(b)
             assert a | b == frozenset(range(sg.cmap.num_faces))
@@ -127,7 +119,7 @@ def test_open_walk_rejected():
 
 def test_vertex_revisit_rejected():
     cm = CombinatorialMap([[0, 6, 2, 4], [5, 3, 7, 1]])
-    sg = make_sigma_graph(cm, 0, 2, 3)
+    sg = SigmaGraph(cm, (0, 2, 3))
     with pytest.raises(NotSimple):
         hemispheres(sg, Loop((0, 3, 2, 7)))
 
@@ -135,8 +127,8 @@ def test_vertex_revisit_rejected():
 def test_contractible_loop_has_no_type():
     # doubled edge cuts off a digon face that carries no mark
     cm = CombinatorialMap([[0, 6, 2, 4], [5, 3, 7, 1]])
-    sg = make_sigma_graph(cm, 0, 2, 3)
-    assert classify_loop(sg, Loop((1, 6))) is None
+    sg = SigmaGraph(cm, (0, 2, 3))
+    assert sg.classify(Loop((1, 6))) is None
 
 
 def test_loop_accessors():

@@ -59,6 +59,14 @@ def test_wrong_arity_rejected():
         validate_params((0, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [1.7, "1", True])
+def test_non_int_parameters_rejected(bad):
+    with pytest.raises(OutOfRange):
+        block_graph((bad, 0, 0, 0, 0, 0))
+    with pytest.raises(OutOfRange):
+        block_signature((1, 1, 1, 0, 0, bad))
+
+
 def test_marked_faces_are_digons():
     g = block_graph((2, 1, 0, 0, 0, 1))
     for f in g.marked:

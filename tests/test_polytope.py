@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pantslam.errors import NegativeParameter, NonPositiveDelta, PantsError
+from pantslam.errors import NegativeParameter, NonPositiveDelta, OutOfRange, PantsError
 from pantslam.polytope import (
     all_relabelings,
     check_realizable,
@@ -24,6 +24,14 @@ from conftest import theta_graph
 def test_validate_accepts_good_tuple():
     v = validate_tau((4, 1, 1, 1, 4, 5))
     assert tuple(v) == (4, 1, 1, 1, 4, 5)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_signature_entries_must_be_ints(bad):
+    with pytest.raises(OutOfRange):
+        validate_tau((bad, 1, 1, 1, 2, 2))
+    with pytest.raises(OutOfRange):
+        check_realizable((1, 1, 1, 1, 2, bad))
 
 
 def test_validate_rejects_zero_distance():

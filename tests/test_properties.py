@@ -12,16 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pantslam.combmap import CombinatorialMap
-from pantslam.exploration import (
-    Loop,
-    SigmaGraph,
-    boundary_loops,
-    classify_loop,
-    distance_matrix,
-    hemispheres,
-    layer,
-    make_sigma_graph,
-)
+from pantslam.exploration import Loop, SigmaGraph, distance_matrix, hemispheres, layer
 from pantslam.ladders import block_graph, block_mirror, block_signature
 from pantslam.polytope import (
     check_realizable,
@@ -33,7 +24,7 @@ from pantslam.polytope import (
     tau_from_mu_nu,
 )
 from pantslam.randmaps import delete_edge, non_bridge_edges, random_map, random_sigma_graph
-from pantslam.special_loops import depth_vector, sigma_of, special_family
+from pantslam.special_loops import sigma_of, special_family
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -89,18 +80,18 @@ def test_random_maps_satisfy_euler(cm):
 @given(sphere_maps(max_faces=7))
 @PROPERTY_SETTINGS
 def test_face_distance_one_means_shared_vertex(cm):
-    sg = make_sigma_graph(cm, 0, 1, 2)
+    sg = SigmaGraph(cm, (0, 1, 2))
     dm = distance_matrix(sg)
     verts_of = [
         {cm.tail(d) for d in face} for face in cm.faces
     ]
     for f in range(cm.num_faces):
-        assert dm.between(f, f) == 0
+        assert dm[f][f] == 0
         for g in range(cm.num_faces):
-            assert dm.between(f, g) == dm.between(g, f)
+            assert dm[f][g] == dm[g][f]
             if f != g:
                 share = bool(verts_of[f] & verts_of[g])
-                assert (dm.between(f, g) == 1) == share
+                assert (dm[f][g] == 1) == share
 
 
 @given(marked_graphs())
@@ -108,7 +99,8 @@ def test_face_distance_one_means_shared_vertex(cm):
 def test_signature_satisfies_realizability(sg):
     tau = sigma_of(sg)
     assert check_realizable(tau)
-    nu = depth_vector(sg)
+    mu = [len(special_family(sg, i)) for i in (1, 2, 3)]
+    nu = [mu[(i + 1) % 3] + mu[(i + 2) % 3] - sg.distances()[i] for i in range(3)]
     assert all(n >= 0 for n in nu)
     assert tuple(nu) == tuple(nu_transform(tau))
     # at most one empty family
@@ -120,8 +112,8 @@ def test_signature_satisfies_realizability(sg):
 def test_boundary_loops_are_simple_and_edge_disjoint(sg):
     for i in (1, 2, 3):
         k = 1
-        while layer(sg, i, k).faces:
-            loops = boundary_loops(sg, i, k).loops
+        while layer(sg, i, k):
+            loops = sg.boundary_loops(i, k)
             used_edges = set()
             for lp in loops:
                 verts = lp.vertices(sg.cmap)
@@ -136,7 +128,7 @@ def test_boundary_loops_are_simple_and_edge_disjoint(sg):
 def test_hemispheres_partition_faces(sg):
     all_faces = frozenset(range(sg.cmap.num_faces))
     for i in (1, 2, 3):
-        for lp in boundary_loops(sg, i, 1).loops:
+        for lp in sg.boundary_loops(i, 1):
             a, b = hemispheres(sg, lp)
             assert a | b == all_faces
             assert a.isdisjoint(b)
@@ -151,9 +143,9 @@ def test_layer_boundary_separates_near_from_far(sg):
     for i in (1, 2, 3):
         src = sg.marked[i - 1]
         k = 1
-        while layer(sg, i, k).faces:
+        while layer(sg, i, k):
             far_sides = []
-            for lp in boundary_loops(sg, i, k).loops:
+            for lp in sg.boundary_loops(i, k):
                 a, b = hemispheres(sg, lp)
                 far = b if src in a else a
                 far_sides.append(far)
@@ -161,7 +153,7 @@ def test_layer_boundary_separates_near_from_far(sg):
                 # step in, the far face at k or beyond
                 for d in lp.darts:
                     pair = {sg.cmap.face_of(d), sg.cmap.left_face(d)}
-                    dists = sorted(dm.between(src, f) for f in pair)
+                    dists = sorted(dm[src][f] for f in pair)
                     assert dists[0] == k - 1
                     assert dists[1] >= k
             for x in range(len(far_sides)):
@@ -169,7 +161,7 @@ def test_layer_boundary_separates_near_from_far(sg):
                     assert far_sides[x].isdisjoint(far_sides[y])
             union = set().union(*far_sides) if far_sides else set()
             expected = {
-                f for f in range(sg.cmap.num_faces) if dm.between(src, f) >= k
+                f for f in range(sg.cmap.num_faces) if dm[src][f] >= k
             }
             assert union == expected
             k += 1
@@ -232,7 +224,7 @@ def test_edge_deletion_never_grows_signature(sg, data):
 
     new_marks = tuple(tracked(f) for f in sg.marked)
     assume(len(set(new_marks)) == 3)
-    shrunk = make_sigma_graph(smaller, *new_marks)
+    shrunk = SigmaGraph(smaller, new_marks)
     before = sigma_of(sg)
     after = sigma_of(shrunk)
     assert all(a <= b for a, b in zip(after.mu, before.mu))
@@ -253,7 +245,7 @@ def test_mirror_preserves_loop_types(t):
     for i in (1, 2, 3):
         for lp in special_family(g, i).loops:
             image = Loop(tuple(phi[d] for d in lp.darts))
-            assert classify_loop(g, image) == i
+            assert g.classify(image) == i
 
 
 @given(realizable_signatures())

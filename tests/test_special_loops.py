@@ -6,11 +6,11 @@ import pytest
 
 from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph, loop_sides
+from pantslam.polytope import nu_transform
 from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import (
     NuVector,
     SigmaVector,
-    depth_vector,
     loop_toward,
     sigma_of,
     special_family,
@@ -93,21 +93,21 @@ def test_family_loops_are_nested_and_disjoint(crossed_rings):
 
 
 def test_depth_vectors():
-    assert tuple(depth_vector(theta_graph())) == (1, 1, 1)
+    assert tuple(nu_transform(sigma_of(theta_graph()))) == (1, 1, 1)
 
 
 def test_depth_vector_crossed(crossed_rings):
-    assert tuple(depth_vector(crossed_rings)) == (1, 1, 0)
+    assert tuple(nu_transform(sigma_of(crossed_rings))) == (1, 1, 0)
 
 
 def test_depth_vector_triple(triple_ring):
-    assert tuple(depth_vector(triple_ring)) == (0, 0, 0)
+    assert tuple(nu_transform(sigma_of(triple_ring))) == (0, 0, 0)
 
 
 def test_depth_matches_signature_arithmetic(triple_ring):
     m1, m2, m3, d1, d2, d3 = sigma_of(triple_ring)
     n = NuVector(m2 + m3 - d1, m3 + m1 - d2, m1 + m2 - d3)
-    assert depth_vector(triple_ring) == n
+    assert nu_transform(sigma_of(triple_ring)) == n
 
 
 # -- differential check against flood-based references ------------------------
@@ -116,7 +116,7 @@ def test_depth_matches_signature_arithmetic(triple_ring):
 def _reference_toward(sg, i0, j0, k):
     """The level-k loop around i0 with j0 on its far side, found by floods."""
     hits = []
-    for loop in sg.boundary_loops(i0, k):
+    for loop in sg.boundary_loops(i0 + 1, k):
         left, right = loop_sides(sg.cmap, loop)
         away = right if sg.marked[i0] in left else left
         if sg.marked[j0] in away:
