@@ -8,16 +8,11 @@ and constructs witness maps for the realizable ones.
 """
 
 from .combmap import CombinatorialMap, build_map
-from .constructor import (
-    ConstructionResult,
-    FamilySpec,
-    construct,
-    construct_detailed,
-    family_graph,
-    search,
-)
+from .chords import family_graph
+from .constructor import ConstructionResult, construct, construct_detailed
 from .errors import (
     BadFaceIndex,
+    ConstructionFailed,
     Disconnected,
     DuplicateMarkedFace,
     EmptyLayer,
@@ -33,7 +28,6 @@ from .errors import (
     OutOfRange,
     OverlappingCrossings,
     PantsError,
-    SearchExhausted,
     UnknownVertex,
 )
 from .exploration import (
@@ -75,12 +69,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BadFaceIndex",
     "CombinatorialMap",
+    "ConstructionFailed",
     "ConstructionResult",
     "CycleCatalog",
     "Disconnected",
     "DuplicateMarkedFace",
     "EmptyLayer",
-    "FamilySpec",
     "InvariantViolated",
     "LaminationPolytope",
     "LimitExceeded",
@@ -97,7 +91,6 @@ __all__ = [
     "OverlappingCrossings",
     "PantsError",
     "RealizabilityVerdict",
-    "SearchExhausted",
     "SigmaGraph",
     "SigmaVector",
     "SpecialLoopFamily",
@@ -123,7 +116,6 @@ __all__ = [
     "random_map",
     "random_sigma_graph",
     "render_svg",
-    "search",
     "sigma_of",
     "special_family",
     "tau_from_mu_nu",

@@ -11,6 +11,16 @@ a tangency:
   a + b is at most the interlock depth, tangentially when a + b
   exceeds it by exactly one, and not at all otherwise.
 
+With counts c and depths d (index i cyclic, j and k the other two) the
+drawing measures the signature
+
+  family size i = c_i + max(0, floor((d_i - max(d_j, d_k)) / 2))
+  distance i    = c_j + c_k - d_i
+
+which is `ladders.block_signature` with every parameter one larger; a
+tangent cap changes neither.  Family i gains loops only where the other
+two families interlock at least two deeper than either does with it.
+
 All coordinates are exact rationals: axis points are rational points
 of the unit circle, chord crossings come from linear systems, and the
 mirror side is circle inversion, which is orientation reversing and
@@ -28,7 +38,7 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .combmap import CombinatorialMap
-from .errors import InvariantViolated, NegativeParameter, OverlappingCrossings
+from .errors import InvariantViolated, NegativeParameter, OutOfRange, OverlappingCrossings
 from .exploration import SigmaGraph
 
 Vec = tuple[Fraction, Fraction]
@@ -100,9 +110,11 @@ def family_graph(
     The marked face of an empty family is the face holding its stretch of
     the axis; at most one family may be empty.
     """
-    counts = tuple(int(c) for c in counts)
-    depths = tuple(int(p) for p in depths)
-    caps = frozenset(int(i) for i in caps)
+    counts, depths, caps = tuple(counts), tuple(depths), tuple(caps)
+    for v in counts + depths + caps:
+        if type(v) is not int:
+            raise OutOfRange("family parameters must be ints, got %r" % (v,))
+    caps = frozenset(caps)
     if len(counts) != 3 or len(depths) != 3:
         raise NegativeParameter("need three counts and three depths")
     if any(c < 0 for c in counts):

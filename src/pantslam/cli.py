@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 
 from .combmap import CombinatorialMap
 from .constructor import construct_detailed
-from .errors import (
-    LimitExceeded,
-    NegativeParameter,
-    NotRealizable,
-    PantsError,
-    SearchExhausted,
-)
+from .errors import ConstructionFailed, LimitExceeded, NotRealizable, PantsError
 from .exploration import SigmaGraph
 from .oracle import all_simple_cycles, lamination_space_bruteforce, max_disjoint_type
 from .polytope import check_realizable, enumerate_points, nu_transform
@@ -74,9 +68,7 @@ def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     res = construct_detailed(tau)
     got = tuple(sigma_of(res.graph))
     print("route: %s" % res.route)
-    print("params: %s" % (res.params[0],))
-    if res.fallback:
-        print("fallback: yes")
+    print("params: counts=%s depths=%s" % (res.counts, res.depths))
     print("verified: sigma = %s" % (got,))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(res.graph.to_dict(), fh, indent=1, sort_keys=True)
@@ -85,13 +77,12 @@ def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     return 0
 
 
-def _roundtrip_one(tau: tuple[int, ...]) -> tuple[tuple[int, ...], str, bool, bool]:
+def _roundtrip_one(tau: tuple[int, ...]) -> tuple[str, bool]:
     try:
         res = construct_detailed(tau)
     except PantsError as exc:
-        return tau, type(exc).__name__, False, False
-    ok = tuple(sigma_of(res.graph)) == tuple(tau)
-    return tau, res.route, res.fallback, ok
+        return type(exc).__name__, False
+    return res.route, tuple(sigma_of(res.graph)) == tuple(tau)
 
 
 def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
@@ -105,30 +96,19 @@ def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cmd_roundtrip(max_mu: int, workers: int = 1) -> int:
+def cmd_roundtrip(max_mu: int) -> int:
     taus = _realizable_box(max_mu)
     if not taus:
         print("swept 0 realizable signatures (empty sweep)")
         return 0
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_roundtrip_one, taus, chunksize=8))
-    else:
-        rows = [_roundtrip_one(t) for t in taus]
     bad = 0
-    fell = 0
-    for tau, route, fallback, ok in rows:
-        flag = "ok" if ok else "MISMATCH"
-        if fallback:
-            flag += " fallback"
-            fell += 1
+    for tau in taus:
+        route, ok = _roundtrip_one(tau)
         if not ok:
             bad += 1
-        print("tau=%s route=%s %s" % (tau, route, flag))
-    print("swept %d realizable signatures: %d ok, %d via fallback, %d mismatches"
-          % (len(rows), len(rows) - bad, fell, bad))
+        print("tau=%s route=%s %s" % (tau, route, "ok" if ok else "MISMATCH"))
+    print("swept %d realizable signatures: %d ok, %d mismatches"
+          % (len(taus), len(taus) - bad, bad))
     return 1 if bad else 0
 
 
@@ -186,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="sweep all realizable signatures")
     p.add_argument("--max-mu", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("render", help="draw a graph JSON file to SVG")
     p.add_argument("path")
@@ -208,13 +187,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.verb == "construct":
             return cmd_construct(tuple(args.tau), args.out)
         if args.verb == "roundtrip":
-            return cmd_roundtrip(args.max_mu, args.workers)
+            return cmd_roundtrip(args.max_mu)
         if args.verb == "render":
             return cmd_render(args.path, args.out)
         if args.verb == "oracle":
             return cmd_oracle(args.path, args.cycle_limit)
         raise AssertionError(args.verb)
-    except (NotRealizable, SearchExhausted) as exc:
+    except (NotRealizable, ConstructionFailed) as exc:
         print("%s: %s" % (type(exc).__name__, exc))
         return 1
     except LimitExceeded as exc:

@@ -69,10 +69,6 @@ class ConstructionFailed(PantsError):
     """A constructed graph did not verify against its target signature."""
 
 
-class SearchExhausted(ConstructionFailed):
-    """Fallback search ran out of candidates without finding a witness."""
-
-
 class LimitExceeded(PantsError):
     """Brute-force enumeration exceeded its configured work limits."""
 

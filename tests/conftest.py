@@ -13,6 +13,7 @@ from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import SigmaGraph
 from pantslam.ladders import block_graph
+from pantslam.polytope import slack_form_ok
 
 THETA_ROTATIONS = ((0, 2, 4), (5, 3, 1))
 
@@ -60,6 +61,31 @@ def family_corpus(limit: int = 3) -> list[tuple]:
                     if idx and all(counts[i] >= 1 for i in idx):
                         out.append((counts, depths, idx))
     return out
+
+
+def realizable_grid(cap: int = 3):
+    """All realizable signatures with family sizes at most cap."""
+    out = []
+    for mu in product(range(cap + 1), repeat=3):
+        ranges = [range(min(mu[(i + 1) % 3], mu[(i + 2) % 3]) + 1) for i in range(3)]
+        for nu in product(*ranges):
+            delta = tuple(mu[(i + 1) % 3] + mu[(i + 2) % 3] - nu[i] for i in range(3))
+            if min(delta) < 1:
+                continue
+            tau = mu + delta
+            if slack_form_ok(tau):
+                out.append(tau)
+    return sorted(set(out))
+
+
+def sigma_cd(counts, depths):
+    """Signature measured by the drawings with these counts and depths."""
+    mu, delta = [], []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        mu.append(counts[i] + max(0, (depths[i] - max(depths[j], depths[k])) // 2))
+        delta.append(counts[j] + counts[k] - depths[i])
+    return tuple(mu + delta)
 
 
 def corpus_jobs(block_limit: int = 2, family_limit: int = 3) -> list[tuple]:

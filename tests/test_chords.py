@@ -3,8 +3,10 @@
 import pytest
 
 from pantslam.chords import family_graph
-from pantslam.errors import NegativeParameter, OverlappingCrossings
+from pantslam.errors import NegativeParameter, OutOfRange, OverlappingCrossings
 from pantslam.special_loops import sigma_of
+
+from conftest import family_corpus, sigma_cd
 
 
 def test_plain_nested_families():
@@ -75,3 +77,19 @@ def test_marked_faces_are_distinct_and_valid():
     g = family_graph((3, 2, 1), (1, 0, 1))
     assert len(set(g.marked)) == 3
     assert all(0 <= f < g.cmap.num_faces for f in g.marked)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", 0.0])
+@pytest.mark.parametrize("field", ["counts", "depths", "caps"])
+def test_non_int_parameters_rejected(field, bad):
+    args = {"counts": [1, 1, 1], "depths": [0, 0, 0], "caps": [0]}
+    args[field][0] = bad
+    with pytest.raises(OutOfRange):
+        family_graph(args["counts"], args["depths"], args["caps"])
+
+
+def test_signature_law_on_every_uncapped_spec():
+    specs = [(c, d) for c, d, caps in family_corpus(3) if not caps]
+    assert len(specs) > 300
+    for counts, depths in specs:
+        assert tuple(sigma_of(family_graph(counts, depths))) == sigma_cd(counts, depths)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pantslam import constructor
 from pantslam.cli import main
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import SigmaGraph
@@ -74,7 +75,8 @@ def test_construct_writes_witness(tmp_path, capsys):
     out = tmp_path / "wit.json"
     assert main(["construct", "2", "1", "1", "2", "3", "3", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "route: families-flat" in text
+    assert "route: families" in text
+    assert "params: counts=(2, 1, 1) depths=(0, 0, 0)" in text
     assert "verified: sigma = (2, 1, 1, 2, 3, 3)" in text
     data = json.loads(out.read_text())
     assert set(data) == {"vertices", "marked_faces"}
@@ -90,10 +92,20 @@ def test_construct_then_analyze_agree(tmp_path, capsys):
     assert "sigma = (2, 3, 0, 3, 2, 5)" in capsys.readouterr().out
 
 
-def test_construct_marks_fallback(tmp_path, capsys):
+def test_construct_reports_params(tmp_path, capsys):
     out = tmp_path / "gap.json"
     assert main(["construct", "2", "3", "3", "3", "4", "4", str(out)]) == 0
-    assert "fallback: yes" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["route: families", "params: counts=(1, 3, 3) depths=(3, 0, 0)"]
+    assert "fallback" not in "\n".join(lines)
+
+
+def test_construct_miss_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(constructor, "sigma_of", lambda g: (0,) * 6)
+    out = tmp_path / "miss.json"
+    assert main(["construct", "2", "3", "3", "3", "4", "4", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("ConstructionFailed: ")
+    assert not out.exists()
 
 
 def test_construct_unrealizable_fails(tmp_path, capsys):
@@ -111,8 +123,8 @@ def test_roundtrip_empty_sweep(capsys):
 def test_roundtrip_small_sweep(capsys):
     assert main(["roundtrip", "--max-mu", "1"]) == 0
     out = capsys.readouterr().out
-    assert "swept 14 realizable signatures: 14 ok, 3 via fallback, 0 mismatches" in out
-    assert "tau=(1, 1, 1, 1, 1, 1) route=blocks-even ok" in out
+    assert "swept 14 realizable signatures: 14 ok, 0 mismatches" in out
+    assert "tau=(1, 1, 1, 1, 1, 1) route=blocks ok" in out
 
 
 def test_render_writes_svg(theta_file, tmp_path, capsys):
