@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .combmap import CombinatorialMap
 from .constructor import construct_detailed
-from .errors import ConstructionFailed, LimitExceeded, NotRealizable, PantsError
+from .errors import ConstructionFailed, LimitExceeded, NotRealizable, OutOfRange, PantsError
 from .exploration import SigmaGraph
 from .oracle import all_simple_cycles, lamination_space_bruteforce, max_disjoint_type
 from .polytope import check_realizable, enumerate_points, nu_transform
@@ -67,7 +67,6 @@ def cmd_check(tau: Sequence[int]) -> int:
 def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     res = construct_detailed(tau)
     got = tuple(sigma_of(res.graph))
-    print("route: %s" % res.route)
     print("params: counts=%s depths=%s" % (res.counts, res.depths))
     print("verified: sigma = %s" % (got,))
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -77,12 +76,13 @@ def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     return 0
 
 
-def _roundtrip_one(tau: tuple[int, ...]) -> tuple[str, bool]:
+def _roundtrip_one(tau: tuple[int, ...]) -> str:
+    """The row verdict: ok, or MISMATCH followed by the error class if any."""
     try:
         res = construct_detailed(tau)
     except PantsError as exc:
-        return type(exc).__name__, False
-    return res.route, tuple(sigma_of(res.graph)) == tuple(tau)
+        return "MISMATCH " + type(exc).__name__
+    return "ok" if tuple(sigma_of(res.graph)) == tuple(tau) else "MISMATCH"
 
 
 def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
@@ -97,16 +97,18 @@ def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
 
 
 def cmd_roundtrip(max_mu: int) -> int:
+    if max_mu < 0:
+        raise OutOfRange("--max-mu must be at least 0, got %d" % max_mu)
     taus = _realizable_box(max_mu)
     if not taus:
         print("swept 0 realizable signatures (empty sweep)")
         return 0
     bad = 0
     for tau in taus:
-        route, ok = _roundtrip_one(tau)
-        if not ok:
+        verdict = _roundtrip_one(tau)
+        if verdict != "ok":
             bad += 1
-        print("tau=%s route=%s %s" % (tau, route, "ok" if ok else "MISMATCH"))
+        print("tau=%s %s" % (tau, verdict))
     print("swept %d realizable signatures: %d ok, %d mismatches"
           % (len(taus), len(taus) - bad, bad))
     return 1 if bad else 0
@@ -127,6 +129,8 @@ def cmd_render(path: str, out_svg: str) -> int:
 
 
 def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
+    if cycle_limit is not None and cycle_limit < 1:
+        raise OutOfRange("--cycle-limit must be at least 1, got %d" % cycle_limit)
     sg = _load_graph(path)
     kwargs = {} if cycle_limit is None else {"cycle_limit": cycle_limit}
     cat = all_simple_cycles(sg, **kwargs)

@@ -1,8 +1,9 @@
 """Witness construction: build a marked map realizing a target signature.
 
-Both drawings take family counts c and interlock depths d (depth i
-interlocks the two families other than i) and measure the same
-signature sigma(c, d); with index i cyclic and j, k the other two:
+The chord drawing (`chords.family_graph`) takes family counts c and
+interlock depths d (depth i interlocks the two families other than i)
+and measures the signature sigma(c, d); with index i cyclic and j, k
+the other two:
 
   family size i = c_i + max(0, floor((d_i - max(d_j, d_k)) / 2))
   distance i    = c_j + c_k - d_i
@@ -11,10 +12,7 @@ So a realizable tau has a closed-form preimage (family_params): start
 from c = mu and d = nu, take the index i of the largest depth and lower
 c_i, d_j and d_k by extra = max(0, d_i - max(d_j, d_k) - 1); depth i then
 exceeds the others by 2 extra + 1, which adds the loops back to family i.
-With every count and depth positive the faster ladder-block drawing
-(`ladders.block_graph` of c - 1, d - 1) is used, otherwise the chord
-drawing (`chords.family_graph`), the only one with an empty family or a
-zero depth.  Either way the witness is verified by measuring it.
+The witness is that drawing, verified by measuring it.
 
 Position i of a signature half, of counts or of depths belongs to marked
 face i+1, as everywhere in the package.
@@ -25,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
 
-from . import chords, ladders
+from . import chords
 from .errors import ConstructionFailed, NotRealizable
 from .exploration import SigmaGraph
 from .polytope import check_realizable, nu_transform, validate_tau
@@ -38,10 +36,9 @@ Triple = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A verified witness, the drawing that produced it and its parameters."""
+    """A verified witness and the counts and depths it was drawn with."""
 
     graph: SigmaGraph
-    route: str
     counts: Triple
     depths: Triple
 
@@ -60,10 +57,10 @@ def family_params(tau: Sequence[int]) -> tuple[Triple, Triple]:
 
 
 def _verified(
-    built: SigmaGraph, tau: SigmaVector, route: str, counts: Triple, depths: Triple
+    built: SigmaGraph, tau: SigmaVector, counts: Triple, depths: Triple
 ) -> Optional[ConstructionResult]:
     if tuple(sigma_of(built)) == tuple(tau):
-        return ConstructionResult(built, route, counts, depths)
+        return ConstructionResult(built, counts, depths)
     return None
 
 
@@ -78,7 +75,7 @@ def _search_detailed(tau: SigmaVector, counts: Triple, depths: Triple) -> NoRetu
 
 
 def construct_detailed(tau: Sequence[int]) -> ConstructionResult:
-    """Build and verify a witness, reporting the drawing and its parameters.
+    """Build and verify a witness, reporting its counts and depths.
 
     Raises NotRealizable when the target fails the linear conditions and
     ConstructionFailed when the built map does not measure tau.
@@ -88,13 +85,7 @@ def construct_detailed(tau: Sequence[int]) -> ConstructionResult:
     if not verdict:
         raise NotRealizable(str(verdict))
     counts, depths = family_params(tv)
-    if min(counts + depths) >= 1:
-        route = "blocks"
-        built = ladders.block_graph(tuple(v - 1 for v in counts + depths))
-    else:
-        route = "families"
-        built = chords.family_graph(counts, depths)
-    res = _verified(built, tv, route, counts, depths)
+    res = _verified(chords.family_graph(counts, depths), tv, counts, depths)
     if res is None:
         _search_detailed(tv, counts, depths)
     return res

@@ -8,7 +8,6 @@ pickle across the fork.
 
 import multiprocessing
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
@@ -167,18 +166,17 @@ def test_criterion_5():
 def test_criterion_6():
     start = time.perf_counter()
     taus = realizable_grid(3)
-    unverified, routes = [], Counter()
+    unverified = []
     for tau in taus:
         res = construct_detailed(tau)
         if tuple(sigma_of(res.graph)) != tau:
             unverified.append(tau)
-        routes[res.route] += 1
     elapsed = time.perf_counter() - start
     assert unverified == []
     assert elapsed < 600.0
     print(
-        "criterion 6: PASS (%d signatures verified, %.1fs; routes %s)"
-        % (len(taus), elapsed, dict(sorted(routes.items())))
+        "criterion 6: PASS (%d signatures verified, %.1fs)"
+        % (len(taus), elapsed)
     )
 
 

@@ -74,10 +74,11 @@ def test_check_negative_count_is_input_error(capsys):
 def test_construct_writes_witness(tmp_path, capsys):
     out = tmp_path / "wit.json"
     assert main(["construct", "2", "1", "1", "2", "3", "3", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "route: families" in text
-    assert "params: counts=(2, 1, 1) depths=(0, 0, 0)" in text
-    assert "verified: sigma = (2, 1, 1, 2, 3, 3)" in text
+    assert capsys.readouterr().out.splitlines() == [
+        "params: counts=(2, 1, 1) depths=(0, 0, 0)",
+        "verified: sigma = (2, 1, 1, 2, 3, 3)",
+        "wrote %s" % out,
+    ]
     data = json.loads(out.read_text())
     assert set(data) == {"vertices", "marked_faces"}
     g = SigmaGraph(CombinatorialMap(data["vertices"]), tuple(data["marked_faces"]))
@@ -96,7 +97,8 @@ def test_construct_reports_params(tmp_path, capsys):
     out = tmp_path / "gap.json"
     assert main(["construct", "2", "3", "3", "3", "4", "4", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["route: families", "params: counts=(1, 3, 3) depths=(3, 0, 0)"]
+    assert lines[0] == "params: counts=(1, 3, 3) depths=(3, 0, 0)"
+    assert not any(line.startswith("route") for line in lines)
     assert "fallback" not in "\n".join(lines)
 
 
@@ -124,7 +126,14 @@ def test_roundtrip_small_sweep(capsys):
     assert main(["roundtrip", "--max-mu", "1"]) == 0
     out = capsys.readouterr().out
     assert "swept 14 realizable signatures: 14 ok, 0 mismatches" in out
-    assert "tau=(1, 1, 1, 1, 1, 1) route=blocks ok" in out
+    assert "tau=(1, 1, 1, 1, 1, 1) ok" in out.splitlines()
+
+
+def test_roundtrip_negative_max_mu_is_input_error(capsys):
+    assert main(["roundtrip", "--max-mu", "-1"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("OutOfRange: --max-mu ")
+    assert "empty sweep" not in out
 
 
 def test_render_writes_svg(theta_file, tmp_path, capsys):
@@ -154,6 +163,12 @@ def test_oracle_agreement(theta_file, capsys):
 
 def test_oracle_limit_maps_to_input_error(theta_file, capsys):
     assert main(["oracle", theta_file, "--cycle-limit", "1"]) == 2
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_oracle_cycle_limit_below_one_is_input_error(theta_file, capsys, limit):
+    assert main(["oracle", theta_file, "--cycle-limit", limit]) == 2
+    assert capsys.readouterr().out.startswith("OutOfRange: --cycle-limit ")
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Witness construction: the closed-form recipe, its drawings and verification."""
+"""Witness construction: the closed-form recipe, its drawing and verification."""
 
 import pytest
 
@@ -10,13 +10,15 @@ from pantslam.errors import (
     NotRealizable,
     OutOfRange,
 )
-from pantslam.ladders import block_signature
+from pantslam.ladders import block_graph, block_signature
 from pantslam.special_loops import sigma_of
 
 from conftest import realizable_grid, sigma_cd
 
 # one signature per shape: flat and deep slack, an empty family, equal
-# and skewed positive slack; the shape's prefix names the drawing used
+# and skewed positive slack; the prefix says whether some count or depth
+# is zero ("families") or all are positive, so that ladder blocks could
+# draw it too ("blocks")
 SHAPES = [
     ((4, 3, 4, 4, 5, 7), "families-flat"),
     ((2, 3, 0, 3, 2, 5), "families-capped"),
@@ -29,7 +31,7 @@ SHAPES = [
 @pytest.mark.parametrize("tau,shape", SHAPES)
 def test_direct_routes(tau, shape):
     result = construct_detailed(tau)
-    assert result.route == shape.split("-")[0]
+    assert (min(result.counts + result.depths) >= 1) == shape.startswith("blocks")
     assert tuple(sigma_of(result.graph)) == tau
 
 
@@ -41,7 +43,7 @@ def test_flat_route_parameters():
 
 def test_deep_route_parameters():
     result = construct_detailed((2, 7, 6, 8, 6, 7))
-    assert result.route == "families"
+    assert tuple(sigma_of(result.graph)) == (2, 7, 6, 8, 6, 7)
     assert result.counts == (0, 7, 6)
     assert result.depths == (5, 0, 0)
 
@@ -68,6 +70,18 @@ def test_family_params_match_block_signature():
             blocks += 1
             assert block_signature(tuple(v - 1 for v in counts + depths)) == tau
     assert blocks > 10000
+
+
+def test_witness_no_larger_than_ladder_blocks():
+    # every signature ladder blocks can draw, with family sizes up to 4
+    positive = 0
+    for tau in realizable_grid(4):
+        counts, depths = family_params(tau)
+        if min(counts + depths) >= 1:
+            positive += 1
+            blocks = block_graph(tuple(v - 1 for v in counts + depths))
+            assert construct(tau).cmap.num_edges <= blocks.cmap.num_edges, tau
+    assert positive == 493
 
 
 def test_every_signature_up_to_five_verifies():
@@ -109,6 +123,5 @@ def test_construct_rejects_bad_domain():
 def test_construction_is_deterministic():
     a = construct_detailed((2, 3, 3, 3, 4, 4))
     b = construct_detailed((2, 3, 3, 3, 4, 4))
-    assert a.route == b.route
     assert (a.counts, a.depths) == (b.counts, b.depths)
     assert a.graph.cmap.rotations == b.graph.cmap.rotations

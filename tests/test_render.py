@@ -155,7 +155,8 @@ def test_layout_matches_dense_solve():
 def test_cli_import_leaves_numpy_out():
     src = str(Path(pantslam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, pantslam.cli; print('numpy' in sys.modules)"
+    code = ("import sys, pantslam.cli; "
+            "print([m for m in ('numpy', 'fractions') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
