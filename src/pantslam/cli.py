@@ -18,7 +18,7 @@ from .combmap import CombinatorialMap
 from .constructor import construct_detailed
 from .errors import ConstructionFailed, LimitExceeded, NotRealizable, OutOfRange, PantsError
 from .exploration import SigmaGraph
-from .oracle import all_simple_cycles, lamination_space_bruteforce, max_disjoint_type
+from .oracle import all_simple_cycles, lamination_space_bruteforce
 from .polytope import check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
@@ -27,10 +27,15 @@ __all__ = ["main"]
 
 
 def _load_json(path: str):
-    """Parsed contents of a graph file; nesting too deep to parse is bad input."""
+    """Parsed contents of a graph file.
+
+    Text that is not UTF-8, or is nested too deeply to parse, is bad input.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise PantsError("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
         except RecursionError:
             raise PantsError("%s is nested too deeply to parse" % path) from None
 
@@ -134,10 +139,11 @@ def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
     sg = _load_graph(path)
     kwargs = {} if cycle_limit is None else {"cycle_limit": cycle_limit}
     cat = all_simple_cycles(sg, **kwargs)
-    brute_m = tuple(max_disjoint_type(sg, i, cat) for i in (1, 2, 3))
+    brute_pts = lamination_space_bruteforce(sg, cat)
+    # packing number i is the largest x_i among the achievable triples
+    brute_m = tuple(max(p[i] for p in brute_pts) for i in range(3))
     tau = sigma_of(sg)
     pipe_m = tau.mu
-    brute_pts = lamination_space_bruteforce(sg, cat)
     pipe_pts = frozenset(enumerate_points(tau).points)
     print("cycles cataloged: %d" % len(cat))
     print("packing numbers: bruteforce %s pipeline %s" % (brute_m, pipe_m))

@@ -13,11 +13,12 @@ two neighboring lengths.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from .errors import NegativeParameter, OutOfRange
 from .exploration import SigmaGraph
-from .facecomplex import FaceComplex
+from .facecomplex import BuiltMap, FaceComplex
 
 Params = tuple[int, int, int, int, int, int]
 
@@ -40,45 +41,19 @@ def validate_params(t: Sequence[int]) -> Params:
     return (l1, l2, l3, n1, n2, n3)
 
 
-def _legb(ls, j: int, m: int):
-    return ("T", (j + 1) % 3) if m == ls[j] else ("b", j, m)
-
-
-def _legt(ls, j: int, m: int):
-    return ("T", j) if m == ls[j] else ("t", j, m)
-
-
 def block_complex(t: Sequence[int]) -> tuple[FaceComplex, list]:
     """The half complex and its three to-be-spared boundary edges."""
     t = validate_params(t)
     ls, ns = t[:3], t[3:]
     fc = FaceComplex()
-    fc.add_face(
-        (("T", 0), ("T", 1), ("T", 2)),
-        (("conn", 0), ("conn", 1), ("conn", 2)),
-    )
+    fc.add_face((("conn", 0), ("conn", 1), ("conn", 2)))
     for j in range(3):
         for m in range(1, ls[j] + 1):
             rung = ("conn", j) if m == ls[j] else ("rung", j, m)
-            fc.add_face(
-                (
-                    _legb(ls, j, m - 1),
-                    _legb(ls, j, m),
-                    _legt(ls, j, m),
-                    _legt(ls, j, m - 1),
-                ),
-                (("bot", j, m), rung, ("top", j, m), ("rung", j, m - 1)),
-            )
+            fc.add_face((("bot", j, m), rung, ("top", j, m), ("rung", j, m - 1)))
     for i in range(3):
         n = ns[i]
         j1, j2 = (i + 1) % 3, (i + 2) % 3
-
-        def wv(x: int, y: int):
-            if y == 0:
-                return _legb(ls, j1, ls[j1] - x)
-            if x == 0:
-                return _legt(ls, j2, ls[j2] - y)
-            return ("w", i, x, y)
 
         def hid(x: int, y: int):
             return ("bot", j1, ls[j1] - x + 1) if y == 0 else ("wh", i, x, y)
@@ -88,25 +63,43 @@ def block_complex(t: Sequence[int]) -> tuple[FaceComplex, list]:
 
         for x in range(1, n + 1):
             for y in range(1, n + 2 - x):
-                fc.add_face(
-                    (wv(x - 1, y - 1), wv(x, y - 1), wv(x, y), wv(x - 1, y)),
-                    (hid(x, y - 1), vid(x, y), hid(x, y), vid(x - 1, y)),
-                )
+                fc.add_face((hid(x, y - 1), vid(x, y), hid(x, y), vid(x - 1, y)))
     spared = [
         ("rung", j, 0) if ls[j] >= 1 else ("conn", j) for j in range(3)
     ]
     return fc, spared
 
 
-def block_graph(t: Sequence[int]) -> SigmaGraph:
-    """The doubled block complex as a marked graph."""
+def doubled(fc: FaceComplex, spared: Sequence) -> FaceComplex:
+    """fc glued to its mirror image along the boundary, except at spared edges.
+
+    Face f of fc keeps index f; its mirror, the same ids in reverse
+    order, is face nf + f.  Interior ids of the mirror become ("m", e);
+    unspared boundary ids stay shared, which sews the copies together.
+    Spared edge i is bridged by the digon (e, ("m", e)), face 2 nf + i.
+    """
+    uses = Counter(e for face in fc.faces for e in face)
+    rim = {e for e, k in uses.items() if k == 1}.difference(spared)
+    out = FaceComplex()
+    for face in fc.faces:
+        out.add_face(face)
+    for face in fc.faces:
+        out.add_face([e if e in rim else ("m", e) for e in reversed(face)])
+    for e in spared:
+        out.add_face((e, ("m", e)))
+    return out
+
+
+def _doubled_map(t: Sequence[int]) -> tuple[BuiltMap, int]:
+    """The built doubled complex of t and the half complex's face count."""
     fc, spared = block_complex(t)
-    doubled, cap_face = fc.doubled(spared)
-    built = doubled.to_map()
-    if built.outer_faces:
-        raise OutOfRange("doubled complex should have no boundary")
-    marked = [built.face_index[cap_face[e]] for e in spared]
-    return SigmaGraph(built.cmap, marked)
+    return doubled(fc, spared).to_map(), len(fc.faces)
+
+
+def block_graph(t: Sequence[int]) -> SigmaGraph:
+    """The doubled block complex as a marked graph; the caps are marked."""
+    built, nf = _doubled_map(t)
+    return SigmaGraph(built.cmap, built.face_index[2 * nf:])
 
 
 def block_mirror(t: Sequence[int]) -> tuple[int, ...]:
@@ -118,10 +111,8 @@ def block_mirror(t: Sequence[int]) -> tuple[int, ...]:
     conjugates the rotation system to its inverse, fixing each cap face
     setwise.
     """
-    fc, spared = block_complex(t)
-    doubled, cap_face = fc.doubled(spared)
-    built = doubled.to_map()
-    nf = fc.num_faces
+    built, nf = _doubled_map(t)
+    darts = built.face_darts
     phi = [-1] * built.cmap.num_darts
     def pair(a: int, b: int) -> None:
         # darts on the mirror plane pair with themselves here
@@ -131,13 +122,10 @@ def block_mirror(t: Sequence[int]) -> tuple[int, ...]:
         phi[b] = a ^ 1
 
     for f in range(nf):
-        n = len(fc.face(f)[0])
-        for j in range(n):
-            pair(built.dart_of_side[(f, j)],
-                 built.dart_of_side[(nf + f, n - 1 - j)])
-    for e in spared:
-        g = cap_face[e]
-        pair(built.dart_of_side[(g, 0)], built.dart_of_side[(g, 1)])
+        for a, b in zip(darts[f], reversed(darts[nf + f])):
+            pair(a, b)
+    for cap in darts[2 * nf:]:
+        pair(*cap)
     return tuple(phi)
 
 

@@ -1,5 +1,8 @@
 """The public surface: exported names, the version, marked-face numbering."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,21 @@ def test_version_has_one_source():
     assert meta["project"]["dynamic"] == ["version"]
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     assert attr == "pantslam.__version__"
+
+
+def test_benchmark_tracer_installs():
+    """perfbench wraps program functions by name; renaming one breaks this."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracer, worker; worker.install_tracing(tracer.Tracer())"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

@@ -190,6 +190,17 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, verb):
     assert not (tmp_path / "out.svg").exists()
 
 
+@pytest.mark.parametrize("verb", ["analyze", "oracle", "render"])
+def test_non_utf8_file_is_input_error(tmp_path, capsys, verb):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"vertices": [[0, 1]]}'.encode("utf-16-le"))
+    argv = [verb, str(path)] + ([str(tmp_path / "out.svg")] if verb == "render" else [])
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("PantsError:") and "not UTF-8" in out
+    assert not (tmp_path / "out.svg").exists()
+
+
 @pytest.mark.parametrize(
     "field, data",
     [

@@ -5,6 +5,7 @@ import pytest
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import LimitExceeded, OutOfRange
+from pantslam.ladders import block_graph
 from pantslam.oracle import (
     all_simple_cycles,
     lamination_space_bruteforce,
@@ -92,6 +93,15 @@ def test_crossed_rings_bruteforce(crossed_rings):
         assert max_disjoint_type(crossed_rings, i, cat) == len(
             special_family(crossed_rings, i).loops
         )
+
+
+@pytest.mark.parametrize("name", ["theta", "crossed_rings", "triple_ring", "block"])
+def test_packing_numbers_are_maxima_of_bruteforce_space(request, name):
+    sg = block_graph((1, 1, 0, 0, 0, 1)) if name == "block" else request.getfixturevalue(name)
+    cat = all_simple_cycles(sg)
+    bf = lamination_space_bruteforce(sg, cat)
+    for i in (1, 2, 3):
+        assert max(p[i - 1] for p in bf) == max_disjoint_type(sg, i, cat)
 
 
 def test_bruteforce_space_downward_closed(crossed_rings):
