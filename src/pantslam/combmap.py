@@ -35,7 +35,6 @@ class CombinatorialMap:
         "rotations",
         "dart_vertex",
         "_next",
-        "_prev",
         "faces",
         "face_of_dart",
     )
@@ -56,16 +55,13 @@ class CombinatorialMap:
 
         dart_vertex = [0] * n
         nxt = [0] * n
-        prv = [0] * n
         for v, r in enumerate(rots):
             k = len(r)
             for i, d in enumerate(r):
                 dart_vertex[d] = v
                 nxt[d] = r[(i + 1) % k]
-                prv[d] = r[(i - 1) % k]
         self.dart_vertex = tuple(dart_vertex)
         self._next = tuple(nxt)
-        self._prev = tuple(prv)
 
         self._check_connected()
         self.faces, self.face_of_dart = self._trace_faces()
@@ -106,9 +102,6 @@ class CombinatorialMap:
 
     def rotation_next(self, d: int) -> int:
         return self._next[d]
-
-    def rotation_prev(self, d: int) -> int:
-        return self._prev[d]
 
     def next_in_face(self, d: int) -> int:
         return self._next[d ^ 1]

@@ -6,8 +6,11 @@ marked face m and a level k >= 1, the region of level k is the set of
 faces within distance k-1 of m; its boundary is walked with a
 tightest-turn rule that always hugs the region on the left.  Each
 resulting closed walk is required to be vertex-simple, and a simple
-closed curve on the sphere has exactly two sides, which is what the
-classification routines exploit.
+closed curve on the sphere has exactly two sides.  `classify` tells
+them apart without a flood: two faces lie on opposite sides exactly
+when a path of faces between them crosses the curve an odd number of
+times, so one dual BFS tree from marked face 1 types every loop by two
+parities.  `hemispheres` floods the sides when the face sets are needed.
 
 The distances from m come from a breadth-first search over face-vertex
 incidence that expands each face and each vertex once (see
@@ -75,7 +78,7 @@ class Loop:
         return frozenset(d >> 1 for d in self.darts)
 
     def vertices(self, cmap: CombinatorialMap) -> tuple[int, ...]:
-        return tuple(cmap.tail(d) for d in self.darts)
+        return tuple(map(cmap.dart_vertex.__getitem__, self.darts))
 
 
 def loop_sides(
@@ -180,7 +183,7 @@ class SigmaGraph:
     `_layers_of` and `_bucket` take 0-based positions into `marked`.
     """
 
-    __slots__ = ("cmap", "marked", "_dist_cache", "_layer_cache")
+    __slots__ = ("cmap", "marked", "_dist_cache", "_layer_cache", "_crossing")
 
     def __init__(self, cmap: CombinatorialMap, marked: Sequence[int]):
         marked = tuple(marked)
@@ -195,6 +198,7 @@ class SigmaGraph:
         self.marked = marked
         self._dist_cache: dict[int, tuple[int, ...]] = {}
         self._layer_cache: dict[int, _Layers] = {}
+        self._crossing: Optional[list[int]] = None
 
     # -- serialization ---------------------------------------------------
 
@@ -342,20 +346,46 @@ class SigmaGraph:
 
     # -- classification -----------------------------------------------------
 
+    def _crossings(self) -> list[int]:
+        """Per edge, bit j-2 set when the dual BFS path from marked face 1
+        to marked face j (j = 2, 3) crosses it.  No face repeats on a BFS
+        path, so neither path crosses an edge twice.
+        """
+        if self._crossing is None:
+            cm = self.cmap
+            root = self.marked[0]
+            via = {root: -1}  # face g -> a dart with g on its left, g's parent on its right
+            queue = deque([root])
+            while queue:
+                for d in cm.faces[queue.popleft()]:
+                    g = cm.left_face(d)
+                    if g not in via:
+                        via[g] = d
+                        queue.append(g)
+            self._crossing = [0] * cm.num_edges
+            for bit, f in ((1, self.marked[1]), (2, self.marked[2])):
+                while f != root:
+                    self._crossing[via[f] >> 1] |= bit
+                    f = cm.face_of(via[f])
+        return self._crossing
+
     def classify(self, loop: Loop) -> Optional[int]:
         """Which marked face a simple loop encloses alone, if any.
 
         Returns the index (1..3) of the marked face that sits on one side
         by itself, or None when one side holds no marked face at all, in
         which case the loop can be shrunk to a point without meeting any.
+        A path of faces changes side exactly where it crosses the loop,
+        so marked faces 1 and j lie on opposite sides exactly when the
+        dual path from 1 to j crosses an odd number of the loop's edges.
         """
-        left, right = loop_sides(self.cmap, loop)
-        on_left = [j for j, m in enumerate(self.marked, 1) if m in left]
-        if not on_left or len(on_left) == 3:
-            return None
-        if len(on_left) == 1:
-            return on_left[0]
-        return next(j for j in (1, 2, 3) if j not in on_left)
+        _check_simple(self.cmap, loop)
+        bits = self._crossings()
+        odd = 0
+        for d in loop.darts:
+            odd ^= bits[d >> 1]
+        # bit 0: faces 1 and 2 apart; bit 1: faces 1 and 3 apart
+        return (None, 2, 3, 1)[odd]
 
 
 # -- public interface, marked faces numbered 1..3 -------------------------
@@ -375,16 +405,19 @@ def layer(sg: SigmaGraph, i: int, k: int) -> frozenset[int]:
     return frozenset(f for f, d in enumerate(dist) if d == k)
 
 
+def _check_simple(cm: CombinatorialMap, loop: Loop) -> None:
+    """Raise unless the loop's darts chain up and visit each vertex once."""
+    tails = loop.vertices(cm)
+    for t, d in enumerate(loop.darts):
+        if cm.dart_vertex[d ^ 1] != tails[t + 1 - len(tails)]:
+            raise NotClosed("dart walk does not chain up at position %d" % t)
+    if len(set(tails)) != len(tails):
+        raise NotSimple("walk revisits a vertex: %r" % (loop,))
+
+
 def hemispheres(
     sg: SigmaGraph, loop: Loop
 ) -> tuple[frozenset[int], frozenset[int]]:
     """The two face sets separated by a vertex-simple closed walk."""
-    cm = sg.cmap
-    darts = loop.darts
-    for t, d in enumerate(darts):
-        if cm.head(d) != cm.tail(darts[(t + 1) % len(darts)]):
-            raise NotClosed("dart walk does not chain up at position %d" % t)
-    tails = loop.vertices(cm)
-    if len(set(tails)) != len(tails):
-        raise NotSimple("walk revisits a vertex: %r" % (loop,))
-    return loop_sides(cm, loop)
+    _check_simple(sg.cmap, loop)
+    return loop_sides(sg.cmap, loop)

@@ -16,8 +16,13 @@ counterclockwise by the reverse of the dart along side j,
 
 Every dart is a side exactly once and a reversed side exactly once, so
 succ is a permutation and its orbits are the vertices; there are no
-vertex labels that could disagree with the gluing.  Whether the result
-is a connected sphere is left to CombinatorialMap.
+vertex labels that could disagree with the gluing.  The map faces are
+the complex faces: the face right of dart(f, j) ^ 1 continues with
+succ(dart(f, j)) = dart(f, j-1) ^ 1, so the map face left of the sides
+of f is the orbit of the darts dart(f, j) ^ 1 over all j, and these
+orbits, one per complex face, partition the darts.  So `face_index` is
+a bijection onto the map faces.  Whether the result is a connected
+sphere is left to CombinatorialMap.
 """
 
 from __future__ import annotations
@@ -90,6 +95,4 @@ class FaceComplex:
 
         cmap = CombinatorialMap(orbits)
         face_index = tuple(cmap.left_face(darts[0]) for darts in face_darts)
-        if len(set(face_index)) != len(face_index):
-            raise NotClosed("two complex faces collapsed together")
         return BuiltMap(cmap, face_index, tuple(face_darts))

@@ -1,17 +1,17 @@
 """Brute-force reference computations on marked maps.
 
 Everything here is deliberately exhaustive: enumerate all vertex-simple
-cycles of the underlying multigraph, classify each one by which marked
-face it separates from the other two, and answer packing questions by
-explicit search over disjoint collections.  The fast pipeline is checked
-against these answers in the test suite.
+cycles of the underlying multigraph, each once, type each one by which
+marked face it separates from the other two, and answer packing
+questions by explicit search over disjoint collections.  The fast
+pipeline is checked against these answers in the test suite.  No search
+here recurses, so the depth of a map is bounded by memory alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
 from .errors import LimitExceeded, OutOfRange
@@ -43,10 +43,6 @@ class CycleCatalog:
             raise OutOfRange("type must be 1, 2 or 3, got %r" % (i,))
         return tuple(c for c, t in enumerate(self.types) if t == i)
 
-    def conflict(self, a: int, b: int) -> bool:
-        """Whether two distinct catalog cycles share a vertex."""
-        return a != b and bool(self.masks[a] & self.masks[b])
-
     def __len__(self) -> int:
         return len(self.cycles)
 
@@ -60,59 +56,52 @@ def all_simple_cycles(
 
     Cycles are closed dart walks visiting no vertex twice; a self-loop
     edge is a one-dart cycle and a pair of parallel edges a two-dart one.
-    Each cycle is reported once regardless of orientation and starting
-    point.  Raises LimitExceeded when the cycle count or the search size
-    passes the given bounds.  A bare map is accepted when only the cycle
-    list is of interest; every type is then None.
+    A depth-first search from each base vertex walks paths through
+    higher vertices only, so it meets each cycle at its least vertex, in
+    both directions; it keeps the direction whose first dart is below
+    its last dart reversed (the even dart of a self-loop).  Every dart
+    the search scans is one step.  Raises LimitExceeded when the cycle
+    count or the step count passes the given bounds.  A bare map is
+    accepted when only the cycle list is of interest; every type is then
+    None.
     """
     marked = isinstance(sg, SigmaGraph)
     cm = sg.cmap if marked else sg
-    nv = cm.num_vertices
-    seen: set[frozenset[int]] = set()
+    rotations, tail = cm.rotations, cm.dart_vertex
+    on_path = [False] * cm.num_vertices
     found: list[Loop] = []
     nodes = 0
-
-    def record(path: list[int]) -> None:
-        key = frozenset(cm.edge_of(d) for d in path)
-        if len(key) != len(path):
-            return
-        if key in seen:
-            return
-        seen.add(key)
-        found.append(Loop(tuple(path)))
-        if len(found) > cycle_limit:
-            raise LimitExceeded("more than %d cycles" % cycle_limit)
-
-    def extend(base: int, u: int, path: list[int], visited: int) -> None:
-        nonlocal nodes
-        for d in cm.rotations[u]:
-            nodes += 1
-            if nodes > node_limit:
-                raise LimitExceeded("cycle search passed %d steps" % node_limit)
-            if path and d == path[-1] ^ 1:
-                continue
-            w = cm.head(d)
-            if w == base:
-                record(path + [d])
-                continue
-            if w < base or (visited >> w) & 1:
-                continue
-            path.append(d)
-            extend(base, w, path, visited | (1 << w))
-            path.pop()
-
-    for base in range(nv):
-        extend(base, base, [], 1 << base)
-
-    types = []
-    masks = []
-    for loop in found:
-        types.append(sg.classify(loop) if marked else None)
-        mask = 0
-        for v in loop.vertices(cm):
-            mask |= 1 << v
-        masks.append(mask)
-    return CycleCatalog(tuple(found), tuple(types), tuple(masks))
+    for base in range(cm.num_vertices):
+        path: list[int] = []
+        scans = [iter(rotations[base])]  # the unscanned darts at each path vertex
+        while scans:
+            for d in scans[-1]:
+                nodes += 1
+                if nodes > node_limit:
+                    raise LimitExceeded("cycle search passed %d steps" % node_limit)
+                if path and d == path[-1] ^ 1:
+                    continue
+                w = tail[d ^ 1]
+                if w == base:
+                    if (path[0] if path else d) < d ^ 1:
+                        found.append(Loop(path + [d]))
+                        if len(found) > cycle_limit:
+                            raise LimitExceeded("more than %d cycles" % cycle_limit)
+                    continue
+                if w < base or on_path[w]:
+                    continue
+                path.append(d)
+                on_path[w] = True
+                scans.append(iter(rotations[w]))
+                break
+            else:
+                scans.pop()
+                if path:
+                    on_path[tail[path.pop() ^ 1]] = False
+    types = tuple(sg.classify(loop) if marked else None for loop in found)
+    # the vertices of a simple cycle are distinct
+    masks = tuple(sum(1 << v for v in loop.vertices(cm)) for loop in found)
+    return CycleCatalog(tuple(found), types, masks)
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:
@@ -130,24 +119,35 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     return kept
 
 
-def _max_disjoint(masks: list[int]) -> int:
-    """Size of the largest pairwise-disjoint subfamily of vertex masks."""
-    masks = _minimal_masks(masks)
-    n = len(masks)
-    best = 0
+def _packs(per_type: Sequence[list[int]], target: Sequence[int]) -> bool:
+    """Whether target[j] masks of per_type[j], for every j, are pairwise disjoint.
 
-    def rec(idx: int, used: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if idx == n or count + (n - idx) <= best:
-            return
-        if not (masks[idx] & used):
-            rec(idx + 1, used | masks[idx], count + 1)
-        rec(idx + 1, used, count)
+    One backtracking search with a slot per mask to pick, the scarcest
+    type first.  A slot picks a mask after the one the slot before it
+    picked when that slot has its type, and leaves enough masks of its
+    type for the slots of that type still to come.
+    """
+    order = sorted(range(len(target)), key=lambda j: len(per_type[j]))
+    slots = [(j, target[j] - 1 - r) for j in order for r in range(target[j])]
+    used, nxt = [0], [0]  # per slot reached: the picks before it, its next index
+    while 0 < len(used) <= len(slots):
+        j, after = slots[len(used) - 1]
+        masks, u, i = per_type[j], used[-1], nxt[-1]
+        stop = len(masks) - after
+        while i < stop and masks[i] & u:
+            i += 1
+        if i >= stop:
+            used.pop()
+            nxt.pop()
+        else:
+            nxt[-1] = i + 1
+            used.append(u | masks[i])
+            nxt.append(i + 1 if after else 0)
+    return bool(used)
 
-    rec(0, 0, 0)
-    return best
+
+def _packing_masks(cat: CycleCatalog, i: int) -> list[int]:
+    return _minimal_masks([cat.masks[c] for c in cat.of_type(i)])
 
 
 def max_disjoint_type(
@@ -157,7 +157,11 @@ def max_disjoint_type(
 ) -> int:
     """Largest number of pairwise vertex-disjoint cycles of type i."""
     cat = catalog if catalog is not None else all_simple_cycles(sg)
-    return _max_disjoint([cat.masks[c] for c in cat.of_type(i)])
+    masks = [_packing_masks(cat, i)]
+    k = 0
+    while _packs(masks, (k + 1,)):
+        k += 1
+    return k
 
 
 def lamination_space_bruteforce(
@@ -169,51 +173,20 @@ def lamination_space_bruteforce(
     A triple (x1, x2, x3) is achievable when some pairwise vertex-disjoint
     collection contains exactly x_i cycles of type i; cycles separating
     nothing never help and are excluded.  Achievability is closed downward
-    since any subcollection stays disjoint.
+    since any subcollection stays disjoint, so the set grows level by
+    level from the origin: a triple one step above the last level is
+    searched for only when every triple one step below it is achievable.
     """
     cat = catalog if catalog is not None else all_simple_cycles(sg)
-    per_type = [_minimal_masks([cat.masks[c] for c in cat.of_type(i)])
-                for i in (1, 2, 3)]
-    caps = [_max_disjoint(ms) for ms in per_type]
-
-    def achievable(target: tuple[int, int, int]) -> bool:
-        # fill the types in order of scarcity, threading the vertex mask
-        order = sorted(range(3), key=lambda j: len(per_type[j]))
-
-        def solve(pos: int, used: int) -> bool:
-            if pos == 3:
-                return True
-            j = order[pos]
-            cands = [m for m in per_type[j] if not (m & used)]
-            k = target[j]
-            if len(cands) < k:
-                return False
-
-            def choose(k: int, start: int, acc: int) -> bool:
-                if k == 0:
-                    return solve(pos + 1, used | acc)
-                for idx in range(start, len(cands) - k + 1):
-                    m = cands[idx]
-                    if m & acc:
-                        continue
-                    if choose(k - 1, idx + 1, acc | m):
-                        return True
-                return False
-
-            return choose(k, 0, 0)
-
-        return solve(0, 0)
-
-    achieved: set[tuple[int, int, int]] = {(0, 0, 0)}
-    box = sorted(
-        product(range(caps[0] + 1), range(caps[1] + 1), range(caps[2] + 1)),
-        key=sum,
-        reverse=True,
-    )
-    for cand in box:
-        if cand in achieved:
-            continue
-        if achievable(cand):
-            for low in product(*(range(x + 1) for x in cand)):
-                achieved.add(low)
+    per_type = [_packing_masks(cat, i) for i in (1, 2, 3)]
+    achieved = {(0, 0, 0)}
+    level = [(0, 0, 0)]
+    while level:
+        above = {p[:i] + (p[i] + 1,) + p[i + 1:] for p in level for i in range(3)}
+        level = [
+            q for q in sorted(above)
+            if all(q[:i] + (q[i] - 1,) + q[i + 1:] in achieved for i in range(3) if q[i])
+            and _packs(per_type, q)
+        ]
+        achieved.update(level)
     return frozenset(achieved)

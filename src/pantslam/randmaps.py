@@ -19,17 +19,11 @@ from .errors import OutOfRange
 from .exploration import SigmaGraph
 
 __all__ = [
-    "initial_map",
     "random_map",
     "random_sigma_graph",
     "delete_edge",
     "non_bridge_edges",
 ]
-
-
-def initial_map() -> CombinatorialMap:
-    """One vertex carrying one self-loop: two faces."""
-    return CombinatorialMap([[0, 1]])
 
 
 class _Rotations:
@@ -46,7 +40,7 @@ class _Rotations:
     __slots__ = ("nxt", "prv", "vertex", "head", "least")
 
     def __init__(self) -> None:
-        # initial_map(): faces (0,) and (1,)
+        # one vertex carrying one self-loop: faces (0,) and (1,)
         self.nxt = [1, 0]
         self.prv = [1, 0]
         self.vertex = [0, 0]

@@ -25,9 +25,58 @@ CROSSED_RINGS_SPEC = ((4, 1, 1), (1, 1, 0), ())
 TRIPLE_RING_SPEC = ((1, 1, 1), (0, 0, 0), ())
 
 
-def theta_graph() -> SigmaGraph:
-    cmap = CombinatorialMap([list(r) for r in THETA_ROTATIONS])
-    return SigmaGraph(cmap, (0, 1, 2))
+def theta_graph(path_edges: int = 1) -> SigmaGraph:
+    """Two vertices joined by three paths of path_edges edges each.
+
+    Path p is edges p*path_edges onward, leaving vertex 0 by its even
+    darts; all three faces are marked.  One edge per path gives
+    THETA_ROTATIONS.
+    """
+    n = path_edges
+    rots = [[0, 2 * n, 4 * n], [2 * (p * n + n) - 1 for p in (2, 1, 0)]]
+    for p in range(3):
+        for j in range(1, n):
+            e = p * n + j
+            rots.append([2 * e, 2 * e - 1])
+    return SigmaGraph(CombinatorialMap(rots), (0, 1, 2))
+
+
+def nested_loops(k: int) -> SigmaGraph:
+    """A path of k >= 2 vertices, vertex j carrying self-loop j, each loop
+    enclosing the rest of the path; its signature is (k-1, 1, 0, 1, k-1, k).
+
+    Self-loop j is edge j and the path edge from j to j+1 is edge k+j.
+    Marked are the disk inside the last loop, the face outside the first
+    and the face between the first two loops.
+    """
+    rots = []
+    for j in range(k):
+        rot = [2 * (k + j) - 1] if j else []  # from vertex j-1
+        rot.append(2 * j)
+        if j < k - 1:
+            rot.append(2 * (k + j))
+        rot.append(2 * j + 1)
+        rots.append(rot)
+    cm = CombinatorialMap(rots)
+
+    def monogon(d: int) -> int:
+        return next(f for f in (cm.face_of(d), cm.left_face(d)) if len(cm.faces[f]) == 1)
+
+    return SigmaGraph(cm, (monogon(2 * (k - 1)), monogon(0), cm.face_of(2 * k)))
+
+
+# the corpus jobs on which the oracle passes its default limits: 100,000
+# cycles on all but two ring families, 10,000,000 search steps on those
+OVER_LIMIT = frozenset(
+    [("block", t) for t in [
+        (1, 2, 2, 2, 1, 1), (2, 1, 2, 1, 2, 1), (2, 2, 1, 1, 1, 2),
+        (2, 2, 2, 0, 2, 2), (2, 2, 2, 1, 1, 2), (2, 2, 2, 1, 2, 1),
+        (2, 2, 2, 1, 2, 2), (2, 2, 2, 2, 0, 2), (2, 2, 2, 2, 1, 1),
+        (2, 2, 2, 2, 1, 2), (2, 2, 2, 2, 2, 0), (2, 2, 2, 2, 2, 1),
+        (2, 2, 2, 2, 2, 2)]]
+    + [("family", (counts, depths, ())) for counts, depths in [
+        ((3, 3, 3), (3, 2, 3)), ((3, 3, 3), (3, 3, 2)), ((3, 3, 3), (3, 3, 3))]]
+)
 
 
 def block_corpus(limit: int = 2) -> list[tuple[int, ...]]:

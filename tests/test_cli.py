@@ -161,6 +161,16 @@ def test_oracle_agreement(theta_file, capsys):
     assert "agreement: yes" in out
 
 
+def test_oracle_long_theta_exits_0(tmp_path, capsys):
+    # three 500-edge paths: the cycle search runs 1,000 vertices deep
+    path = tmp_path / "long_theta.json"
+    path.write_text(theta_graph(500).to_json())
+    assert main(["oracle", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "cycles cataloged: 3" in out
+    assert "agreement: yes" in out
+
+
 def test_oracle_limit_maps_to_input_error(theta_file, capsys):
     assert main(["oracle", theta_file, "--cycle-limit", "1"]) == 2
 

@@ -37,10 +37,11 @@ def test_theta_incidence():
     assert [cm.next_in_face(d) for d in range(6)] == [5, 2, 1, 4, 3, 0]
 
 
-def test_rotation_prev_inverts_next():
+def test_rotation_next_cycles_each_rotation():
     cm = theta_map()
-    for d in range(cm.num_darts):
-        assert cm.rotation_prev(cm.rotation_next(d)) == d
+    for r in cm.rotations:
+        for i, d in enumerate(r):
+            assert cm.rotation_next(d) == r[(i + 1) % len(r)]
 
 
 def test_face_of_left_face_are_twins():

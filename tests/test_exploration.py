@@ -115,6 +115,8 @@ def test_open_walk_rejected():
     sg = theta_graph()
     with pytest.raises(NotClosed):
         hemispheres(sg, Loop((0,)))
+    with pytest.raises(NotClosed):
+        sg.classify(Loop((0,)))
 
 
 def test_vertex_revisit_rejected():
@@ -122,6 +124,8 @@ def test_vertex_revisit_rejected():
     sg = SigmaGraph(cm, (0, 2, 3))
     with pytest.raises(NotSimple):
         hemispheres(sg, Loop((0, 3, 2, 7)))
+    with pytest.raises(NotSimple):
+        sg.classify(Loop((0, 3, 2, 7)))
 
 
 def test_contractible_loop_has_no_type():

@@ -6,7 +6,7 @@ import pytest
 
 from pantslam.errors import MalformedRotation, NonSpherical, NotClosed
 from pantslam.facecomplex import FaceComplex
-from pantslam.ladders import block_graph
+from pantslam.ladders import block_complex, block_graph, doubled
 
 
 def _complex(*faces) -> FaceComplex:
@@ -60,3 +60,6 @@ def test_block_graph_matches_golden_digest(t):
     g = block_graph(t)
     got = hashlib.sha256(repr((g.cmap.rotations, g.marked)).encode()).hexdigest()
     assert got == BLOCK_DIGESTS[t]
+    # the corner rule maps complex faces one to one onto map faces
+    built = doubled(*block_complex(t)).to_map()
+    assert sorted(built.face_index) == list(range(built.cmap.num_faces))

@@ -93,7 +93,7 @@ def test_mirror_reverses_rotation(t):
     phi = block_mirror(t)
     cm = block_graph(t).cmap
     for d in range(cm.num_darts):
-        assert phi[cm.rotation_next(d)] == cm.rotation_prev(phi[d])
+        assert cm.rotation_next(phi[cm.rotation_next(d)]) == phi[d]
 
 
 @pytest.mark.parametrize("t", SAMPLE_TUPLES)

@@ -4,7 +4,7 @@ import pytest
 
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
-from pantslam.errors import LimitExceeded, OutOfRange
+from pantslam.errors import EmptyLayer, LimitExceeded, OutOfRange
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
     all_simple_cycles,
@@ -12,9 +12,10 @@ from pantslam.oracle import (
     max_disjoint_type,
 )
 from pantslam.polytope import lamination_space
-from pantslam.special_loops import special_family
+from pantslam.randmaps import random_sigma_graph
+from pantslam.special_loops import sigma_of, special_family
 
-from conftest import theta_graph
+from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, theta_graph
 
 
 def test_triangle_has_one_cycle():
@@ -33,12 +34,10 @@ def test_theta_catalog():
 def test_theta_cycles_all_conflict():
     # every pair of digons shares both vertices
     cat = all_simple_cycles(theta_graph())
+    assert cat.masks == (0b11, 0b11, 0b11)
     for a in range(3):
-        assert not cat.conflict(a, a)
         for b in range(3):
-            if a != b:
-                assert cat.conflict(a, b)
-                assert cat.conflict(b, a)
+            assert cat.masks[a] & cat.masks[b]
 
 
 def test_of_type_rejects_bad_index():
@@ -126,3 +125,115 @@ def test_node_limit_enforced(crossed_rings):
 def test_empty_selection_always_present():
     g = family_graph((1, 1, 0), (0, 0, 0))
     assert (0, 0, 0) in lamination_space_bruteforce(g)
+
+
+def test_deep_nested_loops_match_pipeline():
+    # 1,200 nested self-loops: the cycle search runs 1,200 vertices deep
+    # and a packing of type 1 picks 1,199 cycles
+    k = 1200
+    sg = nested_loops(k)
+    assert tuple(sigma_of(sg)) == (k - 1, 1, 0, 1, k - 1, k)
+    cat = all_simple_cycles(sg)
+    assert len(cat) == k
+    assert lamination_space_bruteforce(sg, cat) == frozenset(lamination_space(sg).points)
+
+
+def _flood_types(sg, loops):
+    """Each loop's type by the flood classification: flood the faces from
+    marked face 1 across every edge off the loop, and see which of marked
+    faces 2 and 3 the flood reaches."""
+    cm = sg.cmap
+    across = [[(cm.left_face(d), d >> 1) for d in cm.faces[f]] for f in range(cm.num_faces)]
+    m1, m2, m3 = sg.marked
+    types = []
+    for loop in loops:
+        blocked = loop.edge_set()
+        side = {m1}
+        stack = [m1]
+        while stack:
+            for g, e in across[stack.pop()]:
+                if e not in blocked and g not in side:
+                    side.add(g)
+                    stack.append(g)
+        types.append({(True, True): None, (False, False): 1,
+                      (False, True): 2, (True, False): 3}[m2 in side, m3 in side])
+    return types
+
+
+CATALOGUED_JOBS = [job for job in corpus_jobs() if job not in OVER_LIMIT]
+
+
+@pytest.mark.parametrize("job", CATALOGUED_JOBS[::10], ids=repr)
+def test_parity_types_match_flood_types(job):
+    sg = build_corpus_graph(*job)
+    cat = all_simple_cycles(sg)
+    assert list(cat.types) == _flood_types(sg, cat.cycles)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parity_types_match_flood_types_on_random_boundaries(seed):
+    sg = random_sigma_graph(seed, max_faces=60, min_faces=40)
+    loops = []
+    for i in (1, 2, 3):
+        k = 1
+        while True:
+            try:
+                loops.extend(sg.boundary_loops(i, k))
+            except EmptyLayer:
+                break
+            k += 1
+    assert loops
+    assert [sg.classify(lp) for lp in loops] == _flood_types(sg, loops)
+
+
+def _cycle_edge_sets(cm):
+    """Edge sets of all cycles, by brute force over the edge subsets: those
+    that are connected and give each vertex they touch degree exactly 2.
+    Subsets giving a vertex degree 3 or more are cut off early."""
+    ends = [(cm.tail(2 * e), cm.head(2 * e)) for e in range(cm.num_edges)]
+    degree = [0] * cm.num_vertices
+    chosen = []
+    out = set()
+
+    def connected():
+        reached = {ends[chosen[0]][0]}
+        grew = True
+        while grew:
+            grew = False
+            for e in chosen:
+                a, b = ends[e]
+                if (a in reached) != (b in reached):
+                    reached.update((a, b))
+                    grew = True
+        return all(e[0] in reached for e in map(ends.__getitem__, chosen))
+
+    def grow(e):
+        if e == len(ends):
+            touched = {v for f in chosen for v in ends[f]}
+            if chosen and all(degree[v] == 2 for v in touched) and connected():
+                out.add(frozenset(chosen))
+            return
+        grow(e + 1)
+        a, b = ends[e]
+        degree[a] += 1
+        degree[b] += 1
+        if degree[a] <= 2 and degree[b] <= 2:
+            chosen.append(e)
+            grow(e + 1)
+            chosen.pop()
+        degree[a] -= 1
+        degree[b] -= 1
+
+    grow(0)
+    return out
+
+
+SMALL_JOBS = [job for job in corpus_jobs() if build_corpus_graph(*job).cmap.num_edges <= 14]
+
+
+@pytest.mark.parametrize("job", SMALL_JOBS + [("nested", 5)], ids=repr)
+def test_cycles_match_edge_subset_brute_force(job):
+    sg = nested_loops(job[1]) if job[0] == "nested" else build_corpus_graph(*job)
+    got = [lp.edge_set() for lp in all_simple_cycles(sg).cycles]
+    assert len(set(got)) == len(got)
+    assert set(got) == _cycle_edge_sets(sg.cmap)
