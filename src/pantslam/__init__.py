@@ -33,7 +33,6 @@ from .errors import (
 from .exploration import (
     Loop,
     SigmaGraph,
-    distance_matrix,
     hemispheres,
     layer,
 )
@@ -51,9 +50,8 @@ from .polytope import (
     lamination_space,
     nu_transform,
     permute_signature,
-    tau_from_mu_nu,
 )
-from .randmaps import delete_edge, non_bridge_edges, random_map, random_sigma_graph
+from .randmaps import random_map, random_sigma_graph
 from .render import render_svg
 from .special_loops import (
     NuVector,
@@ -100,8 +98,6 @@ __all__ = [
     "check_realizable",
     "construct",
     "construct_detailed",
-    "delete_edge",
-    "distance_matrix",
     "enumerate_points",
     "family_graph",
     "hemispheres",
@@ -110,7 +106,6 @@ __all__ = [
     "layer",
     "loop_toward",
     "max_disjoint_type",
-    "non_bridge_edges",
     "nu_transform",
     "permute_signature",
     "random_map",
@@ -118,5 +113,4 @@ __all__ = [
     "render_svg",
     "sigma_of",
     "special_family",
-    "tau_from_mu_nu",
 ]

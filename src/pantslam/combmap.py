@@ -103,9 +103,6 @@ class CombinatorialMap:
     def rotation_next(self, d: int) -> int:
         return self._next[d]
 
-    def next_in_face(self, d: int) -> int:
-        return self._next[d ^ 1]
-
     def face_of(self, d: int) -> int:
         """Index of the face on the right of dart d."""
         return self.face_of_dart[d]

@@ -5,31 +5,29 @@ faces.  Distance between faces counts vertex-sharing hops.  For a
 marked face m and a level k >= 1, the region of level k is the set of
 faces within distance k-1 of m; its boundary is walked with a
 tightest-turn rule that always hugs the region on the left.  Each
-resulting closed walk is required to be vertex-simple, and a simple
-closed curve on the sphere has exactly two sides.  `classify` tells
-them apart without a flood: two faces lie on opposite sides exactly
-when a path of faces between them crosses the curve an odd number of
-times, so one dual BFS tree from marked face 1 types every loop by two
-parities.  `hemispheres` floods the sides when the face sets are needed.
+resulting closed walk is required to be vertex-simple.
 
 The distances from m come from a breadth-first search over face-vertex
 incidence that expands each face and each vertex once (see
-`SigmaGraph._dist_from`).  Two more facts make the rest of the
-exploration linear in the number of darts:
+`SigmaGraph._dist_from`).  Faces that share a vertex differ in distance
+by at most 1, so dart d lies on the boundary of the level-k region
+exactly when the face on its left is at distance k-1 and the face on
+its right at distance k.  Each dart therefore belongs to at most one
+level, and one pass over the darts buckets all levels.
 
-- Faces that share a vertex differ in distance by at most 1, so dart d
-  lies on the boundary of the level-k region exactly when the face on
-  its left is at distance k-1 and the face on its right at distance k.
-  Each dart therefore belongs to at most one level, and one pass over
-  the darts buckets all levels.
-- The far side of a vertex-simple boundary walk at level k (the side
-  without m) is exactly one edge-connected component of the outer
-  region {f : dist(f) >= k}: every face at a vertex of the walk on its
-  right lies outside the region, so the region stays on the near side,
-  and the only edges leaving the far side are the walk's own.  One
-  union-find that adds faces in decreasing distance labels these
-  components for every level at once, so the walk toward another
-  marked face is the one whose right faces share that face's label.
+Sides come from one dual BFS tree per marked graph, rooted at marked
+face 1.  By the Jordan curve theorem a vertex-simple closed walk splits
+the sphere in two, and a path of faces changes side exactly where it
+crosses the walk, so two faces lie on opposite sides exactly when the
+tree path between them crosses the walk an odd number of times.
+`classify` reads the parities of the tree paths to marked faces 2 and 3,
+and `hemispheres` those of every face.  The level-k region is connected
+through shared vertices and, at each vertex of a boundary walk, the walk
+sweeps past the outside corners only, so the whole region lies left of
+each of its boundary walks.  The walk around marked face i with marked
+face j on its far side is therefore the one that separates i from j,
+and whichever side the third marked face joins, the other holds i or j
+alone: it is the one walk typed i or j.
 """
 
 from __future__ import annotations
@@ -81,95 +79,6 @@ class Loop:
         return tuple(map(cmap.dart_vertex.__getitem__, self.darts))
 
 
-def loop_sides(
-    cmap: CombinatorialMap, loop: Loop
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split all faces into the left and right side of a simple loop.
-
-    Faces are flooded across every edge not used by the loop.  The two
-    floods must exactly partition the face set.
-    """
-    blocked = loop.edge_set()
-    by_edge = [[] for _ in range(cmap.num_faces)]
-    for e in range(cmap.num_edges):
-        if e in blocked:
-            continue
-        f0 = cmap.face_of(2 * e)
-        f1 = cmap.face_of(2 * e + 1)
-        by_edge[f0].append(f1)
-        by_edge[f1].append(f0)
-
-    def flood(seed: int) -> frozenset[int]:
-        seen = {seed}
-        queue = deque([seed])
-        while queue:
-            f = queue.popleft()
-            for g in by_edge[f]:
-                if g not in seen:
-                    seen.add(g)
-                    queue.append(g)
-        return frozenset(seen)
-
-    d0 = loop.darts[0]
-    left = flood(cmap.left_face(d0))
-    right = flood(cmap.face_of(d0))
-    if left & right or len(left) + len(right) != cmap.num_faces:
-        raise InvariantViolated("loop does not split the sphere in two")
-    return left, right
-
-
-class _Layers:
-    """The levels around one marked face, built once from its distances.
-
-    buckets[k] lists the darts on the boundary of the level-k region in
-    increasing order.  root[d] labels the component of the outer region
-    of dart d's level that holds the face right of d (-1 for darts on no
-    boundary), and marked_root[k][j] labels the component holding marked
-    face j at level k (-1 while j lies inside the region).  Labels are
-    only comparable within one level.
-    """
-
-    __slots__ = ("dist", "buckets", "root", "marked_root")
-
-    def __init__(self, cm: CombinatorialMap, dist: Sequence[int], marked: Sequence[int]):
-        face = cm.face_of_dart
-        top = max(dist)
-        buckets: list[list[int]] = [[] for _ in range(top + 1)]
-        # edges by the distance of their nearer face: an edge in joins[k]
-        # lies inside every outer region of level k or less
-        joins: list[list[int]] = [[] for _ in range(top + 1)]
-        for d in range(0, cm.num_darts, 2):
-            a, b = face[d], face[d + 1]
-            da, db = dist[a], dist[b]
-            if da == db + 1:
-                buckets[da].append(d)
-            elif db == da + 1:
-                buckets[db].append(d + 1)
-            joins[min(da, db)].append(d)
-
-        parent = list(range(cm.num_faces))
-
-        def find(f: int) -> int:
-            while parent[f] != f:
-                parent[f] = f = parent[parent[f]]
-            return f
-
-        root = [-1] * cm.num_darts
-        marked_root: list[tuple[int, ...]] = [()] * (top + 1)
-        for k in range(top, 0, -1):
-            for d in joins[k]:
-                a, b = find(face[d]), find(face[d + 1])
-                if a != b:
-                    parent[a] = b
-            for d in buckets[k]:
-                root[d] = find(face[d])
-            marked_root[k] = tuple(find(m) if dist[m] >= k else -1 for m in marked)
-        self.dist = dist
-        self.buckets = buckets
-        self.root = root
-        self.marked_root = marked_root
-
-
 def _marked_index(i: int) -> int:
     if i not in (1, 2, 3):
         raise OutOfRange("marked index must be 1, 2 or 3, got %r" % (i,))
@@ -179,11 +88,11 @@ def _marked_index(i: int) -> int:
 class SigmaGraph:
     """Sphere map with an ordered triple of distinct marked faces.
 
-    Public methods number the marked faces 1..3; the private helpers
-    `_layers_of` and `_bucket` take 0-based positions into `marked`.
+    Public methods number the marked faces 1..3; the private helper
+    `_bucket` takes 0-based positions into `marked`.
     """
 
-    __slots__ = ("cmap", "marked", "_dist_cache", "_layer_cache", "_crossing")
+    __slots__ = ("cmap", "marked", "_dist_cache", "_bucket_cache", "_tree")
 
     def __init__(self, cmap: CombinatorialMap, marked: Sequence[int]):
         marked = tuple(marked)
@@ -197,8 +106,8 @@ class SigmaGraph:
         self.cmap = cmap
         self.marked = marked
         self._dist_cache: dict[int, tuple[int, ...]] = {}
-        self._layer_cache: dict[int, _Layers] = {}
-        self._crossing: Optional[list[int]] = None
+        self._bucket_cache: dict[int, list[list[int]]] = {}
+        self._tree: Optional[tuple[list[int], list[int], list[int]]] = None
 
     # -- serialization ---------------------------------------------------
 
@@ -280,17 +189,22 @@ class SigmaGraph:
 
     # -- layered regions and their boundary walks --------------------------
 
-    def _layers_of(self, i: int) -> _Layers:
-        layers = self._layer_cache.get(i)
-        if layers is None:
-            dist = self._dist_from(self.marked[i])
-            layers = self._layer_cache[i] = _Layers(self.cmap, dist, self.marked)
-        return layers
-
     def _bucket(self, i: int, k: int) -> list[int]:
+        """The darts on the boundary of the level-k region in increasing
+        order; one pass over the darts buckets every level at once."""
         if k < 1:
             raise OutOfRange("level must be at least 1, got %d" % k)
-        buckets = self._layers_of(i).buckets
+        buckets = self._bucket_cache.get(i)
+        if buckets is None:
+            dist = self._dist_from(self.marked[i])
+            face = self.cmap.face_of_dart
+            buckets = self._bucket_cache[i] = [[] for _ in range(max(dist) + 1)]
+            for d in range(0, self.cmap.num_darts, 2):
+                da, db = dist[face[d]], dist[face[d + 1]]
+                if da == db + 1:
+                    buckets[da].append(d)
+                elif db == da + 1:
+                    buckets[db].append(d + 1)
         if k >= len(buckets) or not buckets[k]:
             raise EmptyLayer("level %d around marked face %d" % (k, i + 1))
         return buckets[k]
@@ -308,7 +222,7 @@ class SigmaGraph:
         """
         i0 = _marked_index(i)
         darts = self._bucket(i0, k)
-        dist = self._layers_of(i0).dist
+        dist = self._dist_from(self.marked[i0])
         cm = self.cmap
         left_face, rotation_next = cm.left_face, cm.rotation_next
 
@@ -346,28 +260,35 @@ class SigmaGraph:
 
     # -- classification -----------------------------------------------------
 
-    def _crossings(self) -> list[int]:
-        """Per edge, bit j-2 set when the dual BFS path from marked face 1
-        to marked face j (j = 2, 3) crosses it.  No face repeats on a BFS
-        path, so neither path crosses an edge twice.
+    def _dual_tree(self) -> tuple[list[int], list[int], list[int]]:
+        """The dual BFS tree from marked face 1, built once per graph.
+
+        Returns the faces in BFS order; per face the dart into it from its
+        parent, which has the face on its left and the parent on its right
+        (-1 at the root); and per edge the crossing bits, bit j-2 set when
+        the tree path from marked face 1 to marked face j (j = 2, 3)
+        crosses it.  No face repeats on a tree path, so neither path
+        crosses an edge twice.
         """
-        if self._crossing is None:
+        if self._tree is None:
             cm = self.cmap
             root = self.marked[0]
-            via = {root: -1}  # face g -> a dart with g on its left, g's parent on its right
-            queue = deque([root])
-            while queue:
-                for d in cm.faces[queue.popleft()]:
+            via = [-2] * cm.num_faces  # -2 until the face is reached
+            via[root] = -1
+            order = [root]
+            for f in order:
+                for d in cm.faces[f]:
                     g = cm.left_face(d)
-                    if g not in via:
+                    if via[g] == -2:
                         via[g] = d
-                        queue.append(g)
-            self._crossing = [0] * cm.num_edges
+                        order.append(g)
+            bits = [0] * cm.num_edges
             for bit, f in ((1, self.marked[1]), (2, self.marked[2])):
                 while f != root:
-                    self._crossing[via[f] >> 1] |= bit
+                    bits[via[f] >> 1] |= bit
                     f = cm.face_of(via[f])
-        return self._crossing
+            self._tree = (order, via, bits)
+        return self._tree
 
     def classify(self, loop: Loop) -> Optional[int]:
         """Which marked face a simple loop encloses alone, if any.
@@ -375,12 +296,11 @@ class SigmaGraph:
         Returns the index (1..3) of the marked face that sits on one side
         by itself, or None when one side holds no marked face at all, in
         which case the loop can be shrunk to a point without meeting any.
-        A path of faces changes side exactly where it crosses the loop,
-        so marked faces 1 and j lie on opposite sides exactly when the
-        dual path from 1 to j crosses an odd number of the loop's edges.
+        Marked faces 1 and j lie on opposite sides exactly when the tree
+        path from 1 to j crosses an odd number of the loop's edges.
         """
         _check_simple(self.cmap, loop)
-        bits = self._crossings()
+        bits = self._dual_tree()[2]
         odd = 0
         for d in loop.darts:
             odd ^= bits[d >> 1]
@@ -389,11 +309,6 @@ class SigmaGraph:
 
 
 # -- public interface, marked faces numbered 1..3 -------------------------
-
-
-def distance_matrix(sg: SigmaGraph) -> tuple[tuple[int, ...], ...]:
-    """All pairwise face distances: entry [f][g] is the distance from f to g."""
-    return tuple(sg._dist_from(f) for f in range(sg.cmap.num_faces))
 
 
 def layer(sg: SigmaGraph, i: int, k: int) -> frozenset[int]:
@@ -418,6 +333,26 @@ def _check_simple(cm: CombinatorialMap, loop: Loop) -> None:
 def hemispheres(
     sg: SigmaGraph, loop: Loop
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """The two face sets separated by a vertex-simple closed walk."""
+    """The two face sets separated by a vertex-simple closed walk: the
+    side left of its first dart, then the other."""
     _check_simple(sg.cmap, loop)
-    return loop_sides(sg.cmap, loop)
+    return loop_sides(sg, loop)
+
+
+def loop_sides(sg: SigmaGraph, loop: Loop) -> tuple[frozenset[int], frozenset[int]]:
+    """`hemispheres` without the simplicity check, by dual-tree parity.
+
+    A face lies on its tree parent's side unless the tree edge between
+    them lies on the loop.  The name stays because `perfbench` times
+    side splits under it.
+    """
+    order, via, _ = sg._dual_tree()
+    cm = sg.cmap
+    on = loop.edge_set()
+    side = [False] * cm.num_faces
+    for g in order[1:]:
+        d = via[g]
+        side[g] = side[cm.face_of_dart[d]] ^ ((d >> 1) in on)
+    s = side[cm.left_face(loop.darts[0])]
+    left = frozenset(f for f, x in enumerate(side) if x == s)
+    return left, frozenset(range(cm.num_faces)).difference(left)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import NegativeParameter, OutOfRange
 from .exploration import SigmaGraph
-from .facecomplex import BuiltMap, FaceComplex
+from .facecomplex import FaceComplex
 
 Params = tuple[int, int, int, int, int, int]
 
@@ -90,43 +90,11 @@ def doubled(fc: FaceComplex, spared: Sequence) -> FaceComplex:
     return out
 
 
-def _doubled_map(t: Sequence[int]) -> tuple[BuiltMap, int]:
-    """The built doubled complex of t and the half complex's face count."""
-    fc, spared = block_complex(t)
-    return doubled(fc, spared).to_map(), len(fc.faces)
-
-
 def block_graph(t: Sequence[int]) -> SigmaGraph:
     """The doubled block complex as a marked graph; the caps are marked."""
-    built, nf = _doubled_map(t)
-    return SigmaGraph(built.cmap, built.face_index[2 * nf:])
-
-
-def block_mirror(t: Sequence[int]) -> tuple[int, ...]:
-    """Dart involution of block_graph(t) exchanging the two half copies.
-
-    Pairs the dart along each face side with the reversed dart along the
-    matching side of the mirror face, and likewise across every cap.
-    The result reverses orientation: it commutes with the twin map and
-    conjugates the rotation system to its inverse, fixing each cap face
-    setwise.
-    """
-    built, nf = _doubled_map(t)
-    darts = built.face_darts
-    phi = [-1] * built.cmap.num_darts
-    def pair(a: int, b: int) -> None:
-        # darts on the mirror plane pair with themselves here
-        phi[a] = b ^ 1
-        phi[b ^ 1] = a
-        phi[a ^ 1] = b
-        phi[b] = a ^ 1
-
-    for f in range(nf):
-        for a, b in zip(darts[f], reversed(darts[nf + f])):
-            pair(a, b)
-    for cap in darts[2 * nf:]:
-        pair(*cap)
-    return tuple(phi)
+    fc, spared = block_complex(t)
+    built = doubled(fc, spared).to_map()
+    return SigmaGraph(built.cmap, built.face_index[2 * len(fc.faces):])
 
 
 def block_signature(t: Sequence[int]) -> tuple[int, int, int, int, int, int]:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NegativeParameter, NonPositiveDelta, OutOfRange
 from .exploration import SigmaGraph
@@ -90,32 +89,6 @@ def nu_transform(tau: Sequence[int]) -> NuVector:
     return NuVector(*(m[(i + 1) % 3] + m[(i + 2) % 3] - d[i] for i in range(3)))
 
 
-def tau_from_mu_nu(mu: Sequence[int], nu: Sequence[int]) -> SigmaVector:
-    """Signature with the given family sizes and slack values."""
-    mu, nu = tuple(mu), tuple(nu)
-    if len(mu) != 3 or len(nu) != 3:
-        raise NegativeParameter("need three family sizes and three slacks")
-    d = tuple(mu[(i + 1) % 3] + mu[(i + 2) % 3] - nu[i] for i in range(3))
-    return validate_tau(mu + d)
-
-
-def slack_form_ok(tau: Sequence[int]) -> bool:
-    """Equivalent statement of both conditions through the slack values.
-
-    Realizability amounts to the slack at each index lying between 0 and
-    the minimum of the two far family sizes and one more than the sum of
-    the other two slacks.
-    """
-    vals = validate_tau(tau)
-    m = vals.mu
-    nu = nu_transform(vals)
-    for i in range(3):
-        hi = min(m[(i + 1) % 3], m[(i + 2) % 3], nu[(i + 1) % 3] + nu[(i + 2) % 3] + 1)
-        if not 0 <= nu[i] <= hi:
-            return False
-    return True
-
-
 def permute_signature(tau: Sequence[int], perm: Sequence[int]) -> SigmaVector:
     """Signature after relabeling the marked faces by the given permutation.
 
@@ -128,10 +101,6 @@ def permute_signature(tau: Sequence[int], perm: Sequence[int]) -> SigmaVector:
     m, d = vals.mu, vals.delta
     return SigmaVector(*(tuple(m[perm[i]] for i in range(3))
                          + tuple(d[perm[i]] for i in range(3))))
-
-
-def all_relabelings(tau: Sequence[int]) -> list[SigmaVector]:
-    return [permute_signature(tau, p) for p in permutations(range(3))]
 
 
 @dataclass(frozen=True)
@@ -177,12 +146,3 @@ def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
 def lamination_space(sg: SigmaGraph) -> LaminationPolytope:
     """The polytope of the graph's own signature."""
     return enumerate_points(sigma_of(sg))
-
-
-def is_downward_closed(points: Iterable[tuple[int, int, int]]) -> bool:
-    pts = set(points)
-    for x, y, z in pts:
-        for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)):
-            if min(q) >= 0 and q not in pts:
-                return False
-    return True

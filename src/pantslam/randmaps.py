@@ -21,8 +21,6 @@ from .exploration import SigmaGraph
 __all__ = [
     "random_map",
     "random_sigma_graph",
-    "delete_edge",
-    "non_bridge_edges",
 ]
 
 
@@ -217,28 +215,3 @@ def random_sigma_graph(
     cm = random_map(rng, nf)
     marked = tuple(rng.sample(range(cm.num_faces), 3))
     return SigmaGraph(cm, marked)
-
-
-def non_bridge_edges(cmap: CombinatorialMap) -> list[int]:
-    """Edges with distinct faces on their two sides; safe to delete."""
-    return [k for k in range(cmap.num_edges)
-            if cmap.face_of(2 * k) != cmap.face_of(2 * k + 1)]
-
-
-def delete_edge(cmap: CombinatorialMap, k: int) -> CombinatorialMap:
-    """Remove non-bridge edge k, renumbering the higher darts down by two.
-
-    Vertices left with no darts are dropped.  Bridges are refused since
-    removing one disconnects the map.
-    """
-    if not 0 <= k < cmap.num_edges:
-        raise OutOfRange("edge %d out of range" % k)
-    if cmap.face_of(2 * k) == cmap.face_of(2 * k + 1):
-        raise OutOfRange("edge %d is a bridge" % k)
-    gone = (2 * k, 2 * k + 1)
-    rots = []
-    for rot in cmap.rotations:
-        new = [d - 2 if d > 2 * k + 1 else d for d in rot if d not in gone]
-        if new:
-            rots.append(new)
-    return CombinatorialMap(rots)

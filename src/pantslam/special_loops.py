@@ -1,10 +1,10 @@
 """Distinguished loop families around each marked face and the signature.
 
 For marked face i and level k there is exactly one boundary loop of the
-level-k region that keeps a chosen second marked face on its far side:
-that far side is one edge-connected component of the faces at distance
-at least k from i, so the loop is found by comparing component labels
-rather than by flooding (see `exploration`).  When the loop toward each
+level-k region that keeps a chosen second marked face j on its far
+side.  The region lies left of each of its boundary loops, so that loop
+is the one separating i from j, which `SigmaGraph.classify` types i or
+j by dual-tree parity (see `exploration`).  When the loop toward each
 of the two other marked faces is the same curve, that curve separates i
 from both and is counted into the family of i.  The family sizes
 together with the pairwise distances form the six-entry signature of
@@ -65,32 +65,23 @@ class SpecialLoopFamily:
 
 
 def _far_loops(sg: SigmaGraph, i0: int, k: int, targets: tuple[int, ...]) -> tuple[Loop, ...]:
-    """For each 0-based marked index in targets, its loop among the level-k loops.
+    """For each 0-based marked index j in targets, its loop among the level-k loops.
 
-    A loop's far side is the outer-region component holding its right
-    faces; the loop toward marked face j is the one whose component
-    holds j.  All loops of the level come from one boundary walk.
+    Marked face i0 lies left of every loop of the level, so the loop
+    toward j is the one typed i0 or j.  All loops of the level come from
+    one boundary walk.
     """
     loops = sg.boundary_loops(i0 + 1, k)
-    layers = sg._layers_of(i0)
-    want = [layers.marked_root[k][j] for j in targets]
-    hits: list[list[Loop]] = [[] for _ in targets]
-    for loop in loops:
-        roots = {layers.root[d] for d in loop.darts}
-        if len(roots) != 1:
-            raise InvariantViolated(
-                "far side of a level-%d loop spans %d components" % (k, len(roots))
-            )
-        (r,) = roots
-        for t, w in enumerate(want):
-            if r == w:
-                hits[t].append(loop)
-    for found in hits:
+    types = [sg.classify(loop) for loop in loops]
+    out = []
+    for j in targets:
+        found = [lp for lp, t in zip(loops, types) if t in (i0 + 1, j + 1)]
         if len(found) != 1:
             raise InvariantViolated(
                 "expected one separating loop at level %d, found %d" % (k, len(found))
             )
-    return tuple(found[0] for found in hits)
+        out.append(found[0])
+    return tuple(out)
 
 
 def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:

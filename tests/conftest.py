@@ -13,7 +13,8 @@ from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import SigmaGraph
 from pantslam.ladders import block_graph
-from pantslam.polytope import slack_form_ok
+
+from helpers import slack_form_ok
 
 THETA_ROTATIONS = ((0, 2, 4), (5, 3, 1))
 

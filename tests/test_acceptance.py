@@ -24,7 +24,6 @@ from pantslam.oracle import (
 from pantslam.polytope import (
     check_realizable,
     enumerate_points,
-    is_downward_closed,
     lamination_space,
     nu_transform,
 )
@@ -32,6 +31,7 @@ from pantslam.randmaps import random_map, random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
 from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, realizable_grid
+from helpers import is_downward_closed
 
 WORKERS = 8
 

@@ -34,7 +34,7 @@ def test_theta_incidence():
     assert [cm.head(d) for d in range(6)] == [1, 0, 1, 0, 1, 0]
     assert [cm.tail(d) for d in range(6)] == [0, 1, 0, 1, 0, 1]
     assert [cm.rotation_next(d) for d in range(6)] == [2, 5, 4, 1, 0, 3]
-    assert [cm.next_in_face(d) for d in range(6)] == [5, 2, 1, 4, 3, 0]
+    assert [cm.rotation_next(d ^ 1) for d in range(6)] == [5, 2, 1, 4, 3, 0]
 
 
 def test_rotation_next_cycles_each_rotation():
@@ -96,7 +96,7 @@ def test_degree_and_vertex_lookup():
 def test_faces_helper_matches_attribute():
     cm = theta_map()
     for f, orbit in enumerate(cm.faces):
-        assert [cm.next_in_face(d) for d in orbit] == list(orbit[1:] + orbit[:1])
+        assert [cm.rotation_next(d ^ 1) for d in orbit] == list(orbit[1:] + orbit[:1])
         assert {cm.face_of(d) for d in orbit} == {f}
 
 

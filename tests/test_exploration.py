@@ -11,11 +11,13 @@ from pantslam.errors import (
     NotSimple,
     OutOfRange,
 )
-from pantslam.exploration import Loop, SigmaGraph, distance_matrix, hemispheres, layer
+from pantslam.exploration import Loop, SigmaGraph, hemispheres, layer
 from pantslam.ladders import block_graph
 from pantslam.randmaps import random_sigma_graph
+from pantslam.special_loops import special_family
 
 from conftest import build_corpus_graph, corpus_jobs, theta_graph
+from helpers import distance_matrix, flood_sides
 
 
 def test_marked_faces_must_be_distinct():
@@ -109,6 +111,21 @@ def test_hemispheres_partition_all_faces():
             a, b = hemispheres(sg, lp)
             assert a.isdisjoint(b)
             assert a | b == frozenset(range(sg.cmap.num_faces))
+
+
+def test_hemispheres_match_flood_reference():
+    # the corpus cycles are checked beside their types in test_oracle
+    checked = 0
+    for seed in range(3):
+        sg = random_sigma_graph(seed, 2000, 2000)
+        for i, m in enumerate(sg.marked, 1):
+            # every loop of the levels the signature scans around m
+            top = min(sg.face_distance(m, f) for f in sg.marked if f != m)
+            for k in range(1, min(len(special_family(sg, i)) + 1, top) + 1):
+                for lp in sg.boundary_loops(i, k):
+                    assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), (seed, lp)
+                    checked += 1
+    assert checked > 500
 
 
 def test_open_walk_rejected():

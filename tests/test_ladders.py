@@ -5,13 +5,10 @@ from itertools import product
 import pytest
 
 from pantslam.errors import NegativeParameter, OutOfRange
-from pantslam.ladders import (
-    block_graph,
-    block_mirror,
-    block_signature,
-    validate_params,
-)
+from pantslam.ladders import block_graph, block_signature, validate_params
 from pantslam.special_loops import sigma_of
+
+from helpers import block_mirror
 
 SAMPLE_TUPLES = [
     (0, 0, 0, 0, 0, 0),

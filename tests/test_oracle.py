@@ -5,6 +5,7 @@ import pytest
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import EmptyLayer, LimitExceeded, OutOfRange
+from pantslam.exploration import hemispheres
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
     all_simple_cycles,
@@ -16,6 +17,7 @@ from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
 from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, theta_graph
+from helpers import flood_sides
 
 
 def test_triangle_has_one_cycle():
@@ -139,22 +141,12 @@ def test_deep_nested_loops_match_pipeline():
 
 
 def _flood_types(sg, loops):
-    """Each loop's type by the flood classification: flood the faces from
-    marked face 1 across every edge off the loop, and see which of marked
-    faces 2 and 3 the flood reaches."""
-    cm = sg.cmap
-    across = [[(cm.left_face(d), d >> 1) for d in cm.faces[f]] for f in range(cm.num_faces)]
+    """Each loop's type by the flood reference: which of marked faces 2
+    and 3 share the side of marked face 1."""
     m1, m2, m3 = sg.marked
     types = []
     for loop in loops:
-        blocked = loop.edge_set()
-        side = {m1}
-        stack = [m1]
-        while stack:
-            for g, e in across[stack.pop()]:
-                if e not in blocked and g not in side:
-                    side.add(g)
-                    stack.append(g)
+        side = next(s for s in flood_sides(sg.cmap, loop) if m1 in s)
         types.append({(True, True): None, (False, False): 1,
                       (False, True): 2, (True, False): 3}[m2 in side, m3 in side])
     return types
@@ -168,6 +160,8 @@ def test_parity_types_match_flood_types(job):
     sg = build_corpus_graph(*job)
     cat = all_simple_cycles(sg)
     assert list(cat.types) == _flood_types(sg, cat.cycles)
+    for lp in cat.cycles[:400]:
+        assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), lp
 
 
 @pytest.mark.parametrize("seed", range(3))

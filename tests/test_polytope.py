@@ -6,19 +6,16 @@ import pytest
 
 from pantslam.errors import NegativeParameter, NonPositiveDelta, OutOfRange, PantsError
 from pantslam.polytope import (
-    all_relabelings,
     check_realizable,
     enumerate_points,
-    is_downward_closed,
     lamination_space,
     nu_transform,
     permute_signature,
-    slack_form_ok,
-    tau_from_mu_nu,
     validate_tau,
 )
 
 from conftest import theta_graph
+from helpers import all_relabelings, is_downward_closed, slack_form_ok, tau_from_mu_nu
 
 
 def test_validate_accepts_good_tuple():

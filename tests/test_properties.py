@@ -12,19 +12,21 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pantslam.combmap import CombinatorialMap
-from pantslam.exploration import Loop, SigmaGraph, distance_matrix, hemispheres, layer
-from pantslam.ladders import block_graph, block_mirror, block_signature
-from pantslam.polytope import (
-    check_realizable,
-    enumerate_points,
+from pantslam.exploration import Loop, SigmaGraph, hemispheres, layer
+from pantslam.ladders import block_graph, block_signature
+from pantslam.polytope import check_realizable, enumerate_points, nu_transform, permute_signature
+from pantslam.randmaps import random_map, random_sigma_graph
+from pantslam.special_loops import sigma_of, special_family
+
+from helpers import (
+    block_mirror,
+    delete_edge,
+    distance_matrix,
     is_downward_closed,
-    nu_transform,
-    permute_signature,
+    non_bridge_edges,
     slack_form_ok,
     tau_from_mu_nu,
 )
-from pantslam.randmaps import delete_edge, non_bridge_edges, random_map, random_sigma_graph
-from pantslam.special_loops import sigma_of, special_family
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,

@@ -7,12 +7,9 @@ import pytest
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph
-from pantslam.randmaps import (
-    delete_edge,
-    non_bridge_edges,
-    random_map,
-    random_sigma_graph,
-)
+from pantslam.randmaps import random_map, random_sigma_graph
+
+from helpers import delete_edge, non_bridge_edges
 
 THETA = [[0, 2, 4], [5, 3, 1]]
 

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from pantslam.errors import OutOfRange
-from pantslam.exploration import SigmaGraph, loop_sides
+from pantslam.exploration import SigmaGraph
 from pantslam.polytope import nu_transform
 from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import (
@@ -17,6 +17,7 @@ from pantslam.special_loops import (
 )
 
 from conftest import build_corpus_graph, corpus_jobs, theta_graph
+from helpers import flood_sides
 
 
 def test_sigma_vector_views():
@@ -117,7 +118,7 @@ def _reference_toward(sg, i0, j0, k):
     """The level-k loop around i0 with j0 on its far side, found by floods."""
     hits = []
     for loop in sg.boundary_loops(i0 + 1, k):
-        left, right = loop_sides(sg.cmap, loop)
+        left, right = flood_sides(sg.cmap, loop)
         away = right if sg.marked[i0] in left else left
         if sg.marked[j0] in away:
             hits.append(loop)
