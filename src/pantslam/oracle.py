@@ -56,52 +56,80 @@ def all_simple_cycles(
 
     Cycles are closed dart walks visiting no vertex twice; a self-loop
     edge is a one-dart cycle and a pair of parallel edges a two-dart one.
-    A depth-first search from each base vertex walks paths through
-    higher vertices only, so it meets each cycle at its least vertex, in
-    both directions; it keeps the direction whose first dart is below
-    its last dart reversed (the even dart of a self-loop).  Every dart
-    the search scans is one step.  Raises LimitExceeded when the cycle
-    count or the step count passes the given bounds.  A bare map is
-    accepted when only the cycle list is of interest; every type is then
-    None.
+    A depth-first search from each base vertex meets each cycle at its
+    least vertex, in both directions, and keeps the direction whose first
+    dart is below its last dart reversed (the even dart of a self-loop).
+
+    The search enters live vertices only.  A vertex with fewer than two
+    non-loop darts to live vertices lies on no cycle through another
+    vertex, so it dies, and so may its neighbours in turn; base b-1 dies
+    before base b is searched.  The live vertices thus form the 2-core
+    from the base up, which holds every cycle left to find, and a dead
+    base closes its own self-loops only.  Each dart is counted off at
+    most once, so the deaths cost O(V+E) in total.  The path carries its
+    vertex mask and its parity of crossings with the dual tree, so a
+    closing dart types the cycle by the Jordan curve argument of
+    `SigmaGraph.classify` (see the `exploration` docstring).
+
+    Every scanned dart is one step; LimitExceeded is raised when the
+    cycle count or the step count passes its bound.  On a bare map every
+    type is None.
     """
-    marked = isinstance(sg, SigmaGraph)
-    cm = sg.cmap if marked else sg
+    cm = sg.cmap if isinstance(sg, SigmaGraph) else sg
     rotations, tail = cm.rotations, cm.dart_vertex
-    on_path = [False] * cm.num_vertices
-    found: list[Loop] = []
+    bits = sg._dual_tree()[2] if cm is not sg else [0] * cm.num_edges
+    # deg: non-loop darts to live vertices; free: live and off the path
+    deg = [sum(tail[d ^ 1] != v for d in rot) for v, rot in enumerate(rotations)]
+    dying = [v for v, k in enumerate(deg) if k < 2]
+    free = [k >= 2 for k in deg]
+    found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
     for base in range(cm.num_vertices):
+        if base and free[base - 1]:
+            free[base - 1] = False
+            dying.append(base - 1)
+        while dying:
+            for d in rotations[dying.pop()]:
+                w = tail[d ^ 1]
+                if free[w]:  # a self-loop leads back to the dead vertex
+                    deg[w] -= 1
+                    if deg[w] < 2:
+                        free[w] = False
+                        dying.append(w)
         path: list[int] = []
+        odd, mask = 0, 1 << base
         scans = [iter(rotations[base])]  # the unscanned darts at each path vertex
         while scans:
             for d in scans[-1]:
                 nodes += 1
                 if nodes > node_limit:
                     raise LimitExceeded("cycle search passed %d steps" % node_limit)
-                if path and d == path[-1] ^ 1:
-                    continue
                 w = tail[d ^ 1]
                 if w == base:
-                    if (path[0] if path else d) < d ^ 1:
+                    if (path[0] if path else d) < d ^ 1:  # false for the edge walked back
                         found.append(Loop(path + [d]))
+                        # bit 0: faces 1 and 2 apart; bit 1: faces 1 and 3 apart
+                        types.append((None, 2, 3, 1)[odd ^ bits[d >> 1]])
+                        masks.append(mask)
                         if len(found) > cycle_limit:
                             raise LimitExceeded("more than %d cycles" % cycle_limit)
                     continue
-                if w < base or on_path[w]:
+                if not free[w] or not free[base]:  # a dead base enters nothing
                     continue
                 path.append(d)
-                on_path[w] = True
+                free[w] = False
+                odd ^= bits[d >> 1]
+                mask ^= 1 << w
                 scans.append(iter(rotations[w]))
                 break
             else:
                 scans.pop()
                 if path:
-                    on_path[tail[path.pop() ^ 1]] = False
-    types = tuple(sg.classify(loop) if marked else None for loop in found)
-    # the vertices of a simple cycle are distinct
-    masks = tuple(sum(1 << v for v in loop.vertices(cm)) for loop in found)
-    return CycleCatalog(tuple(found), types, masks)
+                    d = path.pop()
+                    free[tail[d ^ 1]] = True
+                    odd ^= bits[d >> 1]
+                    mask ^= 1 << tail[d ^ 1]
+    return CycleCatalog(tuple(found), tuple(types), tuple(masks))
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:

@@ -1,12 +1,14 @@
-"""Test-only references: the face flood for loop sides, and the helpers
-that only the tests call."""
+"""Test-only references: the face flood for loop sides, the plain cycle
+search, and the helpers that only the tests call."""
 
 from collections import deque
 from itertools import permutations
 
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import NegativeParameter, OutOfRange
+from pantslam.exploration import Loop
 from pantslam.ladders import block_complex, doubled
+from pantslam.oracle import CycleCatalog
 from pantslam.polytope import nu_transform, permute_signature, validate_tau
 
 
@@ -32,6 +34,45 @@ def flood_sides(cmap, loop):
     assert not left & right and len(left) + len(right) == cmap.num_faces, (
         "loop does not split the sphere in two")
     return left, right
+
+
+def plain_cycles(sg):
+    """The cycle catalog of `oracle.all_simple_cycles` without its peel.
+
+    From each base vertex a depth-first search walks paths through higher
+    vertices only and keeps each cycle in the direction whose first dart
+    is below its last dart reversed; each cycle is then typed by
+    `sg.classify` and masked from its vertex list.
+    """
+    cm = sg.cmap
+    rotations, tail = cm.rotations, cm.dart_vertex
+    on_path = [False] * cm.num_vertices
+    found = []
+    for base in range(cm.num_vertices):
+        path = []
+        scans = [iter(rotations[base])]  # the unscanned darts at each path vertex
+        while scans:
+            for d in scans[-1]:
+                if path and d == path[-1] ^ 1:
+                    continue
+                w = tail[d ^ 1]
+                if w == base:
+                    if (path[0] if path else d) < d ^ 1:
+                        found.append(Loop(path + [d]))
+                    continue
+                if w < base or on_path[w]:
+                    continue
+                path.append(d)
+                on_path[w] = True
+                scans.append(iter(rotations[w]))
+                break
+            else:
+                scans.pop()
+                if path:
+                    on_path[tail[path.pop() ^ 1]] = False
+    types = tuple(sg.classify(loop) for loop in found)
+    masks = tuple(sum(1 << v for v in loop.vertices(cm)) for loop in found)
+    return CycleCatalog(tuple(found), types, masks)
 
 
 def distance_matrix(sg):

@@ -1,11 +1,13 @@
 """Brute-force cycle catalog against the layered pipeline."""
 
+import random
+
 import pytest
 
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import EmptyLayer, LimitExceeded, OutOfRange
-from pantslam.exploration import hemispheres
+from pantslam.exploration import SigmaGraph, hemispheres
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
     all_simple_cycles,
@@ -17,7 +19,7 @@ from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
 from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, theta_graph
-from helpers import flood_sides
+from helpers import flood_sides, plain_cycles
 
 
 def test_triangle_has_one_cycle():
@@ -130,14 +132,66 @@ def test_empty_selection_always_present():
 
 
 def test_deep_nested_loops_match_pipeline():
-    # 1,200 nested self-loops: the cycle search runs 1,200 vertices deep
-    # and a packing of type 1 picks 1,199 cycles
+    # 1,200 nested self-loops: a packing of type 1 picks 1,199 cycles, one
+    # search level each; the peel kills the whole path, so the cycle search
+    # stays shallow here (test_oracle_long_theta_exits_0 runs it deep)
     k = 1200
     sg = nested_loops(k)
     assert tuple(sigma_of(sg)) == (k - 1, 1, 0, 1, k - 1, k)
     cat = all_simple_cycles(sg)
     assert len(cat) == k
     assert lamination_space_bruteforce(sg, cat) == frozenset(lamination_space(sg).points)
+
+
+def test_long_theta_fits_a_small_step_budget():
+    # once base 0 is searched, its death kills the three paths and vertex 1
+    assert len(all_simple_cycles(theta_graph(1000), node_limit=50_000)) == 3
+
+
+def test_nested_loops_fit_a_small_step_budget():
+    # the path's two ends have one non-loop dart each, so the peel kills
+    # the whole path before the first base is searched
+    assert len(all_simple_cycles(nested_loops(1200), node_limit=20_000)) == 1200
+
+
+def _hung(sg, seed, pendants=8, loops=3):
+    """sg's map with a pendant tree hung in random corners, self-loops on
+    some of the tree's vertices and all vertices shuffled, marking the
+    same faces; the peel kills every tree vertex."""
+    rng = random.Random(seed)
+    rots = [list(r) for r in sg.cmap.rotations]
+    e = sg.cmap.num_edges
+    for _ in range(pendants):
+        v = rng.randrange(len(rots))
+        rots[v].insert(rng.randrange(len(rots[v]) + 1), 2 * e)
+        rots.append([2 * e + 1])
+        e += 1
+    for _ in range(loops):
+        v = rng.randrange(sg.cmap.num_vertices, len(rots))
+        i = rng.randrange(len(rots[v]) + 1)
+        rots[v][i:i] = [2 * e, 2 * e + 1]
+        e += 1
+    rng.shuffle(rots)
+    cm = CombinatorialMap(rots)
+    return SigmaGraph(cm, [cm.face_of(sg.cmap.faces[f][0]) for f in sg.marked])
+
+
+PLAIN_CASES = ([("nested", 50), ("theta", 50)]
+               + [("hung theta", s) for s in range(3)]
+               + [("hung block", s) for s in range(3)])
+
+
+@pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
+def test_cycles_match_plain_search(case):
+    kind, n = case
+    if kind == "nested":
+        sg = nested_loops(n)
+    elif kind == "theta":
+        sg = theta_graph(n)
+    else:
+        base = theta_graph() if kind == "hung theta" else block_graph((1, 1, 0, 0, 0, 1))
+        sg = _hung(base, n)
+    assert all_simple_cycles(sg) == plain_cycles(sg)
 
 
 def _flood_types(sg, loops):
@@ -159,6 +213,7 @@ CATALOGUED_JOBS = [job for job in corpus_jobs() if job not in OVER_LIMIT]
 def test_parity_types_match_flood_types(job):
     sg = build_corpus_graph(*job)
     cat = all_simple_cycles(sg)
+    assert cat == plain_cycles(sg)  # the peeled search against the plain one
     assert list(cat.types) == _flood_types(sg, cat.cycles)
     for lp in cat.cycles[:400]:
         assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), lp
