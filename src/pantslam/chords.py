@@ -44,9 +44,17 @@ arrangement whose rotations follow from the axis order alone:
 - at a mirror crossing, the reverse of the upper one: the mirror is
   orientation reversing and fixes the axis pointwise.
 
-Disconnected curves get joined by a few axis arcs, each a cut edge that
-no face boundary crosses, so the marked-graph invariants are untouched
-by the choice.  The Euler check of the map guards planarity.
+Curves that neither cross nor touch are joined by axis arcs, each a cut
+edge that no face boundary crosses, so the marked-graph invariants do
+not depend on them.  Curve a of family i crosses or touches family i+1
+exactly when a is at most their depth, likewise family i-1, and curve
+1 of that neighbor meets all such curves; a cap touches curve 1.  So
+an arc from the right end of curve a+1 to that of curve a, for each
+a >= 1 at or above both flanking depths, ties a family together, and
+an arc from the last axis point of a family to the first of the next
+joins two nonempty families that no depth >= 1 joins already.  The
+emission order makes the ends of each arc axis neighbors.  The
+connectivity and Euler checks of the map guard this and planarity.
 """
 
 from __future__ import annotations
@@ -149,51 +157,25 @@ def family_graph(
         )
     crossings = sorted((c1, c2) for c1, w in enumerate(walks) for c2 in w if c1 < c2)
 
-    # -- connectivity: join curve components with axis arcs --------------
-    parent = list(range(len(curves)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[rx] = ry
-        return True
-
-    curves_at: list[list[int]] = [[] for _ in range(n)]
-    for ci, (_, _, l, r) in enumerate(curves):
-        curves_at[l].append(ci)
-        curves_at[r].append(ci)
-    for cs in curves_at:
-        for other in cs[1:]:
-            union(cs[0], other)
-    for c1, c2 in crossings:
-        union(c1, c2)
-
-    candidates: list[tuple[tuple, tuple]] = []
+    # -- connectivity: axis arcs where the curves leave gaps --------------
+    segments: list[int] = []  # an axis arc from point j to point j + 1
     for i in range(3):
-        for a in range(counts[i] - 1, 0, -1):
-            candidates.append((rlab(i, a + 1), rlab(i, a)))
-    for i in sorted(caps):
-        candidates.append((rlab(i, 1), ("CR", i)))
+        for a in range(counts[i] - 1, max(q[(i - 1) % 3], q[i], 1) - 1, -1):
+            segments.append(index[rlab(i, a + 1)])
+    label = [0, 1, 2]  # zones with equal labels are already connected
+
+    def join(za: int, zb: int) -> bool:
+        old, new = label[za], label[zb]
+        label[:] = [new if z == old else z for z in label]
+        return old != new
+
+    for i in range(3):
+        if q[i] >= 1:
+            join(i, (i + 1) % 3)
     nonempty = [i for i in range(3) if counts[i] > 0]
     for za, zb in zip(nonempty, nonempty[1:]):
-        candidates.append((last_of_zone[za], first_of_zone[zb]))
-
-    segments: list[int] = []  # an axis arc from point j to point j + 1
-    for laba, labb in candidates:
-        ia, ib = index[laba], index[labb]
-        if abs(ia - ib) != 1:
-            raise InvariantViolated("axis arc candidate not between neighbors")
-        if union(curves_at[ia][0], curves_at[ib][0]):
-            segments.append(min(ia, ib))
-    if len({find(ci) for ci in range(len(curves))}) != 1:
-        raise InvariantViolated("curve arrangement failed to connect")
+        if join(za, zb):
+            segments.append(index[last_of_zone[za]])
 
     # -- edges and rotations ---------------------------------------------
     # Edge ("c", ci, k) is segment k of curve ci's chord, ("m", ci, k) its

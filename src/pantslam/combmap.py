@@ -150,32 +150,29 @@ class CombinatorialMap:
             raise Disconnected("%d of %d vertices reachable" % (reached, nv))
 
     def _trace_faces(self):
+        """Face orbits in canonical order, and the face of each dart.
+
+        Each orbit starts at its least dart and faces are sorted by that
+        dart: the scan opens an orbit at the least untraced dart, which
+        no earlier orbit holds, so the orbits come out in that order.
+        """
         n = len(self.dart_vertex)
         face_of = [-1] * n
-        orbits = []
+        faces = []
         for start in range(n):
             if face_of[start] != -1:
                 continue
+            f = len(faces)
             orbit = []
             d = start
             while face_of[d] == -1:
-                face_of[d] = -2  # placeholder until orbit index known
+                face_of[d] = f
                 orbit.append(d)
                 d = self._next[d ^ 1]
             if d != start:
                 raise MalformedRotation("face orbit does not close")
-            orbits.append(tuple(orbit))
-        # canonical order: each orbit starts at its least dart, faces
-        # sorted by that least dart
-        canon = []
-        for orbit in orbits:
-            i = orbit.index(min(orbit))
-            canon.append(orbit[i:] + orbit[:i])
-        canon.sort(key=lambda o: o[0])
-        for idx, orbit in enumerate(canon):
-            for d in orbit:
-                face_of[d] = idx
-        return tuple(canon), tuple(face_of)
+            faces.append(tuple(orbit))
+        return tuple(faces), tuple(face_of)
 
     # -- serialization --------------------------------------------------
 

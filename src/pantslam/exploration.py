@@ -304,8 +304,12 @@ class SigmaGraph:
         odd = 0
         for d in loop.darts:
             odd ^= bits[d >> 1]
-        # bit 0: faces 1 and 2 apart; bit 1: faces 1 and 3 apart
-        return (None, 2, 3, 1)[odd]
+        return _TYPE_OF_PARITY[odd]
+
+
+# the type of a loop from the parity of its crossings with the tree paths:
+# bit 0 set when faces 1 and 2 lie apart, bit 1 when faces 1 and 3 do
+_TYPE_OF_PARITY = (None, 2, 3, 1)
 
 
 # -- public interface, marked faces numbered 1..3 -------------------------

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
 from .errors import LimitExceeded, OutOfRange
-from .exploration import Loop, SigmaGraph
+from .exploration import _TYPE_OF_PARITY, Loop, SigmaGraph
 
 __all__ = [
     "CycleCatalog",
@@ -108,8 +108,7 @@ def all_simple_cycles(
                 if w == base:
                     if (path[0] if path else d) < d ^ 1:  # false for the edge walked back
                         found.append(Loop(path + [d]))
-                        # bit 0: faces 1 and 2 apart; bit 1: faces 1 and 3 apart
-                        types.append((None, 2, 3, 1)[odd ^ bits[d >> 1]])
+                        types.append(_TYPE_OF_PARITY[odd ^ bits[d >> 1]])
                         masks.append(mask)
                         if len(found) > cycle_limit:
                             raise LimitExceeded("more than %d cycles" % cycle_limit)

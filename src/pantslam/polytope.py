@@ -110,9 +110,6 @@ class LaminationPolytope:
     tau: SigmaVector
     points: tuple[tuple[int, int, int], ...]
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -132,14 +129,12 @@ def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
     """
     vals = validate_tau(tau)
     m1, m2, m3, d1, d2, d3 = vals
-    pts = []
-    for x in range(m1 + 1):
-        for y in range(m2 + 1):
-            if x + y > d3:
-                continue
-            for z in range(m3 + 1):
-                if y + z <= d1 and x + z <= d2:
-                    pts.append((x, y, z))
+    pts = [
+        (x, y, z)
+        for x in range(m1 + 1)
+        for y in range(min(m2, d3 - x) + 1)
+        for z in range(min(m3, d1 - y, d2 - x) + 1)
+    ]
     return LaminationPolytope(vals, tuple(pts))
 
 

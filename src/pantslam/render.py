@@ -25,27 +25,29 @@ _CG_ROUNDS = 4  # iteration cap, in multiples of the number of unknowns
 
 
 def _conjugate_gradient(
-    nbrs: list[list[int]], diag: list[float], b: list[float]
-) -> list[float]:
-    """Solve A x = b for A = diag(diag) minus the adjacency nbrs.
+    nbrs: list[list[int]], diag: list[float], b: list[complex]
+) -> list[complex]:
+    """Solve A z = b for A = diag(diag) minus the adjacency nbrs.
 
     A is the Laplacian of a connected map with its ring pinned, hence
-    symmetric positive definite, so conjugate gradients converge.
+    symmetric positive definite, so conjugate gradients converge.  A is
+    real, so one complex solve with Hermitian inner products solves the
+    real and imaginary parts of b at once.
     """
     n = len(b)
-    x = [0.0] * n
+    x = [0j] * n
     r = list(b)
     p = list(r)
-    rr = sum(v * v for v in r)
+    rr = sum(abs(v) ** 2 for v in r)
     stop = rr * _CG_TOL * _CG_TOL
     for _ in range(_CG_ROUNDS * n):
         if rr <= stop:
             break
         ap = [diag[j] * p[j] - sum(p[u] for u in nbrs[j]) for j in range(n)]
-        alpha = rr / sum(pj * aj for pj, aj in zip(p, ap))
+        alpha = rr / sum((pj.conjugate() * aj).real for pj, aj in zip(p, ap))
         x = [xj + alpha * pj for xj, pj in zip(x, p)]
         r = [rj - alpha * aj for rj, aj in zip(r, ap)]
-        rr, rr_old = sum(v * v for v in r), rr
+        rr, rr_old = sum(abs(v) ** 2 for v in r), rr
         beta = rr / rr_old
         p = [rj + beta * pj for rj, pj in zip(r, p)]
     return x
@@ -79,8 +81,7 @@ def layout(
         # inner vertex j, nbrs[j] lists its inner neighbors with multiplicity
         nbrs: list[list[int]] = [[] for _ in inner]
         diag = [0.0] * len(inner)
-        bx = [0.0] * len(inner)
-        by = [0.0] * len(inner)
+        b = [0j] * len(inner)
         for j, v in enumerate(inner):
             for d in cmap.rotations[v]:
                 u = cmap.head(d)
@@ -90,12 +91,10 @@ def layout(
                 if u in index:
                     nbrs[j].append(index[u])
                 else:
-                    bx[j] += pos[u][0]
-                    by[j] += pos[u][1]
-        xs = _conjugate_gradient(nbrs, diag, bx)
-        ys = _conjugate_gradient(nbrs, diag, by)
+                    b[j] += complex(*pos[u])
+        zs = _conjugate_gradient(nbrs, diag, b)
         for v, j in index.items():
-            pos[v] = (xs[j], ys[j])
+            pos[v] = (zs[j].real, zs[j].imag)
     return pos, outer
 
 

@@ -1,5 +1,7 @@
 """Ring-family graphs: nested circles, crossings, tangent caps."""
 
+import hashlib
+
 import pytest
 
 from pantslam.chords import family_graph
@@ -95,3 +97,20 @@ def test_signature_law_on_every_uncapped_spec():
     assert len(specs) == 1871
     for counts, depths in specs:
         assert tuple(sigma_of(family_graph(counts, depths))) == sigma_cd(counts, depths)
+
+
+# sha256 over repr((cmap.rotations, marked)) of every spec of
+# family_corpus(4) in order, recorded while the axis arcs still came from
+# a union-find over the curves; the benchmark's oracle corpus and
+# construction witnesses depend on these maps
+FAMILY_CORPUS_DIGEST = "cf7c34c0ed563001ce07b33214ff28949bf63e9f11b308c8ec40750dff2e895e"
+
+
+def test_family_graph_matches_golden_digest():
+    h = hashlib.sha256()
+    specs = family_corpus(4)
+    assert len(specs) == 2463
+    for spec in specs:
+        g = family_graph(*spec)
+        h.update(repr((g.cmap.rotations, g.marked)).encode())
+    assert h.hexdigest() == FAMILY_CORPUS_DIGEST

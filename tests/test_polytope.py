@@ -1,6 +1,7 @@
 """Realizability checks and lattice point enumeration."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -138,6 +139,19 @@ def test_all_relabelings_has_six_entries():
     rel = list(all_relabelings((1, 2, 3, 4, 5, 6)))
     assert len(rel) == 6
     assert (1, 2, 3, 4, 5, 6) in [tuple(r) for r in rel]
+
+
+def test_points_equal_box_filter_in_order():
+    # the bounded loops of enumerate_points against a plain filter of the
+    # box of family sizes, realizable or not
+    for tau in product(range(4), range(4), range(4), range(1, 6), range(1, 6), range(1, 6)):
+        m1, m2, m3, d1, d2, d3 = tau
+        box = [
+            (x, y, z)
+            for x, y, z in product(range(m1 + 1), range(m2 + 1), range(m3 + 1))
+            if y + z <= d1 and x + z <= d2 and x + y <= d3
+        ]
+        assert list(enumerate_points(tau).points) == box, tau
 
 
 def test_origin_always_present():
