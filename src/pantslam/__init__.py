@@ -7,7 +7,7 @@ lamination polytope, decides realizability of a prospective signature,
 and constructs witness maps for the realizable ones.
 """
 
-from .combmap import CombinatorialMap, build_map
+from .combmap import CombinatorialMap
 from .chords import family_graph
 from .constructor import ConstructionResult, construct, construct_detailed
 from .errors import (
@@ -94,7 +94,6 @@ __all__ = [
     "SpecialLoopFamily",
     "UnknownVertex",
     "all_simple_cycles",
-    "build_map",
     "check_realizable",
     "construct",
     "construct_detailed",

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .combmap import build_map
+from .combmap import CombinatorialMap
 from .errors import InvariantViolated, NegativeParameter, OutOfRange, OverlappingCrossings
 from .exploration import SigmaGraph
 
@@ -177,63 +177,64 @@ def family_graph(
         if join(za, zb):
             segments.append(index[last_of_zone[za]])
 
-    # -- edges and rotations ---------------------------------------------
-    # Edge ("c", ci, k) is segment k of curve ci's chord, ("m", ci, k) its
-    # mirror and ("s", j) an axis arc; dart (edge, 0) leaves the edge's
-    # first end, (edge, 1) its second.  Vertices are the axis points, then
-    # the chord crossings, then their mirrors.
-    edges: list[tuple] = []
-    rotations: list[list[tuple]] = [[] for _ in range(n + 2 * len(crossings))]
-    chord_ends: list[list[tuple]] = [[] for _ in range(n)]
+    # -- darts and rotations ---------------------------------------------
+    # Edges are numbered as emitted: per curve, its chord's segments in
+    # walking order, then their mirrors; then the axis arcs in `segments`
+    # order.  Dart 2e leaves edge e's first end (a segment's left one, arc
+    # j's point j), 2e + 1 its second.  So curve ci's chord darts are
+    # first[ci] up to first[ci] + span[ci] - 1, which leaves its right end,
+    # and adding span[ci] to a chord dart gives its mirror.  Vertices are
+    # the axis points, then the chord crossings, then their mirrors.
+    rotations: list[list[int]] = [[] for _ in range(n + 2 * len(crossings))]
+    chord_ends: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     step: dict[tuple[int, int], int] = {}  # (curve, crossed curve) -> node k
-
-    def mirror(dart: tuple) -> tuple:
-        (_, ci, k), end = dart
-        return ("m", ci, k), end
-
+    first: list[int] = []
+    span: list[int] = []
+    d0 = 0
     for ci, (_, _, l, r) in enumerate(curves):
-        last = len(walks[ci])
-        edges.extend(("c", ci, k) for k in range(last + 1))
-        edges.extend(("m", ci, k) for k in range(last + 1))
-        chord_ends[l].append(((r - l) % n, (("c", ci, 0), 0)))
-        chord_ends[r].append(((l - r) % n, (("c", ci, last), 1)))
+        s = 2 * (len(walks[ci]) + 1)
+        first.append(d0)
+        span.append(s)
+        chord_ends[l].append(((r - l) % n, d0, s))
+        chord_ends[r].append(((l - r) % n, d0 + s - 1, s))
         for k, other in enumerate(walks[ci], 1):
             step[ci, other] = k
-    edges.extend(("s", j) for j in segments)
+        d0 += 2 * s
+    arc = {j: d0 + 2 * x for x, j in enumerate(segments)}
 
-    arcs = set(segments)
     for p in range(n):
         ends = sorted(chord_ends[p])
-        rotations[p] = [mirror(dart) for _, dart in reversed(ends)]
-        if p in arcs:
-            rotations[p].append((("s", p), 0))
-        rotations[p].extend(dart for _, dart in ends)
-        if p - 1 in arcs:
-            rotations[p].append((("s", p - 1), 1))
+        rotations[p] = [d + s for _, d, s in reversed(ends)]
+        if p in arc:
+            rotations[p].append(arc[p])
+        rotations[p].extend(d for _, d, _ in ends)
+        if p - 1 in arc:
+            rotations[p].append(arc[p - 1] + 1)
     for x, (c1, c2) in enumerate(crossings):
-        k1, k2 = step[c1, c2], step[c2, c1]
-        out1, in1 = (("c", c1, k1), 0), (("c", c1, k1 - 1), 1)
-        out2, in2 = (("c", c2, k2), 0), (("c", c2, k2 - 1), 1)
+        # a is c1 out and a - 1 c1 in (see the module docstring); b, b - 1 on c2
+        a = first[c1] + 2 * step[c1, c2]
+        b = first[c2] + 2 * step[c2, c1]
         l1, r1, l2 = curves[c1][2], curves[c1][3], curves[c2][2]
         if 0 < (l2 - l1) % n < (r1 - l1) % n:
-            upper = [out1, out2, in1, in2]
+            upper = [a, b, a - 1, b - 1]
         else:
-            upper = [out1, in2, in1, out2]
+            upper = [a, b - 1, a - 1, b]
+        s1, s2 = span[c1], span[c2]
         rotations[n + x] = upper
-        rotations[n + len(crossings) + x] = [mirror(d) for d in reversed(upper)]
-    cmap = build_map(rotations, [((e, 0), (e, 1)) for e in edges])
-    edge_int = {e: k for k, e in enumerate(edges)}
+        rotations[n + len(crossings) + x] = [
+            upper[3] + s2, upper[2] + s1, upper[1] + s2, upper[0] + s1
+        ]
+    cmap = CombinatorialMap(rotations)
 
-    for j in segments:
-        k = edge_int[("s", j)]
-        if cmap.face_of(2 * k) != cmap.face_of(2 * k + 1):
+    for d in arc.values():
+        if cmap.face_of(d) != cmap.face_of(d + 1):
             raise InvariantViolated("axis arc is not a cut edge")
 
     marked = []
     for i in range(3):
         if counts[i] >= 1:
             ci = curve_of[i, counts[i]]
-            ec, em = edge_int[("c", ci, 0)], edge_int[("m", ci, 0)]
+            ec, em = first[ci] >> 1, (first[ci] + span[ci]) >> 1
             hits = [
                 f
                 for f in (cmap.face_of(2 * ec), cmap.face_of(2 * ec + 1))

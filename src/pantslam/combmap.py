@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     Disconnected,
@@ -214,27 +214,3 @@ class CombinatorialMap:
             self.num_faces,
         )
 
-
-def build_map(
-    rotations: Sequence[Sequence[object]],
-    pairing: Iterable[tuple[object, object]],
-) -> CombinatorialMap:
-    """Build a map from arbitrary dart labels plus an explicit twin pairing.
-
-    Each label must appear exactly once in the rotations and exactly once
-    in the pairing.  Edge k of the pairing becomes darts 2k and 2k+1.
-    """
-    label_to_int: dict[object, int] = {}
-    for k, (a, b) in enumerate(pairing):
-        if a in label_to_int or b in label_to_int or a == b:
-            raise MalformedRotation("pairing reuses a dart label")
-        label_to_int[a] = 2 * k
-        label_to_int[b] = 2 * k + 1
-    try:
-        int_rots = [[label_to_int[x] for x in r] for r in rotations]
-    except KeyError as exc:
-        raise MalformedRotation("rotation label %r not in pairing" % (exc.args[0],))
-    count = sum(len(r) for r in int_rots)
-    if count != len(label_to_int):
-        raise MalformedRotation("rotations and pairing disagree on dart count")
-    return CombinatorialMap(int_rots)

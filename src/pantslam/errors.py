@@ -42,11 +42,23 @@ class NotSimple(PantsError):
 
 
 class NotClosed(PantsError):
-    """A face complex does not close up into a surface without boundary."""
+    """A dart walk or a face complex does not close up.
+
+    A walk fails when a dart lies outside the map's 0..2E-1 or does not end
+    where the next one starts; a face complex when an edge id is not used
+    exactly twice, so it has boundary.
+    """
 
 
 class OutOfRange(PantsError):
-    """A loop-family index exceeds its defined range."""
+    """A parameter is not an int or lies outside its range.
+
+    Every int parameter of a signature, a family drawing, a block or a
+    random map raises it when given a non-int; so do a marked index or
+    loop type outside 1..3, a level, layer radius, face count or
+    command-line limit below its minimum, and a block web larger than its
+    neighboring ladders.
+    """
 
 
 class NegativeParameter(PantsError):

@@ -325,7 +325,10 @@ def layer(sg: SigmaGraph, i: int, k: int) -> frozenset[int]:
 
 
 def _check_simple(cm: CombinatorialMap, loop: Loop) -> None:
-    """Raise unless the loop's darts chain up and visit each vertex once."""
+    """Raise unless the loop's darts are the map's, chain up and visit
+    each vertex once."""
+    if loop.darts[0] < 0 or max(loop.darts) >= cm.num_darts:
+        raise NotClosed("walk leaves the darts 0..%d: %r" % (cm.num_darts - 1, loop))
     tails = loop.vertices(cm)
     for t, d in enumerate(loop.darts):
         if cm.dart_vertex[d ^ 1] != tails[t + 1 - len(tails)]:

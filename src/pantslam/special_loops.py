@@ -1,14 +1,17 @@
 """Distinguished loop families around each marked face and the signature.
 
-For marked face i and level k there is exactly one boundary loop of the
-level-k region that keeps a chosen second marked face j on its far
-side.  The region lies left of each of its boundary loops, so that loop
-is the one separating i from j, which `SigmaGraph.classify` types i or
-j by dual-tree parity (see `exploration`).  When the loop toward each
-of the two other marked faces is the same curve, that curve separates i
-from both and is counted into the family of i.  The family sizes
-together with the pairwise distances form the six-entry signature of
-the marked graph.
+For marked face i and a level k up to its distance from a second marked
+face j, exactly one boundary loop of the level-k region keeps j on its
+far side.  The region lies left of each of its boundary loops, so that
+loop is the one separating i from j, which `SigmaGraph.classify` types
+i or j by dual-tree parity (see `exploration`).  A loop typed i
+separates i from both other marked faces, so the loop toward j equals
+the loop toward the third marked face exactly when it is typed i: the
+family of i is read straight off the types, one level-k loop typed i
+per level, up to the first level that has none.  Two loops typed i at
+one level would both be the loop toward j, so there is at most one.
+The family sizes together with the pairwise distances form the
+six-entry signature of the marked graph.
 
 Marked faces are numbered 1..3 throughout the public interface.
 """
@@ -64,26 +67,6 @@ class SpecialLoopFamily:
         return len(self.loops)
 
 
-def _far_loops(sg: SigmaGraph, i0: int, k: int, targets: tuple[int, ...]) -> tuple[Loop, ...]:
-    """For each 0-based marked index j in targets, its loop among the level-k loops.
-
-    Marked face i0 lies left of every loop of the level, so the loop
-    toward j is the one typed i0 or j.  All loops of the level come from
-    one boundary walk.
-    """
-    loops = sg.boundary_loops(i0 + 1, k)
-    types = [sg.classify(loop) for loop in loops]
-    out = []
-    for j in targets:
-        found = [lp for lp, t in zip(loops, types) if t in (i0 + 1, j + 1)]
-        if len(found) != 1:
-            raise InvariantViolated(
-                "expected one separating loop at level %d, found %d" % (k, len(found))
-            )
-        out.append(found[0])
-    return tuple(out)
-
-
 def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:
     """The unique level-k loop around marked face i with face j beyond it.
 
@@ -91,33 +74,39 @@ def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:
     """
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise OutOfRange("need two distinct marked indices, got %r, %r" % (i, j))
-    i0, j0 = i - 1, j - 1
-    dij = sg.face_distance(sg.marked[i0], sg.marked[j0])
+    dij = sg.face_distance(sg.marked[i - 1], sg.marked[j - 1])
     if not 1 <= k <= dij:
         raise OutOfRange(
             "level %d outside 1..%d for marked pair (%d, %d)" % (k, dij, i, j)
         )
-    (loop,) = _far_loops(sg, i0, k, (j0,))
-    return loop
+    found = [lp for lp in sg.boundary_loops(i, k) if sg.classify(lp) in (i, j)]
+    if len(found) != 1:
+        raise InvariantViolated(
+            "expected one separating loop at level %d, found %d" % (k, len(found))
+        )
+    return found[0]
 
 
 def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     """Loops around marked face i separating it from both other marked faces.
 
-    Levels are scanned upward from 1, with one boundary walk per level;
-    the family ends at the first level where the loop toward one far face
-    differs from the loop toward the other.  Divergence is permanent, so
-    no lookahead is needed.
+    The level-k member is the level-k loop typed i, for k = 1, 2, ...; the
+    family ends at the first level that has none.  Levels run up to the
+    distance of the nearer far face, past which the region holds that face
+    and no loop is typed i.
     """
-    i0 = _marked_index(i)
-    far = ((i0 + 1) % 3, (i0 + 2) % 3)
-    top = min(sg.face_distance(sg.marked[i0], sg.marked[j]) for j in far)
+    m = sg.marked[_marked_index(i)]
+    top = min(sg.face_distance(m, g) for g in sg.marked if g != m)
     out = []
     for k in range(1, top + 1):
-        a, b = _far_loops(sg, i0, k, far)
-        if a != b:
+        found = [lp for lp in sg.boundary_loops(i, k) if sg.classify(lp) == i]
+        if len(found) > 1:
+            raise InvariantViolated(
+                "%d loops typed %d at level %d, expected one" % (len(found), i, k)
+            )
+        if not found:
             break
-        out.append(a)
+        out.append(found[0])
     return SpecialLoopFamily(i, tuple(out))
 
 

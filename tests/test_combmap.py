@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pantslam.combmap import CombinatorialMap, build_map
+from pantslam.combmap import CombinatorialMap
 from pantslam.errors import Disconnected, MalformedRotation, NonSpherical
 
 from conftest import THETA_ROTATIONS
@@ -103,20 +103,6 @@ def test_faces_helper_matches_attribute():
 def test_faces_sharing_vertex():
     cm = theta_map()
     assert cm.faces_at(0) == frozenset({0, 1, 2})
-
-
-def test_build_map_relabels_pairing_order():
-    cm = build_map([["x", "y"], ["X", "Y"]], [("x", "X"), ("y", "Y")])
-    assert cm.rotations == ((0, 2), (1, 3))
-    assert (cm.num_vertices, cm.num_edges, cm.num_faces) == (2, 2, 2)
-
-
-def test_build_map_matches_direct_construction():
-    # opposite cyclic orders on the two endpoints keep the sphere embedding
-    rots = [["a", "b", "c"], ["C", "B", "A"]]
-    pairing = [("a", "A"), ("b", "B"), ("c", "C")]
-    cm = build_map(rots, pairing)
-    assert cm.rotations == theta_map().rotations
 
 
 def test_json_roundtrip():

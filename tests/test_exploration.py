@@ -130,10 +130,12 @@ def test_hemispheres_match_flood_reference():
 
 def test_open_walk_rejected():
     sg = theta_graph()
-    with pytest.raises(NotClosed):
-        hemispheres(sg, Loop((0,)))
-    with pytest.raises(NotClosed):
-        sg.classify(Loop((0,)))
+    # an open walk, one that closes only when read modulo 6, one past dart 5
+    for darts in ((0,), (-6, -3), (6, 9)):
+        with pytest.raises(NotClosed):
+            hemispheres(sg, Loop(darts))
+        with pytest.raises(NotClosed):
+            sg.classify(Loop(darts))
 
 
 def test_vertex_revisit_rejected():
