@@ -55,6 +55,18 @@ an arc from the last axis point of a family to the first of the next
 joins two nonempty families that no depth >= 1 joins already.  The
 emission order makes the ends of each arc axis neighbors.  The
 connectivity and Euler checks of the map guard this and planarity.
+
+The marked faces are read off the drawing.  The innermost curve of a
+nonempty family i, number a = c_i, crosses no curve: that would need
+a + b <= d for some b >= 1 and a flanking depth d <= c_i.  So its chord
+is one segment, between axis points the emission order puts side by
+side, and with its mirror it bounds a digon: the face right of the
+chord dart leaving its left end, since the axis points run
+counterclockwise.  An empty family emits no axis point, since c_i = 0
+forces both flanking depths to 0 and forbids a cap.  Its stretch of the
+axis is thus the gap from the last point of the zone before it to the
+next point, and its marked face is the face right of the first dart
+after the mirror arcs at the gap's start.
 """
 
 from __future__ import annotations
@@ -110,24 +122,15 @@ def family_graph(
 
     # -- emit axis points zone by zone ---------------------------------
     emitted: list[tuple] = []
-    first_of_zone: dict[int, tuple] = {}
-    last_of_zone: dict[int, tuple] = {}
-
-    def emit(label: tuple, zone: int) -> None:
-        emitted.append(label)
-        first_of_zone.setdefault(zone, label)
-        last_of_zone[zone] = label
-
+    last: list[int] = []  # per zone, the last point emitted up to its end
     for i in range(3):
         qL, qR = q[(i - 1) % 3], q[i]
-        for b in range(qL + 1, counts[i] + 1):
-            emit(("L", i, b), i)
-        for a in range(counts[i], qR, -1):
-            emit(("R", i, a), i)
+        emitted.extend(("L", i, b) for b in range(qL + 1, counts[i] + 1))
+        emitted.extend(("R", i, a) for a in range(counts[i], qR, -1))
         if i in caps:
-            emit(("CR", i), i)
-        for m in range(qR, 0, -1):
-            emit(("T", i, m), i)
+            emitted.append(("CR", i))
+        emitted.extend(("T", i, m) for m in range(qR, 0, -1))
+        last.append(len(emitted) - 1)
     index = {lab: k for k, lab in enumerate(emitted)}
     n = len(emitted)
 
@@ -175,7 +178,7 @@ def family_graph(
     nonempty = [i for i in range(3) if counts[i] > 0]
     for za, zb in zip(nonempty, nonempty[1:]):
         if join(za, zb):
-            segments.append(index[last_of_zone[za]])
+            segments.append(last[za])
 
     # -- darts and rotations ---------------------------------------------
     # Edges are numbered as emitted: per curve, its chord's segments in
@@ -230,35 +233,14 @@ def family_graph(
         if cmap.face_of(d) != cmap.face_of(d + 1):
             raise InvariantViolated("axis arc is not a cut edge")
 
+    # the innermost curve's chord and mirror bound the digon right of the
+    # dart leaving its left end; an empty family owns the axis gap after
+    # the last point of the zone before it (see the module docstring)
     marked = []
     for i in range(3):
         if counts[i] >= 1:
-            ci = curve_of[i, counts[i]]
-            ec, em = first[ci] >> 1, (first[ci] + span[ci]) >> 1
-            hits = [
-                f
-                for f in (cmap.face_of(2 * ec), cmap.face_of(2 * ec + 1))
-                if cmap.face_edges(f) == frozenset((ec, em))
-            ]
-            if len(hits) != 1:
-                raise InvariantViolated(
-                    "innermost curve of family %d bounds no two-sided face" % i
-                )
-            marked.append(hits[0])
+            marked.append(cmap.face_of(first[curve_of[i, counts[i]]]))
         else:
-            # the empty family owns the axis gap between its neighbors:
-            # the face right of the first dart after the outward arcs at
-            # the gap's start
-            j = index[last_of_zone[(i - 1) % 3]]
-            jn = index[first_of_zone[(i + 1) % 3]]
-            if jn != j + 1 and not (jn == 0 and j == n - 1):
-                raise InvariantViolated(
-                    "pole gap of empty family %d is not an axis gap" % i
-                )
-            f = cmap.face_of(cmap.rotations[j][len(chord_ends[j])])
-            if f not in cmap.faces_at(jn % n):
-                raise InvariantViolated(
-                    "pole face of empty family %d misses the gap end" % i
-                )
-            marked.append(f)
+            j = last[(i - 1) % 3]
+            marked.append(cmap.face_of(cmap.rotations[j][len(chord_ends[j])]))
     return SigmaGraph(cmap, marked)

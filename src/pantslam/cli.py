@@ -29,7 +29,8 @@ __all__ = ["main"]
 def _load_json(path: str):
     """Parsed contents of a graph file.
 
-    Text that is not UTF-8, or is nested too deeply to parse, is bad input.
+    Text that is not UTF-8, holds a number too long to convert, or is
+    nested too deeply to parse, is bad input.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -38,6 +39,10 @@ def _load_json(path: str):
             raise PantsError("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
         except RecursionError:
             raise PantsError("%s is nested too deeply to parse" % path) from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise PantsError("%s: %s" % (path, exc)) from None
 
 
 def _load_graph(path: str) -> SigmaGraph:
@@ -121,7 +126,7 @@ def cmd_roundtrip(max_mu: int) -> int:
 
 def cmd_render(path: str, out_svg: str) -> int:
     data = _load_json(path)
-    if "marked_faces" in data:
+    if isinstance(data, dict) and "marked_faces" in data:
         sg = SigmaGraph.from_dict(data)
         groups = [special_family(sg, i).loops for i in (1, 2, 3)]
         svg = render_svg(sg, highlight=groups)
@@ -209,7 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LimitExceeded as exc:
         print("LimitExceeded: %s" % exc)
         return 2
-    except (PantsError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (PantsError, OSError, json.JSONDecodeError) as exc:
         print("%s: %s" % (type(exc).__name__, exc))
         return 2
 

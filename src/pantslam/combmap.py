@@ -13,7 +13,6 @@ Validity demands the sphere condition V - E + F = 2.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Sequence
 
@@ -119,15 +118,6 @@ class CombinatorialMap:
     def edge_of(self, d: int) -> int:
         return d >> 1
 
-    def faces_at(self, v: int) -> frozenset[int]:
-        """All faces having a corner at vertex v."""
-        if not 0 <= v < len(self.rotations):
-            raise UnknownVertex(v)
-        return frozenset(self.face_of_dart[d] for d in self.rotations[v])
-
-    def face_edges(self, f: int) -> frozenset[int]:
-        return frozenset(d >> 1 for d in self.faces[f])
-
     # -- construction internals ----------------------------------------
 
     def _check_connected(self) -> None:
@@ -155,6 +145,10 @@ class CombinatorialMap:
         Each orbit starts at its least dart and faces are sorted by that
         dart: the scan opens an orbit at the least untraced dart, which
         no earlier orbit holds, so the orbits come out in that order.
+        The darts are exactly 0..2E-1, so `_next` and the twin swap both
+        permute them, and so does their composite.  Its orbits are cycles,
+        and earlier orbits are whole ones, so a trace stops only on
+        returning to the dart it was opened with.
         """
         n = len(self.dart_vertex)
         face_of = [-1] * n
@@ -169,8 +163,6 @@ class CombinatorialMap:
                 face_of[d] = f
                 orbit.append(d)
                 d = self._next[d ^ 1]
-            if d != start:
-                raise MalformedRotation("face orbit does not close")
             faces.append(tuple(orbit))
         return tuple(faces), tuple(face_of)
 
@@ -182,7 +174,9 @@ class CombinatorialMap:
     @classmethod
     def from_dict(cls, data: dict) -> "CombinatorialMap":
         """Map from parsed JSON; rotations must be lists of plain ints."""
-        rots = data["vertices"]
+        if not isinstance(data, dict):
+            raise MalformedRotation("a map must be a dict, got %s" % type(data).__name__)
+        rots = data.get("vertices")
         if not isinstance(rots, list) or not all(isinstance(r, list) for r in rots):
             raise MalformedRotation("vertices must be a list of dart lists")
         for r in rots:
@@ -190,13 +184,6 @@ class CombinatorialMap:
                 if type(d) is not int:
                     raise MalformedRotation("vertices: dart %r is not an int" % (d,))
         return cls(rots)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CombinatorialMap":
-        return cls.from_dict(json.loads(text))
 
     def __eq__(self, other) -> bool:
         return (

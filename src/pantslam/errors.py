@@ -54,10 +54,10 @@ class OutOfRange(PantsError):
     """A parameter is not an int or lies outside its range.
 
     Every int parameter of a signature, a family drawing, a block or a
-    random map raises it when given a non-int; so do a marked index or
-    loop type outside 1..3, a level, layer radius, face count or
-    command-line limit below its minimum, and a block web larger than its
-    neighboring ladders.
+    random map, and every dart of a loop, raises it when given a non-int;
+    so do a marked index or loop type outside 1..3, a level, layer
+    radius, face count or command-line limit below its minimum, and a
+    block web larger than its neighboring ladders.
     """
 
 

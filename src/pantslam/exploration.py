@@ -15,6 +15,19 @@ exactly when the face on its left is at distance k-1 and the face on
 its right at distance k.  Each dart therefore belongs to at most one
 level, and one pass over the darts buckets all levels.
 
+The boundary walks are the orbits of a permutation of the level's darts,
+read off the map as `CombinatorialMap` reads faces.  Take a dart d of
+level k.  Every face at its head shares that vertex with both faces of
+d, so it lies at distance k-1 or k.  Scan counterclockwise from the
+reversed dart.  The first dart x whose left face is at k-1 always
+exists: at the latest it is the dart just before the reversed dart,
+whose left face is d's left face.  The right face of x is the left face
+of the dart scanned just before it, which is at k, so x is again of
+level k.  The clockwise scan from x back to the reversed dart inverts
+this successor, so it permutes the level's darts, every orbit closes and
+no dart is missed.  Opening each walk at the least dart not yet seen, in
+ascending order, starts each walk at its least dart.
+
 Sides come from one dual BFS tree per marked graph, rooted at marked
 face 1.  By the Jordan curve theorem a vertex-simple closed walk splits
 the sphere in two, and a path of faces changes side exactly where it
@@ -32,7 +45,6 @@ alone: it is the one walk typed i or j.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Optional, Sequence
 
@@ -42,6 +54,7 @@ from .errors import (
     DuplicateMarkedFace,
     EmptyLayer,
     InvariantViolated,
+    MalformedRotation,
     NotClosed,
     NotSimple,
     OutOfRange,
@@ -57,6 +70,9 @@ class Loop:
         darts = tuple(darts)
         if not darts:
             raise InvariantViolated("empty loop")
+        for d in darts:
+            if type(d) is not int:
+                raise OutOfRange("loop darts must be ints, got %r" % (d,))
         i = darts.index(min(darts))
         self.darts = darts[i:] + darts[:i]
 
@@ -118,20 +134,15 @@ class SigmaGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SigmaGraph":
-        marked = data["marked_faces"]
+        if not isinstance(data, dict):
+            raise MalformedRotation("a graph must be a dict, got %s" % type(data).__name__)
+        marked = data.get("marked_faces")
         if not isinstance(marked, list):
             raise BadFaceIndex("marked_faces must be a list of face indices")
         for f in marked:
             if type(f) is not int:
                 raise BadFaceIndex("marked_faces: %r is not an int" % (f,))
         return cls(CombinatorialMap.from_dict(data), marked)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SigmaGraph":
-        return cls.from_dict(json.loads(text))
 
     # -- face distances ---------------------------------------------------
 
@@ -215,47 +226,34 @@ class SigmaGraph:
         The walk follows the rim of a slight thickening of the region.  At
         the head of a dart it scans counterclockwise from the reversed dart
         and exits along the first dart that again has the region on its
-        left, thereby sweeping past one whole fan of outside corners.  Walks
-        around distinct outside pockets stay distinct, and every walk must
-        be vertex-simple.  Walks come out ordered by their least dart.
+        left, thereby sweeping past one whole fan of outside corners.  This
+        successor permutes the level's darts (see the module docstring), so
+        each walk is one of its orbits, opened at its least dart; every walk
+        must be vertex-simple.  Walks come out ordered by their least dart.
         Marked face i is numbered 1..3.
         """
         i0 = _marked_index(i)
-        darts = self._bucket(i0, k)
         dist = self._dist_from(self.marked[i0])
         cm = self.cmap
-        left_face, rotation_next = cm.left_face, cm.rotation_next
-
-        def successor(d: int) -> int:
-            x = d ^ 1
-            for _ in range(cm.degree(cm.head(d)) - 1):
-                x = rotation_next(x)
-                if dist[left_face(x)] < k:
-                    return x
-            raise InvariantViolated("no exit dart at vertex %d" % cm.head(d))
-
+        nxt, face_of = cm._next, cm.face_of_dart
         loops = []
-        visited: set[int] = set()
-        for start in darts:
-            if start in visited:
+        seen: set[int] = set()
+        for start in self._bucket(i0, k):
+            if start in seen:
                 continue
             walk = []
             d = start
-            while True:
-                if d in visited:
-                    raise InvariantViolated("boundary successor not injective")
-                visited.add(d)
+            while d not in seen:
+                seen.add(d)
                 walk.append(d)
-                d = successor(d)
-                if d == start:
-                    break
+                d = nxt[d ^ 1]
+                while dist[face_of[d ^ 1]] == k:
+                    d = nxt[d]
             loop = Loop(walk)
             tails = loop.vertices(cm)
             if len(set(tails)) != len(tails):
                 raise NotSimple("boundary walk revisits a vertex: %r" % (loop,))
             loops.append(loop)
-        if visited != set(darts):
-            raise InvariantViolated("boundary walks missed some darts")
         return tuple(loops)
 
     # -- classification -----------------------------------------------------

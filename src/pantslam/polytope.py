@@ -16,7 +16,6 @@ distance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -115,11 +114,6 @@ class LaminationPolytope:
 
     def count(self, exclude_origin: bool = False) -> int:
         return len(self.points) - (1 if exclude_origin else 0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"tau": list(self.tau), "points": [list(p) for p in self.points]}
-        )
 
 
 def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:

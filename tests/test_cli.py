@@ -1,11 +1,16 @@
 """Command line round trips, exit codes and message formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from pantslam import constructor
+from pantslam import constructor, errors
 from pantslam.cli import main
+from pantslam.errors import PantsError
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import SigmaGraph
 
@@ -15,7 +20,7 @@ from conftest import theta_graph
 @pytest.fixture
 def theta_file(tmp_path):
     path = tmp_path / "theta.json"
-    path.write_text(theta_graph().to_json())
+    path.write_text(json.dumps(theta_graph().to_dict()))
     return str(path)
 
 
@@ -164,7 +169,7 @@ def test_oracle_agreement(theta_file, capsys):
 def test_oracle_long_theta_exits_0(tmp_path, capsys):
     # three 500-edge paths: the cycle search runs 1,000 vertices deep
     path = tmp_path / "long_theta.json"
-    path.write_text(theta_graph(500).to_json())
+    path.write_text(json.dumps(theta_graph(500).to_dict()))
     assert main(["oracle", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "cycles cataloged: 3" in out
@@ -227,6 +232,66 @@ def test_non_int_json_entries_are_input_errors(tmp_path, capsys, field, data):
     out = capsys.readouterr().out
     assert field + ":" in out
     assert "TypeError" not in out
+
+
+BARE_THETA = '{"vertices": [[0, 2, 4], [5, 3, 1]]}'
+BAD_SHAPES = [
+    "[1, 2]",
+    "null",
+    '"x"',
+    "{}",
+    BARE_THETA,
+    '{"vertices": 5}',
+    # past the parser's limit on the digits of an int
+    pytest.param("[%s]" % ("1" * 5000), id="5000-digit-int"),
+]
+
+
+@pytest.mark.parametrize("verb", ["analyze", "oracle", "render"])
+@pytest.mark.parametrize("text", BAD_SHAPES)
+def test_graph_file_of_wrong_shape_is_input_error(tmp_path, capsys, verb, text):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    out_svg = tmp_path / "out.svg"
+    argv = [verb, str(path)] + ([str(out_svg)] if verb == "render" else [])
+    if verb == "render" and text == BARE_THETA:
+        # render draws a map that has no marked faces
+        assert main(argv) == 0
+        return
+    assert main(argv) == 2
+    name = capsys.readouterr().out.split(":", 1)[0]
+    assert issubclass(getattr(errors, name), PantsError), name
+    assert not out_svg.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+# near misses of a graph file, so map validation and the pipeline are reached
+GRAPH_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        "vertices": st.lists(st.lists(st.integers(-1, 9), max_size=4), max_size=4)
+        | JSON_VALUES,
+        "marked_faces": st.lists(st.integers(-1, 4), max_size=4) | JSON_VALUES,
+    },
+)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(data=JSON_VALUES | GRAPH_LIKE)
+def test_analyze_any_json_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("any") / "g.json"
+    path.write_text(json.dumps(data))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["analyze", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in buf.getvalue()
 
 
 def test_analyze_output_lines_exact(theta_file, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import (
     BadFaceIndex,
@@ -16,7 +17,7 @@ from pantslam.ladders import block_graph
 from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import special_family
 
-from conftest import build_corpus_graph, corpus_jobs, theta_graph
+from conftest import block_corpus, build_corpus_graph, corpus_jobs, family_corpus, theta_graph
 from helpers import distance_matrix, flood_sides
 
 
@@ -136,6 +137,10 @@ def test_open_walk_rejected():
             hemispheres(sg, Loop(darts))
         with pytest.raises(NotClosed):
             sg.classify(Loop(darts))
+    # darts that are not ints; (True, 4) would otherwise read as the loop (1, 4)
+    for darts in ((0.0, 3.0), ("a",), ("a", 1), (True, 4)):
+        with pytest.raises(OutOfRange):
+            hemispheres(sg, Loop(darts))
 
 
 def test_vertex_revisit_rejected():
@@ -191,3 +196,38 @@ def test_incidence_bfs_matches_adjacency_bfs():
         nf = sg.cmap.num_faces
         for src in set(sg.marked) | {0, nf // 2, nf - 1}:
             assert sg._dist_from(src) == _adjacency_distances(sg, src), (sg.cmap, src)
+
+
+def test_boundary_walks_cover_their_level_once_and_chain():
+    # the walks are the orbits of the exit-dart successor (see the module
+    # docstring): together they hold each level-k dart once, and each
+    # walk's darts chain up head to tail
+    graphs = [family_graph(*spec) for spec in family_corpus(3)]
+    graphs += [block_graph(t) for t in block_corpus(2)]
+    graphs += [random_sigma_graph(seed, 200) for seed in range(100)]
+    levels = 0
+    for sg in graphs:
+        cm = sg.cmap
+        for i, m in enumerate(sg.marked, 1):
+            dist = _adjacency_distances(sg, m)
+            by_level = [[] for _ in range(max(dist) + 1)]
+            for d in range(cm.num_darts):
+                if dist[cm.face_of(d)] == dist[cm.left_face(d)] + 1:
+                    by_level[dist[cm.face_of(d)]].append(d)
+            for k in range(1, len(by_level)):
+                loops = sg.boundary_loops(i, k)
+                levels += 1
+                assert sorted(d for lp in loops for d in lp.darts) == by_level[k]
+                for lp in loops:
+                    nxt = lp.darts[1:] + lp.darts[:1]
+                    assert [cm.head(d) for d in lp.darts] == [cm.tail(d) for d in nxt]
+            with pytest.raises(EmptyLayer):
+                sg.boundary_loops(i, len(by_level))
+    assert levels > 10000
+
+
+def test_nonempty_family_marks_a_digon():
+    for counts, depths, caps in family_corpus(3):
+        sg = family_graph(counts, depths, caps)
+        for c, m in zip(counts, sg.marked):
+            assert c == 0 or len(sg.cmap.faces[m]) == 2, (counts, depths, caps)

@@ -1,6 +1,7 @@
 """Realizability checks and lattice point enumeration."""
 
 import json
+from dataclasses import asdict
 from itertools import product
 
 import pytest
@@ -159,7 +160,7 @@ def test_origin_always_present():
 
 
 def test_polytope_json():
-    blob = enumerate_points((1, 1, 1, 1, 1, 1)).to_json()
+    blob = json.dumps(asdict(enumerate_points((1, 1, 1, 1, 1, 1))))
     data = json.loads(blob)
     assert data["tau"] == [1, 1, 1, 1, 1, 1]
     assert [0, 0, 0] in data["points"]
