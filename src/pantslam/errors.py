@@ -30,7 +30,7 @@ class DuplicateMarkedFace(PantsError):
 
 
 class BadFaceIndex(PantsError):
-    """Face index out of range."""
+    """A face index, such as a marked face, is not an int or out of range."""
 
 
 class EmptyLayer(PantsError):
@@ -38,15 +38,16 @@ class EmptyLayer(PantsError):
 
 
 class NotSimple(PantsError):
-    """A walk expected to be vertex-simple revisits a vertex."""
+    """A loop passed to `classify` or `hemispheres` revisits a vertex;
+    boundary walks never do (see `exploration`)."""
 
 
 class NotClosed(PantsError):
     """A dart walk or a face complex does not close up.
 
-    A walk fails when a dart lies outside the map's 0..2E-1 or does not end
-    where the next one starts; a face complex when an edge id is not used
-    exactly twice, so it has boundary.
+    A walk fails when it is empty, a dart lies outside the map's 0..2E-1
+    or does not end where the next one starts; a face complex when an
+    edge id is not used exactly twice, so it has boundary.
     """
 
 
@@ -54,7 +55,8 @@ class OutOfRange(PantsError):
     """A parameter is not an int or lies outside its range.
 
     Every int parameter of a signature, a family drawing, a block or a
-    random map, and every dart of a loop, raises it when given a non-int;
+    random map, every dart of a loop, every marked index and every level
+    or layer radius raises it when given a non-int (a bool included);
     so do a marked index or loop type outside 1..3, a level, layer
     radius, face count or command-line limit below its minimum, and a
     block web larger than its neighboring ladders.
@@ -66,7 +68,8 @@ class NegativeParameter(PantsError):
 
 
 class InvariantViolated(PantsError):
-    """An internal consistency check failed; indicates a bug upstream."""
+    """An internal consistency check failed, a bug upstream: only the chord
+    drawing's check that each axis arc is a cut edge raises it."""
 
 
 class OverlappingCrossings(PantsError):

@@ -4,8 +4,7 @@ A marked graph is a sphere map together with three distinct marked
 faces.  Distance between faces counts vertex-sharing hops.  For a
 marked face m and a level k >= 1, the region of level k is the set of
 faces within distance k-1 of m; its boundary is walked with a
-tightest-turn rule that always hugs the region on the left.  Each
-resulting closed walk is required to be vertex-simple.
+tightest-turn rule that always hugs the region on the left.
 
 The distances from m come from a breadth-first search over face-vertex
 incidence that expands each face and each vertex once (see
@@ -27,6 +26,14 @@ level k.  The clockwise scan from x back to the reversed dart inverts
 this successor, so it permutes the level's darts, every orbit closes and
 no dart is missed.  Opening each walk at the least dart not yet seen, in
 ascending order, starts each walk at its least dart.
+
+Every walk is vertex-simple: it passes a vertex v once per fan of outside
+faces it sweeps there.  Two fans of one walk at v would lie in one
+complementary component, and a curve through it and v would separate the
+region corners between them.  Yet those corners are joined inside the
+region away from v: through the open marked face for k = 1, and for k >= 2
+by BFS chains to m whose other faces lie within k-2 and so miss v (else
+the outside faces at v would be within k-1).
 
 Sides come from one dual BFS tree per marked graph, rooted at marked
 face 1.  By the Jordan curve theorem a vertex-simple closed walk splits
@@ -53,7 +60,6 @@ from .errors import (
     BadFaceIndex,
     DuplicateMarkedFace,
     EmptyLayer,
-    InvariantViolated,
     MalformedRotation,
     NotClosed,
     NotSimple,
@@ -69,7 +75,7 @@ class Loop:
     def __init__(self, darts: Sequence[int]):
         darts = tuple(darts)
         if not darts:
-            raise InvariantViolated("empty loop")
+            raise NotClosed("a loop needs at least one dart")
         for d in darts:
             if type(d) is not int:
                 raise OutOfRange("loop darts must be ints, got %r" % (d,))
@@ -96,7 +102,7 @@ class Loop:
 
 
 def _marked_index(i: int) -> int:
-    if i not in (1, 2, 3):
+    if type(i) is not int or not 1 <= i <= 3:
         raise OutOfRange("marked index must be 1, 2 or 3, got %r" % (i,))
     return i - 1
 
@@ -115,8 +121,8 @@ class SigmaGraph:
         if len(marked) != 3:
             raise DuplicateMarkedFace("need exactly three marked faces")
         for f in marked:
-            if not 0 <= f < cmap.num_faces:
-                raise BadFaceIndex(f)
+            if type(f) is not int or not 0 <= f < cmap.num_faces:
+                raise BadFaceIndex("marked_faces: %r is not a face index" % (f,))
         if len(set(marked)) != 3:
             raise DuplicateMarkedFace(marked)
         self.cmap = cmap
@@ -139,9 +145,6 @@ class SigmaGraph:
         marked = data.get("marked_faces")
         if not isinstance(marked, list):
             raise BadFaceIndex("marked_faces must be a list of face indices")
-        for f in marked:
-            if type(f) is not int:
-                raise BadFaceIndex("marked_faces: %r is not an int" % (f,))
         return cls(CombinatorialMap.from_dict(data), marked)
 
     # -- face distances ---------------------------------------------------
@@ -183,10 +186,9 @@ class SigmaGraph:
         return out
 
     def face_distance(self, f: int, g: int) -> int:
-        if not 0 <= f < self.cmap.num_faces:
-            raise BadFaceIndex(f)
-        if not 0 <= g < self.cmap.num_faces:
-            raise BadFaceIndex(g)
+        for h in (f, g):
+            if type(h) is not int or not 0 <= h < self.cmap.num_faces:
+                raise BadFaceIndex(h)
         return self._dist_from(f)[g]
 
     def distances(self) -> tuple[int, int, int]:
@@ -203,8 +205,8 @@ class SigmaGraph:
     def _bucket(self, i: int, k: int) -> list[int]:
         """The darts on the boundary of the level-k region in increasing
         order; one pass over the darts buckets every level at once."""
-        if k < 1:
-            raise OutOfRange("level must be at least 1, got %d" % k)
+        if type(k) is not int or k < 1:
+            raise OutOfRange("level must be an int of at least 1, got %r" % (k,))
         buckets = self._bucket_cache.get(i)
         if buckets is None:
             dist = self._dist_from(self.marked[i])
@@ -228,14 +230,13 @@ class SigmaGraph:
         and exits along the first dart that again has the region on its
         left, thereby sweeping past one whole fan of outside corners.  This
         successor permutes the level's darts (see the module docstring), so
-        each walk is one of its orbits, opened at its least dart; every walk
-        must be vertex-simple.  Walks come out ordered by their least dart.
-        Marked face i is numbered 1..3.
+        each walk is one of its orbits, opened at its least dart; each is
+        vertex-simple (see the module docstring).  Walks come out ordered by
+        their least dart.  Marked face i is numbered 1..3.
         """
         i0 = _marked_index(i)
         dist = self._dist_from(self.marked[i0])
-        cm = self.cmap
-        nxt, face_of = cm._next, cm.face_of_dart
+        nxt, face_of = self.cmap._next, self.cmap.face_of_dart
         loops = []
         seen: set[int] = set()
         for start in self._bucket(i0, k):
@@ -249,11 +250,7 @@ class SigmaGraph:
                 d = nxt[d ^ 1]
                 while dist[face_of[d ^ 1]] == k:
                     d = nxt[d]
-            loop = Loop(walk)
-            tails = loop.vertices(cm)
-            if len(set(tails)) != len(tails):
-                raise NotSimple("boundary walk revisits a vertex: %r" % (loop,))
-            loops.append(loop)
+            loops.append(Loop(walk))
         return tuple(loops)
 
     # -- classification -----------------------------------------------------
@@ -316,8 +313,8 @@ _TYPE_OF_PARITY = (None, 2, 3, 1)
 def layer(sg: SigmaGraph, i: int, k: int) -> frozenset[int]:
     """Faces at distance exactly k from marked face i (k >= 0)."""
     src = sg.marked[_marked_index(i)]
-    if k < 0:
-        raise OutOfRange("layer radius must be nonnegative, got %d" % k)
+    if type(k) is not int or k < 0:
+        raise OutOfRange("layer radius must be a nonnegative int, got %r" % (k,))
     dist = sg._dist_from(src)
     return frozenset(f for f, d in enumerate(dist) if d == k)
 

@@ -112,9 +112,6 @@ class LaminationPolytope:
     def __len__(self) -> int:
         return len(self.points)
 
-    def count(self, exclude_origin: bool = False) -> int:
-        return len(self.points) - (1 if exclude_origin else 0)
-
 
 def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
     """All integer points of the polytope attached to the signature.

@@ -29,8 +29,14 @@ def test_marked_faces_must_be_distinct():
 
 def test_marked_face_must_exist():
     cm = CombinatorialMap([[0, 2, 4], [5, 3, 1]])
-    with pytest.raises(BadFaceIndex):
-        SigmaGraph(cm, (0, 1, 9))
+    # faces that are not ints; (True, 0, 2) would otherwise read as (1, 0, 2)
+    for marked in ((0, 1, 9), (0.0, 1, 2), (True, 0, 2), ("a", 1, 2)):
+        with pytest.raises(BadFaceIndex):
+            SigmaGraph(cm, marked)
+    sg = SigmaGraph(cm, (0, 1, 2))
+    for f, g in ((0, 3), (-1, 0), (0.0, 1), (1, True)):
+        with pytest.raises(BadFaceIndex):
+            sg.face_distance(f, g)
 
 
 def test_theta_distances():
@@ -64,8 +70,14 @@ def test_layer_zero_is_the_marked_face():
 
 
 def test_layer_negative_radius_rejected():
-    with pytest.raises(OutOfRange):
-        layer(theta_graph(), 1, -1)
+    sg = theta_graph()
+    for k in (-1, 1.5, "a", True):
+        with pytest.raises(OutOfRange):
+            layer(sg, 1, k)
+    # boundary levels start at 1 and are ints too
+    for k in (0, 1.0, "a", True):
+        with pytest.raises(OutOfRange):
+            sg.boundary_loops(1, k)
 
 
 def test_layer_beyond_diameter_is_empty():
@@ -73,8 +85,12 @@ def test_layer_beyond_diameter_is_empty():
 
 
 def test_layer_bad_marked_index():
-    with pytest.raises(OutOfRange):
-        layer(theta_graph(), 4, 0)
+    sg = theta_graph()
+    for i in (4, 1.0, True, "a"):
+        with pytest.raises(OutOfRange):
+            layer(sg, i, 0)
+        with pytest.raises(OutOfRange):
+            sg.boundary_loops(i, 1)
 
 
 def test_theta_boundary_loop():
@@ -141,6 +157,9 @@ def test_open_walk_rejected():
     for darts in ((0.0, 3.0), ("a",), ("a", 1), (True, 4)):
         with pytest.raises(OutOfRange):
             hemispheres(sg, Loop(darts))
+    # a walk of no darts
+    with pytest.raises(NotClosed):
+        Loop(())
 
 
 def test_vertex_revisit_rejected():
@@ -201,7 +220,10 @@ def test_incidence_bfs_matches_adjacency_bfs():
 def test_boundary_walks_cover_their_level_once_and_chain():
     # the walks are the orbits of the exit-dart successor (see the module
     # docstring): together they hold each level-k dart once, and each
-    # walk's darts chain up head to tail
+    # walk's darts chain up head to tail and visit each vertex once.  Their
+    # types (see `special_loops`): at most one walk per level is typed i,
+    # one is at exactly the levels of i's family, and for each other
+    # marked face j exactly one walk per level 1..d_ij is typed i or j
     graphs = [family_graph(*spec) for spec in family_corpus(3)]
     graphs += [block_graph(t) for t in block_corpus(2)]
     graphs += [random_sigma_graph(seed, 200) for seed in range(100)]
@@ -210,6 +232,8 @@ def test_boundary_walks_cover_their_level_once_and_chain():
         cm = sg.cmap
         for i, m in enumerate(sg.marked, 1):
             dist = _adjacency_distances(sg, m)
+            far = [(j, dist[sg.marked[j - 1]]) for j in (1, 2, 3) if j != i]
+            typed_i = []
             by_level = [[] for _ in range(max(dist) + 1)]
             for d in range(cm.num_darts):
                 if dist[cm.face_of(d)] == dist[cm.left_face(d)] + 1:
@@ -221,6 +245,16 @@ def test_boundary_walks_cover_their_level_once_and_chain():
                 for lp in loops:
                     nxt = lp.darts[1:] + lp.darts[:1]
                     assert [cm.head(d) for d in lp.darts] == [cm.tail(d) for d in nxt]
+                    tails = lp.vertices(cm)
+                    assert len(set(tails)) == len(tails), lp
+                types = [sg.classify(lp) for lp in loops]
+                assert types.count(i) <= 1, (i, k, types)
+                if i in types:
+                    typed_i.append(k)
+                for j, dij in far:
+                    if k <= dij:
+                        assert sum(t in (i, j) for t in types) == 1, (i, j, k, types)
+            assert typed_i == list(range(1, len(special_family(sg, i)) + 1))
             with pytest.raises(EmptyLayer):
                 sg.boundary_loops(i, len(by_level))
     assert levels > 10000

@@ -100,7 +100,7 @@ def test_single_ring_signature_excludes_double_ring(triple_ring):
 
 
 def test_crossed_rings_polytope_count():
-    assert enumerate_points((4, 1, 1, 1, 4, 5)).count() == 14
+    assert len(enumerate_points((4, 1, 1, 1, 4, 5))) == 14
 
 
 def test_points_respect_componentwise_caps():

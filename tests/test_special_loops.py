@@ -48,8 +48,14 @@ def test_theta_loop_toward_is_shared():
 
 
 def test_loop_toward_needs_distinct_indices():
-    with pytest.raises(OutOfRange):
-        loop_toward(theta_graph(), 1, 1, 1)
+    sg = theta_graph()
+    # marked indices that are not ints; True would otherwise read as 1
+    for i, j in ((1, 1), (4, 1), (True, 2), (1.0, 2), (1, 2.0), ("a", 2)):
+        with pytest.raises(OutOfRange):
+            loop_toward(sg, i, j, 1)
+    for i in (0, 1.0, True, "a"):
+        with pytest.raises(OutOfRange):
+            special_family(sg, i)
 
 
 def test_loop_toward_level_bounds():
@@ -58,6 +64,9 @@ def test_loop_toward_level_bounds():
         loop_toward(sg, 1, 2, 0)
     with pytest.raises(OutOfRange):
         loop_toward(sg, 1, 2, 2)
+    for k in (1.0, True, "a"):
+        with pytest.raises(OutOfRange):
+            loop_toward(sg, 1, 2, k)
 
 
 def test_crossed_rings_shared_prefix(crossed_rings):
