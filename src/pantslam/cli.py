@@ -9,6 +9,7 @@ domain result (not realizable, sweep mismatch, oracle disagreement),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import product
@@ -19,7 +20,7 @@ from .constructor import construct_detailed
 from .errors import ConstructionFailed, LimitExceeded, NotRealizable, OutOfRange, PantsError
 from .exploration import SigmaGraph
 from .oracle import all_simple_cycles, lamination_space_bruteforce
-from .polytope import check_realizable, enumerate_points, nu_transform
+from .polytope import _point_runs, check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
 
@@ -52,15 +53,20 @@ def _load_graph(path: str) -> SigmaGraph:
 def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
     sg = _load_graph(path)
     tau = sigma_of(sg)
-    points = enumerate_points(tau).points
-    if exclude_origin:
-        points = tuple(p for p in points if p != (0, 0, 0))
+    runs = list(_point_runs(tau))
+    # the first run is (0, 0), so skipping the origin starts it at z = 1
+    lo = int(exclude_origin)
     lines = [
         "sigma = %s" % (tuple(tau),),
         "nu = %s" % (tuple(nu_transform(tau)),),
-        "lamination points (%d):" % len(points),
+        "lamination points (%d):" % (sum(top + 1 for _, _, top in runs) - lo),
     ]
-    lines.extend("%d %d %d" % p for p in points)
+    zstr = [str(z) for z in range(tau.m3 + 1)]
+    for x, y, top in runs:
+        if lo <= top:
+            prefix = "%d %d " % (x, y)
+            lines.append(prefix + ("\n" + prefix).join(zstr[lo:top + 1]))
+        lo = 0
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -161,7 +167,9 @@ def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     ap = argparse.ArgumentParser(
         prog="pantslam",
         description="Marked planar maps: analysis, realizability, construction.",

@@ -39,7 +39,7 @@ class CycleCatalog:
     masks: tuple[int, ...]
 
     def of_type(self, i: int) -> tuple[int, ...]:
-        if i not in (1, 2, 3):
+        if type(i) is not int or not 1 <= i <= 3:
             raise OutOfRange("type must be 1, 2 or 3, got %r" % (i,))
         return tuple(c for c, t in enumerate(self.types) if t == i)
 

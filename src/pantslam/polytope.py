@@ -113,20 +113,29 @@ class LaminationPolytope:
         return len(self.points)
 
 
+def _point_runs(tau: SigmaVector):
+    """The polytope's points as runs: (x, y, top) for z = 0..top.
+
+    Runs come out in lexicographic order of (x, y), and top >= 0 in each.
+    The coordinatewise caps and the pair sums give x <= min(m1, d2),
+    y <= min(m2, d1, d3 - x) and top = min(m3, d1 - y, d2 - x); the extra
+    caps x <= d2 and y <= d1 keep every run nonempty.  The first run is
+    always (0, 0, ...), the one holding the origin.
+    """
+    m1, m2, m3, d1, d2, d3 = tau
+    for x in range(min(m1, d2) + 1):
+        for y in range(min(m2, d1, d3 - x) + 1):
+            yield x, y, min(m3, d1 - y, d2 - x)
+
+
 def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
     """All integer points of the polytope attached to the signature.
 
     Points come out in lexicographic order.
     """
     vals = validate_tau(tau)
-    m1, m2, m3, d1, d2, d3 = vals
-    pts = [
-        (x, y, z)
-        for x in range(m1 + 1)
-        for y in range(min(m2, d3 - x) + 1)
-        for z in range(min(m3, d1 - y, d2 - x) + 1)
-    ]
-    return LaminationPolytope(vals, tuple(pts))
+    pts = tuple((x, y, z) for x, y, top in _point_runs(vals) for z in range(top + 1))
+    return LaminationPolytope(vals, pts)
 
 
 def lamination_space(sg: SigmaGraph) -> LaminationPolytope:

@@ -3,18 +3,22 @@
 import contextlib
 import io
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pantslam import constructor, errors
-from pantslam.cli import main
+from pantslam import cli, constructor, errors
+from pantslam.cli import _build_parser, main
 from pantslam.errors import PantsError
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import SigmaGraph
+from pantslam.ladders import block_graph
+from pantslam.polytope import enumerate_points, nu_transform
+from pantslam.special_loops import SigmaVector, sigma_of
 
-from conftest import theta_graph
+from conftest import build_corpus_graph, corpus_jobs, theta_graph
 
 
 @pytest.fixture
@@ -313,3 +317,48 @@ def test_analyze_empty_point_list(theta_file, capsys, monkeypatch):
     assert main(["analyze", theta_file, "--exclude-origin"]) == 0
     out = capsys.readouterr().out
     assert out == "sigma = (0, 0, 0, 1, 1, 1)\nnu = (-1, -1, -1)\nlamination points (0):\n"
+
+
+def _expected_analyze(tau, exclude_origin):
+    pts = [p for p in enumerate_points(tau).points if not (exclude_origin and p == (0, 0, 0))]
+    return "".join(
+        ["sigma = %s\n" % (tuple(tau),), "nu = %s\n" % (tuple(nu_transform(tau)),),
+         "lamination points (%d):\n" % len(pts)]
+        + ["%d %d %d\n" % p for p in pts]
+    )
+
+
+def test_analyze_prints_every_point_on_the_corpus(tmp_path, capsys):
+    graphs = [build_corpus_graph(*job) for job in corpus_jobs()]
+    graphs.append(block_graph((28, 28, 28, 9, 9, 9)))
+    for n, sg in enumerate(graphs):
+        path = tmp_path / ("g%d.json" % n)
+        path.write_text(json.dumps(sg.to_dict()))
+        tau = sigma_of(sg)
+        for flag in ([], ["--exclude-origin"]):
+            assert main(["analyze", str(path)] + flag) == 0
+            assert capsys.readouterr().out == _expected_analyze(tau, bool(flag)), (n, flag)
+
+
+def test_analyze_prints_every_point_of_any_signature(theta_file, capsys, monkeypatch):
+    # every validated signature in a small box, realizable or not, including
+    # those whose only point is the origin
+    for tau in product(range(3), range(3), range(3), range(1, 5), range(1, 5), range(1, 5)):
+        monkeypatch.setattr(cli, "sigma_of", lambda sg, tau=SigmaVector(*tau): tau)
+        for flag in ([], ["--exclude-origin"]):
+            assert main(["analyze", theta_file] + flag) == 0
+            assert capsys.readouterr().out == _expected_analyze(tau, bool(flag)), (tau, flag)
+
+
+def test_parser_is_built_once_and_parses_afresh(theta_file, capsys):
+    assert main(["analyze", theta_file, "--exclude-origin"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "1", "2"])
+    assert exc.value.code == 2
+    assert main(["check", "1", "1", "1", "1", "1", "1"]) == 0
+    # a fresh namespace: the earlier --exclude-origin does not stick
+    assert main(["analyze", theta_file]) == 0
+    out = capsys.readouterr().out
+    assert out.index("lamination points (3):") < out.index("Realizable")
+    assert out.index("Realizable") < out.index("lamination points (4):")
+    assert _build_parser() is _build_parser()

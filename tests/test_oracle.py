@@ -45,9 +45,14 @@ def test_theta_cycles_all_conflict():
 
 
 def test_of_type_rejects_bad_index():
-    cat = all_simple_cycles(theta_graph())
-    with pytest.raises(OutOfRange):
-        cat.of_type(4)
+    sg = theta_graph()
+    cat = all_simple_cycles(sg)
+    # 1.0 and True equal 1 but are not loop types
+    for bad in (0, 4, 1.0, True, "1", None):
+        with pytest.raises(OutOfRange):
+            cat.of_type(bad)
+        with pytest.raises(OutOfRange):
+            max_disjoint_type(sg, bad, cat)
 
 
 def test_theta_packing_numbers():

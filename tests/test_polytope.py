@@ -8,6 +8,7 @@ import pytest
 
 from pantslam.errors import NegativeParameter, NonPositiveDelta, OutOfRange, PantsError
 from pantslam.polytope import (
+    _point_runs,
     check_realizable,
     enumerate_points,
     lamination_space,
@@ -143,8 +144,11 @@ def test_all_relabelings_has_six_entries():
 
 
 def test_points_equal_box_filter_in_order():
-    # the bounded loops of enumerate_points against a plain filter of the
-    # box of family sizes, realizable or not
+    # the runs behind enumerate_points against a plain filter of the box of
+    # family sizes, on every validated signature in a small box; these
+    # include unrealizable ones with x > d2 or y > d1 (the plain z bound
+    # would be negative) and x > d3 (no y at all)
+    cut = {"x > d2": 0, "y > d1": 0, "x > d3": 0}
     for tau in product(range(4), range(4), range(4), range(1, 6), range(1, 6), range(1, 6)):
         m1, m2, m3, d1, d2, d3 = tau
         box = [
@@ -153,6 +157,14 @@ def test_points_equal_box_filter_in_order():
             if y + z <= d1 and x + z <= d2 and x + y <= d3
         ]
         assert list(enumerate_points(tau).points) == box, tau
+        runs = list(_point_runs(validate_tau(tau)))
+        assert runs[0][:2] == (0, 0)
+        assert all(top >= 0 for _, _, top in runs)
+        assert [(x, y) for x, y, _ in runs] == sorted({p[:2] for p in box})
+        cut["x > d2"] += m1 > d2
+        cut["y > d1"] += m2 > d1
+        cut["x > d3"] += m1 > d3
+    assert min(cut.values()) > 0, cut
 
 
 def test_origin_always_present():

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from pantslam.chords import family_graph
 from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph
 from pantslam.polytope import nu_transform
@@ -16,7 +17,7 @@ from pantslam.special_loops import (
     special_family,
 )
 
-from conftest import build_corpus_graph, corpus_jobs, theta_graph
+from conftest import build_corpus_graph, corpus_jobs, family_corpus, theta_graph
 from helpers import flood_sides
 
 
@@ -118,6 +119,21 @@ def test_depth_matches_signature_arithmetic(triple_ring):
     m1, m2, m3, d1, d2, d3 = sigma_of(triple_ring)
     n = NuVector(m2 + m3 - d1, m3 + m1 - d2, m1 + m2 - d3)
     assert nu_transform(sigma_of(triple_ring)) == n
+
+
+def test_family_sizes_are_widest_paths():
+    # sigma_of reads family size i as a widest dual path; special_family
+    # walks the boundary loops level by level.  Each route checks the other.
+    graphs = [build_corpus_graph(*job) for job in corpus_jobs()]
+    for spec in family_corpus(4):
+        g = family_graph(*spec)
+        graphs += [SigmaGraph(g.cmap, order) for order in permutations(g.marked)]
+    graphs += [random_sigma_graph(seed, max_faces=80) for seed in range(90)]
+    graphs += [random_sigma_graph(seed, max_faces=600, min_faces=300) for seed in range(10)]
+    for sg in graphs:
+        walked = tuple(len(special_family(sg, i)) for i in (1, 2, 3))
+        assert sigma_of(sg).mu == walked, (sg.marked, walked)
+    assert len(graphs) > 15_000
 
 
 # -- differential check against flood-based references ------------------------
