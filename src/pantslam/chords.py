@@ -85,11 +85,12 @@ def family_graph(
 ) -> SigmaGraph:
     """Build the marked graph for nested-circle families of the given sizes.
 
-    counts[i] is the number of curves around marked face i, depths[i] the
-    interlock depth between the other two families.  A capped family gets
-    one extra outer curve touching its outermost curve at one axis point.
-    The marked face of an empty family is the face holding its stretch of
-    the axis; at most one family may be empty.
+    counts[i] is the number of curves around marked face i + 1, depths[i]
+    the interlock depth between the other two families, and caps lists
+    such positions i: all three are 0-based (0, 1, 2), unlike marked
+    indices.  A capped family gets one extra outer curve touching its
+    outermost curve at one axis point.  The marked face of an empty family
+    is the face holding its stretch of the axis; at most one may be empty.
     """
     counts, depths, caps = tuple(counts), tuple(depths), tuple(caps)
     for v in counts + depths + caps:

@@ -111,7 +111,7 @@ class CombinatorialMap:
         return self.face_of_dart[d ^ 1]
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < len(self.rotations):
+        if type(v) is not int or not 0 <= v < len(self.rotations):
             raise UnknownVertex(v)
         return len(self.rotations[v])
 

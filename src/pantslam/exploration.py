@@ -110,8 +110,8 @@ def _marked_index(i: int) -> int:
 class SigmaGraph:
     """Sphere map with an ordered triple of distinct marked faces.
 
-    Public methods number the marked faces 1..3; the private helper
-    `_bucket` takes 0-based positions into `marked`.
+    Public methods number the marked faces 1..3; the private helpers
+    `_bucket` and `_walk` take 0-based positions into `marked`.
     """
 
     __slots__ = ("cmap", "marked", "_dist_cache", "_bucket_cache", "_tree")
@@ -235,23 +235,28 @@ class SigmaGraph:
         their least dart.  Marked face i is numbered 1..3.
         """
         i0 = _marked_index(i)
-        dist = self._dist_from(self.marked[i0])
-        nxt, face_of = self.cmap._next, self.cmap.face_of_dart
         loops = []
         seen: set[int] = set()
         for start in self._bucket(i0, k):
-            if start in seen:
-                continue
-            walk = []
-            d = start
-            while d not in seen:
-                seen.add(d)
-                walk.append(d)
-                d = nxt[d ^ 1]
-                while dist[face_of[d ^ 1]] == k:
-                    d = nxt[d]
-            loops.append(Loop(walk))
+            if start not in seen:
+                walk = self._walk(i0, k, start)
+                seen.update(walk)
+                loops.append(Loop(walk))
         return tuple(loops)
+
+    def _walk(self, i0: int, k: int, start: int) -> list[int]:
+        """The level-k walk around the marked face at position i0 through
+        dart start, which must be of level k, by the successor rule of
+        `boundary_loops`."""
+        dist = self._dist_from(self.marked[i0])
+        nxt, face_of = self.cmap._next, self.cmap.face_of_dart
+        walk, d = [], start
+        while not walk or d != start:
+            walk.append(d)
+            d = nxt[d ^ 1]
+            while dist[face_of[d ^ 1]] == k:
+                d = nxt[d]
+        return walk
 
     # -- classification -----------------------------------------------------
 

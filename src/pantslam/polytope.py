@@ -95,6 +95,9 @@ def permute_signature(tau: Sequence[int], perm: Sequence[int]) -> SigmaVector:
     because the distance entry at i concerns the pair excluding i.
     """
     vals = validate_tau(tau)
+    for p in perm:
+        if type(p) is not int:
+            raise OutOfRange("permutation entries must be ints, got %r" % (p,))
     if sorted(perm) != [0, 1, 2]:
         raise NegativeParameter("not a permutation of 0,1,2: %r" % (perm,))
     m, d = vals.mu, vals.delta

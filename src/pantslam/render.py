@@ -1,8 +1,9 @@
 """SVG drawings of marked maps with highlighted loops.
 
-Layout is barycentric: the vertices of a chosen outer face are pinned to
-a regular polygon and every other vertex solves to the average of its
-neighbors, found by conjugate gradients on the sparse Laplacian.
+Layout is barycentric: the vertices of a face with the most sides are
+pinned to a regular polygon and every other vertex solves to the
+average of its neighbors, found by conjugate gradients on the sparse
+Laplacian.
 Parallel edges bow apart, self-loops become small circles, marked faces
 get labels, and any supplied loops are drawn bold.
 """
@@ -10,7 +11,7 @@ get labels, and any supplied loops are drawn bold.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .combmap import CombinatorialMap
 from .exploration import Loop, SigmaGraph
@@ -18,7 +19,7 @@ from .exploration import Loop, SigmaGraph
 __all__ = ["layout", "render_svg"]
 
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#af601a", "#7d3c98")
-
+_SIZE = 520  # width and height of the drawing in pixels
 
 _CG_TOL = 1e-13  # stop once the residual falls below this share of |b|
 _CG_ROUNDS = 4  # iteration cap, in multiples of the number of unknowns
@@ -53,17 +54,13 @@ def _conjugate_gradient(
     return x
 
 
-def layout(
-    cmap: CombinatorialMap,
-    outer: Optional[int] = None,
-) -> tuple[dict[int, tuple[float, float]], int]:
+def layout(cmap: CombinatorialMap) -> tuple[dict[int, tuple[float, float]], int]:
     """Vertex coordinates in the unit disk, and the outer face used.
 
-    The outer face defaults to one with the most sides; its vertices go
-    on a circle and the rest solve the barycentric system.
+    The outer face is the first with the most sides; its vertices go on a
+    circle and the rest solve the barycentric system.
     """
-    if outer is None:
-        outer = max(range(cmap.num_faces), key=lambda f: len(cmap.faces[f]))
+    outer = max(range(cmap.num_faces), key=lambda f: len(cmap.faces[f]))
     ring: list[int] = []
     for d in cmap.faces[outer]:
         v = cmap.tail(d)
@@ -113,8 +110,6 @@ def _edge_groups(cmap: CombinatorialMap):
 def render_svg(
     graph: Union[SigmaGraph, CombinatorialMap],
     highlight: Iterable[Sequence[int]] = (),
-    size: int = 520,
-    outer: Optional[int] = None,
 ) -> str:
     """Render a map (marked or bare) to an SVG 1.1 document string.
 
@@ -128,9 +123,9 @@ def render_svg(
     else:
         cmap = graph
         marked = ()
-    pos, outer_face = layout(cmap, outer)
-    cx = size / 2.0
-    scale = size * 0.40
+    pos, outer_face = layout(cmap)
+    cx = _SIZE / 2.0
+    scale = _SIZE * 0.40
 
     def pix(p: tuple[float, float]) -> tuple[float, float]:
         return (cx + scale * p[0], cx - scale * p[1])
@@ -154,7 +149,7 @@ def render_svg(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'width="%d" height="%d" viewBox="0 0 %d %d">' % (size, size, size, size),
+        'width="%d" height="%d" viewBox="0 0 %d %d">' % ((_SIZE,) * 4),
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 

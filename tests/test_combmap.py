@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pantslam.combmap import CombinatorialMap
-from pantslam.errors import Disconnected, MalformedRotation, NonSpherical
+from pantslam.errors import Disconnected, MalformedRotation, NonSpherical, UnknownVertex
 
 from conftest import THETA_ROTATIONS
 
@@ -91,6 +91,10 @@ def test_degree_and_vertex_lookup():
     assert cm.degree(0) == 3
     assert cm.degree(1) == 3
     assert cm.dart_vertex[3] == 1
+    # non-int vertices; True would otherwise read as vertex 1
+    for v in (1.0, "a", True):
+        with pytest.raises(UnknownVertex):
+            cm.degree(v)
 
 
 def test_faces_helper_matches_attribute():

@@ -137,6 +137,13 @@ def test_permutation_covariance():
         assert direct == mapped
 
 
+def test_permutation_entries_must_be_ints():
+    # True would otherwise sort as 1, and 2.0 would reach a tuple index
+    for perm in ((True, 0, 2), (0, 1, 2.0)):
+        with pytest.raises(OutOfRange):
+            permute_signature((2, 3, 0, 3, 2, 5), perm)
+
+
 def test_all_relabelings_has_six_entries():
     rel = list(all_relabelings((1, 2, 3, 4, 5, 6)))
     assert len(rel) == 6

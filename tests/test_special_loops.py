@@ -121,9 +121,20 @@ def test_depth_matches_signature_arithmetic(triple_ring):
     assert nu_transform(sigma_of(triple_ring)) == n
 
 
+def _typed_levels(sg, i):
+    """Levels with a boundary loop typed i, up to the nearer far face."""
+    m = sg.marked[i - 1]
+    top = min(sg.face_distance(m, g) for g in sg.marked if g != m)
+    return sum(
+        any(sg.classify(lp) == i for lp in sg.boundary_loops(i, k))
+        for k in range(1, top + 1)
+    )
+
+
 def test_family_sizes_are_widest_paths():
-    # sigma_of reads family size i as a widest dual path; special_family
-    # walks the boundary loops level by level.  Each route checks the other.
+    # sigma_of reads family size i as a widest dual path; the second route
+    # counts the levels with a boundary loop that the dual-tree parity of
+    # classify types i.  Each route checks the other.
     graphs = [build_corpus_graph(*job) for job in corpus_jobs()]
     for spec in family_corpus(4):
         g = family_graph(*spec)
@@ -131,7 +142,7 @@ def test_family_sizes_are_widest_paths():
     graphs += [random_sigma_graph(seed, max_faces=80) for seed in range(90)]
     graphs += [random_sigma_graph(seed, max_faces=600, min_faces=300) for seed in range(10)]
     for sg in graphs:
-        walked = tuple(len(special_family(sg, i)) for i in (1, 2, 3))
+        walked = tuple(_typed_levels(sg, i) for i in (1, 2, 3))
         assert sigma_of(sg).mu == walked, (sg.marked, walked)
     assert len(graphs) > 15_000
 
