@@ -39,6 +39,7 @@ from .exploration import (
 from .oracle import (
     CycleCatalog,
     all_simple_cycles,
+    candidate_cycles,
     lamination_space_bruteforce,
     max_disjoint_type,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "SpecialLoopFamily",
     "UnknownVertex",
     "all_simple_cycles",
+    "candidate_cycles",
     "check_realizable",
     "construct",
     "construct_detailed",

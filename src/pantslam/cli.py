@@ -19,7 +19,7 @@ from .combmap import CombinatorialMap
 from .constructor import construct_detailed
 from .errors import ConstructionFailed, LimitExceeded, NotRealizable, OutOfRange, PantsError
 from .exploration import SigmaGraph
-from .oracle import all_simple_cycles, lamination_space_bruteforce
+from .oracle import candidate_cycles, lamination_space_bruteforce
 from .polytope import _point_runs, check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
@@ -149,14 +149,15 @@ def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
         raise OutOfRange("--cycle-limit must be at least 1, got %d" % cycle_limit)
     sg = _load_graph(path)
     kwargs = {} if cycle_limit is None else {"cycle_limit": cycle_limit}
-    cat = all_simple_cycles(sg, **kwargs)
+    cat = candidate_cycles(sg, **kwargs)
     brute_pts = lamination_space_bruteforce(sg, cat)
     # packing number i is the largest x_i among the achievable triples
     brute_m = tuple(max(p[i] for p in brute_pts) for i in range(3))
     tau = sigma_of(sg)
     pipe_m = tau.mu
     pipe_pts = frozenset(enumerate_points(tau).points)
-    print("cycles cataloged: %d" % len(cat))
+    print("minimal cycles by type: %d %d %d"
+          % tuple(len(cat.minimal_masks(i)) for i in (1, 2, 3)))
     print("packing numbers: bruteforce %s pipeline %s" % (brute_m, pipe_m))
     print("lamination points: bruteforce %d pipeline %d"
           % (len(brute_pts), len(pipe_pts)))
@@ -196,7 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="compare brute force against the pipeline")
     p.add_argument("path")
-    p.add_argument("--cycle-limit", type=int, default=None)
+    p.add_argument("--cycle-limit", type=int, default=None,
+                   help="most cycles the pruned search may keep before it "
+                        "stops with exit 2 (default 100000)")
     return ap
 
 

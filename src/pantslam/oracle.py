@@ -1,17 +1,43 @@
 """Brute-force reference computations on marked maps.
 
-Everything here is deliberately exhaustive: enumerate all vertex-simple
+Everything here is deliberately exhaustive: enumerate vertex-simple
 cycles of the underlying multigraph, each once, type each one by which
 marked face it separates from the other two, and answer packing
 questions by explicit search over disjoint collections.  The fast
 pipeline is checked against these answers in the test suite.  No search
 here recurses, so the depth of a map is bounded by memory alone.
+
+Packing reads only the inclusion-minimal vertex masks of each type, so
+`candidate_cycles` enumerates only cycles whose mask can be minimal, by
+the chord-split lemma.  Let C be a simple cycle of parity t != 0 (the two
+crossing bits that `SigmaGraph.classify` reads), so of type 1, 2 or 3.
+
+- A chord of C, an edge off C joining two vertices of C that are not
+  consecutive on it, splits C into two simple cycles C1 and C2, each
+  visiting a strict subset of C's vertices.  The chord's bits cancel, so
+  parity(C1) XOR parity(C2) = t.  If parity(C1) is 0, C2 has C's type;
+  if it is t, C1 has.  Either way C's mask is not minimal.
+- An edge parallel to an edge of C closes a cycle on those two vertices,
+  and a self-loop at a vertex of C one on that vertex.  If it has parity
+  t and C has more vertices, C's mask is not minimal.  A parity-0
+  parallel edge proves nothing: swapping it in keeps C's vertices.
+
+The search path carries its parity, so when it enters a vertex w, each
+edge from w back to a path vertex other than the base and w's
+predecessor closes a cycle of known parity.  Parity 0 prunes the branch
+and parity p forbids final parity p; so do a parallel edge to the
+predecessor and a self-loop at w, for their own nonzero parity.  The
+branch dies once all three types are forbidden.  Chords, parallel edges
+and self-loops at the base are checked when the cycle closes, as is the
+cycle's own parity, which must not be 0.  No cycle of a minimal mask is
+ever cut, so per type the minimal masks are those of all cycles.
+`all_simple_cycles` still enumerates every cycle, for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
 from .errors import LimitExceeded, OutOfRange
@@ -20,6 +46,7 @@ from .exploration import _TYPE_OF_PARITY, Loop, SigmaGraph
 __all__ = [
     "CycleCatalog",
     "all_simple_cycles",
+    "candidate_cycles",
     "max_disjoint_type",
     "lamination_space_bruteforce",
 ]
@@ -27,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CycleCatalog:
-    """All vertex-simple cycles of a marked map, classified and masked.
+    """A set of vertex-simple cycles of a marked map, classified and masked.
 
     types[c] is the separation type of cycles[c] (1, 2 or 3, or None for
     a cycle bounding a disk free of marked faces); masks[c] is a bitmask
@@ -42,6 +69,10 @@ class CycleCatalog:
         if type(i) is not int or not 1 <= i <= 3:
             raise OutOfRange("type must be 1, 2 or 3, got %r" % (i,))
         return tuple(c for c, t in enumerate(self.types) if t == i)
+
+    def minimal_masks(self, i: int) -> list[int]:
+        """The inclusion-minimal distinct masks of the cycles of type i."""
+        return _minimal_masks([self.masks[c] for c in self.of_type(i)])
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -60,16 +91,11 @@ def all_simple_cycles(
     least vertex, in both directions, and keeps the direction whose first
     dart is below its last dart reversed (the even dart of a self-loop).
 
-    The search enters live vertices only.  A vertex with fewer than two
-    non-loop darts to live vertices lies on no cycle through another
-    vertex, so it dies, and so may its neighbours in turn; base b-1 dies
-    before base b is searched.  The live vertices thus form the 2-core
-    from the base up, which holds every cycle left to find, and a dead
-    base closes its own self-loops only.  Each dart is counted off at
-    most once, so the deaths cost O(V+E) in total.  The path carries its
-    vertex mask and its parity of crossings with the dual tree, so a
-    closing dart types the cycle by the Jordan curve argument of
-    `SigmaGraph.classify` (see the `exploration` docstring).
+    The search enters live vertices only, the 2-core from the base up
+    (see `_peeled_bases`); a dead base closes its own self-loops only.
+    The path carries its vertex mask and its parity of crossings with the
+    dual tree, so a closing dart types the cycle by the Jordan curve
+    argument of `SigmaGraph.classify` (see the `exploration` docstring).
 
     Every scanned dart is one step; LimitExceeded is raised when the
     cycle count or the step count passes its bound.  On a bare map every
@@ -78,24 +104,9 @@ def all_simple_cycles(
     cm = sg.cmap if isinstance(sg, SigmaGraph) else sg
     rotations, tail = cm.rotations, cm.dart_vertex
     bits = sg._dual_tree()[2] if cm is not sg else [0] * cm.num_edges
-    # deg: non-loop darts to live vertices; free: live and off the path
-    deg = [sum(tail[d ^ 1] != v for d in rot) for v, rot in enumerate(rotations)]
-    dying = [v for v, k in enumerate(deg) if k < 2]
-    free = [k >= 2 for k in deg]
     found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
-    for base in range(cm.num_vertices):
-        if base and free[base - 1]:
-            free[base - 1] = False
-            dying.append(base - 1)
-        while dying:
-            for d in rotations[dying.pop()]:
-                w = tail[d ^ 1]
-                if free[w]:  # a self-loop leads back to the dead vertex
-                    deg[w] -= 1
-                    if deg[w] < 2:
-                        free[w] = False
-                        dying.append(w)
+    for base, free in _peeled_bases(cm):  # free: live and off the path
         path: list[int] = []
         odd, mask = 0, 1 << base
         scans = [iter(rotations[base])]  # the unscanned darts at each path vertex
@@ -129,6 +140,156 @@ def all_simple_cycles(
                     odd ^= bits[d >> 1]
                     mask ^= 1 << tail[d ^ 1]
     return CycleCatalog(tuple(found), tuple(types), tuple(masks))
+
+
+def candidate_cycles(
+    sg: SigmaGraph,
+    cycle_limit: int = 100_000,
+    node_limit: int = 10_000_000,
+) -> CycleCatalog:
+    """The cycles of types 1..3 whose vertex masks can be minimal.
+
+    The search of `all_simple_cycles`, pruned by the chord-split lemma of
+    the module docstring.  Each cycle kept is one that `all_simple_cycles`
+    finds, in the same direction, with the same type and mask, and per
+    type both catalogs have the same inclusion-minimal masks.  Entering a
+    vertex reads its rotation once, for its chords, parallel edges and
+    self-loops and for the darts the path may leave it by; a vertex with
+    none is not entered.
+
+    Every dart the path follows or closes by is one step; LimitExceeded
+    is raised when the cycle count or the step count passes its bound.
+    """
+    cm = sg.cmap
+    tail, bits = cm.dart_vertex, sg._dual_tree()[2]
+    # per vertex, per dart of its rotation: the dart, its head and its bits
+    darts = [[(d, tail[d ^ 1], bits[d >> 1]) for d in rot] for rot in cm.rotations]
+    at = [-1] * cm.num_vertices  # per path vertex: the parity of the path to it
+    found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
+    nodes = 0
+    for base, live in _peeled_bases(cm):
+        loops = 0  # bit p set when a self-loop at the base has parity p
+        spokes = []  # (vertex, bits) per edge from the base to another live vertex
+        follow = []
+        for t in darts[base]:
+            _, w, b = t
+            if w == base:
+                loops |= 1 << b
+                follow.append(t)
+            elif live[w] and live[base]:  # a dead base enters nothing
+                spokes.append((w, b))
+                follow.append(t)
+        path: list[int] = []
+        mask = 1 << base
+        at[base] = 0
+        # per path vertex: the darts still to follow, the vertex, the parity
+        # of the path to it, and bit p set when no cycle through the path so
+        # far has a minimal mask if its parity is p (parity 0 types nothing)
+        stack = [(iter(follow), base, 0, 1)]
+        while stack:
+            scan, v, here, banned = stack[-1]
+            for d, w, b in scan:
+                nodes += 1
+                if nodes > node_limit:
+                    raise LimitExceeded("cycle search passed %d steps" % node_limit)
+                odd = here ^ b
+                if w == base:
+                    if ((path[0] if path else d) < d ^ 1  # false for the edge walked back
+                            and not banned >> odd & 1
+                            and not (path and _split_at_base(
+                                path, d, odd, loops, spokes, at, tail))):
+                        found.append(Loop(path + [d]))
+                        types.append(_TYPE_OF_PARITY[odd])
+                        masks.append(mask)
+                        if len(found) > cycle_limit:
+                            raise LimitExceeded("more than %d cycles" % cycle_limit)
+                    continue
+                ban, out = banned, []
+                for t in darts[w]:
+                    x = t[1]
+                    if x == base:
+                        out.append(t)
+                    elif x == w:  # a self-loop
+                        ban |= 1 << t[2]
+                    elif at[x] < 0:
+                        if live[x]:
+                            out.append(t)
+                    else:
+                        # the parity of the cycle closed with the path from
+                        # x: a chord's, unless x is v; then a digon's, and 0
+                        # for the edge the path came by
+                        q = odd ^ at[x] ^ t[2]
+                        if not q and x != v:
+                            break
+                        ban |= 1 << q
+                else:
+                    if out and ban != 15:  # enter w; this break leaves the scan of v
+                        path.append(d)
+                        at[w] = odd
+                        mask ^= 1 << w
+                        stack.append((iter(out), w, odd, ban))
+                        break
+            else:
+                stack.pop()
+                if path:
+                    w = tail[path.pop() ^ 1]
+                    at[w] = -1
+                    mask ^= 1 << w
+        at[base] = -1
+    return CycleCatalog(tuple(found), tuple(types), tuple(masks))
+
+
+def _split_at_base(path, d, t, loops, spokes, at, tail) -> bool:
+    """Whether an edge at the base proves the cycle path + [d], of parity
+    t != 0, not minimal.
+
+    A self-loop of parity t does.  An edge from the base to path vertex x
+    closes, with the path to x, a cycle of parity q.  For a chord, q = 0
+    or t splits off a smaller cycle of type t.  Parallel to the first edge
+    of a cycle on three or more vertices it closes a digon of parity q,
+    and parallel to the last edge one of parity q ^ t.  The first and the
+    last edge themselves give q = 0 and q = t.
+    """
+    if loops >> t & 1:
+        return True
+    first, last = tail[path[0] ^ 1], tail[d]
+    for x, b in spokes:
+        q = at[x] ^ b
+        if at[x] >= 0 and (q == t and x != last or not q and x != first):
+            return True
+    return False
+
+
+def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool]]]:
+    """Each base vertex in turn, with the list of live vertices.
+
+    A vertex with fewer than two non-loop darts to live vertices lies on
+    no cycle through another vertex, so it dies, and so may its
+    neighbours in turn; base b-1 dies before base b is yielded.  The live
+    vertices thus form the 2-core from the base up, which holds every
+    cycle through the base and higher vertices only.  Each dart is
+    counted off at most once, so the deaths cost O(V+E) in total.  A
+    caller that marks vertices dead while searching from a base revives
+    them before asking for the next.
+    """
+    rotations, tail = cm.rotations, cm.dart_vertex
+    # deg: non-loop darts to live vertices
+    deg = [sum(tail[d ^ 1] != v for d in rot) for v, rot in enumerate(rotations)]
+    dying = [v for v, k in enumerate(deg) if k < 2]
+    live = [k >= 2 for k in deg]
+    for base in range(cm.num_vertices):
+        if base and live[base - 1]:
+            live[base - 1] = False
+            dying.append(base - 1)
+        while dying:
+            for d in rotations[dying.pop()]:
+                w = tail[d ^ 1]
+                if live[w]:  # a self-loop leads back to the dead vertex
+                    deg[w] -= 1
+                    if deg[w] < 2:
+                        live[w] = False
+                        dying.append(w)
+        yield base, live
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:
@@ -173,18 +334,14 @@ def _packs(per_type: Sequence[list[int]], target: Sequence[int]) -> bool:
     return bool(used)
 
 
-def _packing_masks(cat: CycleCatalog, i: int) -> list[int]:
-    return _minimal_masks([cat.masks[c] for c in cat.of_type(i)])
-
-
 def max_disjoint_type(
     sg: SigmaGraph,
     i: int,
     catalog: Optional[CycleCatalog] = None,
 ) -> int:
     """Largest number of pairwise vertex-disjoint cycles of type i."""
-    cat = catalog if catalog is not None else all_simple_cycles(sg)
-    masks = [_packing_masks(cat, i)]
+    cat = catalog if catalog is not None else candidate_cycles(sg)
+    masks = [cat.minimal_masks(i)]
     k = 0
     while _packs(masks, (k + 1,)):
         k += 1
@@ -204,8 +361,8 @@ def lamination_space_bruteforce(
     level from the origin: a triple one step above the last level is
     searched for only when every triple one step below it is achievable.
     """
-    cat = catalog if catalog is not None else all_simple_cycles(sg)
-    per_type = [_packing_masks(cat, i) for i in (1, 2, 3)]
+    cat = catalog if catalog is not None else candidate_cycles(sg)
+    per_type = [cat.minimal_masks(i) for i in (1, 2, 3)]
     achieved = {(0, 0, 0)}
     level = [(0, 0, 0)]
     while level:

@@ -166,7 +166,7 @@ def test_render_plain_map(tmp_path, capsys):
 def test_oracle_agreement(theta_file, capsys):
     assert main(["oracle", theta_file]) == 0
     out = capsys.readouterr().out
-    assert "cycles cataloged: 3" in out
+    assert "minimal cycles by type: 1 1 1" in out
     assert "agreement: yes" in out
 
 
@@ -176,11 +176,21 @@ def test_oracle_long_theta_exits_0(tmp_path, capsys):
     path.write_text(json.dumps(theta_graph(500).to_dict()))
     assert main(["oracle", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "cycles cataloged: 3" in out
+    assert "minimal cycles by type: 1 1 1" in out
     assert "agreement: yes" in out
 
 
+def test_oracle_checks_a_block_past_the_full_catalog(tmp_path, capsys):
+    # all simple cycles of this block pass the default cycle limit; the
+    # pruned search keeps few enough to finish
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(block_graph((1, 2, 2, 2, 1, 1)).to_dict()))
+    assert main(["oracle", str(path)]) == 0
+    assert "agreement: yes" in capsys.readouterr().out.splitlines()
+
+
 def test_oracle_limit_maps_to_input_error(theta_file, capsys):
+    # the theta graph keeps three candidate cycles, one per type
     assert main(["oracle", theta_file, "--cycle-limit", "1"]) == 2
 
 

@@ -6,11 +6,12 @@ import pytest
 
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
-from pantslam.errors import EmptyLayer, LimitExceeded, OutOfRange
+from pantslam.errors import EmptyLayer, LimitExceeded, NonSpherical, OutOfRange
 from pantslam.exploration import SigmaGraph, hemispheres
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
     all_simple_cycles,
+    candidate_cycles,
     lamination_space_bruteforce,
     max_disjoint_type,
 )
@@ -148,6 +149,22 @@ def test_deep_nested_loops_match_pipeline():
     assert lamination_space_bruteforce(sg, cat) == frozenset(lamination_space(sg).points)
 
 
+def test_candidate_limits_enforced(crossed_rings):
+    with pytest.raises(LimitExceeded):
+        candidate_cycles(crossed_rings, cycle_limit=2)
+    with pytest.raises(LimitExceeded):
+        candidate_cycles(crossed_rings, node_limit=5)
+
+
+def test_pruned_search_fits_a_small_step_budget():
+    # the full search takes 1,493,006 steps on this block
+    sg = block_graph((2, 1, 2, 1, 2, 0))
+    with pytest.raises(LimitExceeded):
+        all_simple_cycles(sg, node_limit=200_000)
+    cat = candidate_cycles(sg, node_limit=200_000)
+    assert [len(cat.minimal_masks(i)) for i in (1, 2, 3)] == [62, 79, 90]
+
+
 def test_long_theta_fits_a_small_step_budget():
     # once base 0 is searched, its death kills the three paths and vertex 1
     assert len(all_simple_cycles(theta_graph(1000), node_limit=50_000)) == 3
@@ -181,9 +198,52 @@ def _hung(sg, seed, pendants=8, loops=3):
     return SigmaGraph(cm, [cm.face_of(sg.cmap.faces[f][0]) for f in sg.marked])
 
 
+def _doubled(sg, seed, parallels=3, loops=2):
+    """sg's map with random edges doubled, each copy closing a digon,
+    and self-loops in random corners; the first loop's monogon replaces a
+    random marked face.  On a map whose vertices all lie on the 2-core,
+    the search meets every copy and loop as a parallel edge or self-loop
+    of the path."""
+    rng = random.Random(seed)
+    rots = [list(r) for r in sg.cmap.rotations]
+    tail = sg.cmap.dart_vertex
+    e = sg.cmap.num_edges
+    for _ in range(parallels):
+        d = rng.randrange(2 * sg.cmap.num_edges)
+        u, v = tail[d], tail[d ^ 1]
+        if u == v:
+            continue
+        for a, b in ((1, 0), (0, 1)):  # the order that keeps the map spherical
+            trial = [list(r) for r in rots]
+            trial[u].insert(trial[u].index(d) + a, 2 * e)
+            trial[v].insert(trial[v].index(d ^ 1) + b, 2 * e + 1)
+            try:
+                CombinatorialMap(trial)
+            except NonSpherical:
+                continue
+            rots = trial
+            break
+        e += 1
+    loop_darts = []
+    for _ in range(loops):
+        v = rng.randrange(sg.cmap.num_vertices)
+        i = rng.randrange(len(rots[v]) + 1)
+        rots[v][i:i] = [2 * e, 2 * e + 1]
+        loop_darts.append(2 * e)
+        e += 1
+    cm = CombinatorialMap(rots)
+    monogon = next(f for f in (cm.face_of(loop_darts[0]), cm.left_face(loop_darts[0]))
+                   if len(cm.faces[f]) == 1)
+    marked = [cm.face_of(sg.cmap.faces[f][0]) for f in sg.marked]
+    marked[rng.randrange(3)] = monogon
+    return SigmaGraph(cm, marked)
+
+
 PLAIN_CASES = ([("nested", 50), ("theta", 50)]
                + [("hung theta", s) for s in range(3)]
-               + [("hung block", s) for s in range(3)])
+               + [("hung block", s) for s in range(3)]
+               + [("doubled theta", s) for s in range(4)]
+               + [("doubled block", s) for s in range(4)])
 
 
 @pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
@@ -194,9 +254,26 @@ def test_cycles_match_plain_search(case):
     elif kind == "theta":
         sg = theta_graph(n)
     else:
-        base = theta_graph() if kind == "hung theta" else block_graph((1, 1, 0, 0, 0, 1))
-        sg = _hung(base, n)
-    assert all_simple_cycles(sg) == plain_cycles(sg)
+        if kind.endswith("block"):
+            base = block_graph((1, 1, 0, 0, 0, 1))
+        else:
+            base = theta_graph() if kind == "hung theta" else theta_graph(2)
+        sg = (_hung if kind.startswith("hung") else _doubled)(base, n)
+    cat = all_simple_cycles(sg)
+    assert cat == plain_cycles(sg)
+    _assert_candidates_cover(sg, cat)
+
+
+def _assert_candidates_cover(sg, cat):
+    """The pruned search keeps only cycles of the full catalog cat, typed
+    and masked alike, and per type the same inclusion-minimal masks."""
+    cand = candidate_cycles(sg)
+    where = {lp: c for c, lp in enumerate(cat.cycles)}
+    for lp, t, m in zip(cand.cycles, cand.types, cand.masks):
+        c = where[lp]
+        assert (cat.types[c], cat.masks[c]) == (t, m), lp
+    for i in (1, 2, 3):
+        assert cand.minimal_masks(i) == cat.minimal_masks(i), i
 
 
 def _flood_types(sg, loops):
@@ -220,6 +297,7 @@ def test_parity_types_match_flood_types(job):
     cat = all_simple_cycles(sg)
     assert cat == plain_cycles(sg)  # the peeled search against the plain one
     assert list(cat.types) == _flood_types(sg, cat.cycles)
+    _assert_candidates_cover(sg, cat)
     for lp in cat.cycles[:400]:
         assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), lp
 
