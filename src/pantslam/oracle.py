@@ -22,21 +22,27 @@ crossing bits that `SigmaGraph.classify` reads), so of type 1, 2 or 3.
   t and C has more vertices, C's mask is not minimal.  A parity-0
   parallel edge proves nothing: swapping it in keeps C's vertices.
 
-The search path carries its parity, so when it enters a vertex w, each
+The search path carries its parity, so when it meets a vertex w, each
 edge from w back to a path vertex other than the base and w's
 predecessor closes a cycle of known parity.  Parity 0 prunes the branch
 and parity p forbids final parity p; so do a parallel edge to the
-predecessor and a self-loop at w, for their own nonzero parity.  The
-branch dies once all three types are forbidden.  Chords, parallel edges
-and self-loops at the base are checked when the cycle closes, as is the
-cycle's own parity, which must not be 0.  No cycle of a minimal mask is
-ever cut, so per type the minimal masks are those of all cycles.
-`all_simple_cycles` still enumerates every cycle, for the tests.
+predecessor and a self-loop at w, for their own nonzero parity.  An edge
+from w to the base is a chord of every cycle that goes on past w: parity
+0 prunes w (a cycle closing at w has it as a parallel edge of its own
+parity), parity p forbids p past w.  If w is the first vertex such an
+edge is parallel to the first edge instead, and forbids past w the
+parity of the digon they close.  A self-loop at the base forbids its
+parity for every cycle through another vertex.  The branch dies once
+all three types are forbidden, and a cycle of parity 0 is never kept.
+No cycle of a minimal mask is ever cut, so per type the minimal masks
+are those of all cycles.  `all_simple_cycles` still enumerates every
+cycle, for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
@@ -66,16 +72,27 @@ class CycleCatalog:
     masks: tuple[int, ...]
 
     def of_type(self, i: int) -> tuple[int, ...]:
-        if type(i) is not int or not 1 <= i <= 3:
-            raise OutOfRange("type must be 1, 2 or 3, got %r" % (i,))
+        _check_type(i)
         return tuple(c for c, t in enumerate(self.types) if t == i)
 
-    def minimal_masks(self, i: int) -> list[int]:
+    def minimal_masks(self, i: int) -> tuple[int, ...]:
         """The inclusion-minimal distinct masks of the cycles of type i."""
-        return _minimal_masks([self.masks[c] for c in self.of_type(i)])
+        _check_type(i)
+        return self._minimal[i - 1]
+
+    @cached_property
+    def _minimal(self) -> tuple[tuple[int, ...], ...]:
+        """The minimal masks per type 1..3, reduced once per catalog."""
+        return tuple(_minimal_masks([self.masks[c] for c in self.of_type(i)])
+                     for i in (1, 2, 3))
 
     def __len__(self) -> int:
         return len(self.cycles)
+
+
+def _check_type(i: int) -> None:
+    if type(i) is not int or not 1 <= i <= 3:
+        raise OutOfRange("type must be 1, 2 or 3, got %r" % (i,))
 
 
 def all_simple_cycles(
@@ -152,82 +169,91 @@ def candidate_cycles(
     The search of `all_simple_cycles`, pruned by the chord-split lemma of
     the module docstring.  Each cycle kept is one that `all_simple_cycles`
     finds, in the same direction, with the same type and mask, and per
-    type both catalogs have the same inclusion-minimal masks.  Entering a
+    type both catalogs have the same inclusion-minimal masks.  Meeting a
     vertex reads its rotation once, for its chords, parallel edges and
     self-loops and for the darts the path may leave it by; a vertex with
     none is not entered.
 
-    Every dart the path follows or closes by is one step; LimitExceeded
-    is raised when the cycle count or the step count passes its bound.
+    As in `all_simple_cycles`, every scanned dart is one step: each dart
+    of the rotation of a base or of a vertex met, and each dart the path
+    closes by.  LimitExceeded is raised when the cycle count or the step count
+    passes its bound.
     """
     cm = sg.cmap
     tail, bits = cm.dart_vertex, sg._dual_tree()[2]
     # per vertex, per dart of its rotation: the dart, its head and its bits
     darts = [[(d, tail[d ^ 1], bits[d >> 1]) for d in rot] for rot in cm.rotations]
-    at = [-1] * cm.num_vertices  # per path vertex: the parity of the path to it
+    at = [-1] * cm.num_vertices  # per path vertex but the base: the parity of the path to it
     found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
     for base, live in _peeled_bases(cm):
-        loops = 0  # bit p set when a self-loop at the base has parity p
-        spokes = []  # (vertex, bits) per edge from the base to another live vertex
-        follow = []
+        nodes += len(darts[base])
+        if nodes > node_limit:
+            raise LimitExceeded("cycle search passed %d steps" % node_limit)
+        loops, follow = 1, []  # loops: bit p set by a self-loop of parity p at the base
         for t in darts[base]:
-            _, w, b = t
-            if w == base:
-                loops |= 1 << b
+            if t[1] == base:
+                loops |= 1 << t[2]
                 follow.append(t)
-            elif live[w] and live[base]:  # a dead base enters nothing
-                spokes.append((w, b))
+            elif live[t[1]] and live[base]:  # a dead base enters nothing
                 follow.append(t)
         path: list[int] = []
         mask = 1 << base
-        at[base] = 0
         # per path vertex: the darts still to follow, the vertex, the parity
-        # of the path to it, and bit p set when no cycle through the path so
-        # far has a minimal mask if its parity is p (parity 0 types nothing)
-        stack = [(iter(follow), base, 0, 1)]
+        # of the path to it, and two sets of parities (bit p for parity p,
+        # bit 0 always set, since parity 0 types nothing): those no cycle
+        # closing at the vertex may have, and those no longer cycle may have
+        stack = [(iter(follow), base, 0, 1, loops)]
         while stack:
-            scan, v, here, banned = stack[-1]
+            scan, v, here, shut, banned = stack[-1]
             for d, w, b in scan:
-                nodes += 1
-                if nodes > node_limit:
-                    raise LimitExceeded("cycle search passed %d steps" % node_limit)
                 odd = here ^ b
                 if w == base:
-                    if ((path[0] if path else d) < d ^ 1  # false for the edge walked back
-                            and not banned >> odd & 1
-                            and not (path and _split_at_base(
-                                path, d, odd, loops, spokes, at, tail))):
+                    nodes += 1
+                    if nodes > node_limit:
+                        raise LimitExceeded("cycle search passed %d steps" % node_limit)
+                    if (path[0] if path else d) < d ^ 1 and not shut >> odd & 1:
                         found.append(Loop(path + [d]))
                         types.append(_TYPE_OF_PARITY[odd])
                         masks.append(mask)
                         if len(found) > cycle_limit:
                             raise LimitExceeded("more than %d cycles" % cycle_limit)
                     continue
-                ban, out = banned, []
+                cut, ban, ends, out = banned, banned, [], []  # w's shut and banned
                 for t in darts[w]:
+                    nodes += 1
+                    if nodes > node_limit:
+                        raise LimitExceeded("cycle search passed %d steps" % node_limit)
                     x = t[1]
+                    q = odd ^ t[2]  # with at[x]: the parity of the cycle t closes
                     if x == base:
-                        out.append(t)
+                        # a chord of every longer cycle, unless v is the
+                        # base; then parallel to d, 0 for d itself
+                        if q:
+                            ban |= 1 << q
+                        elif v != base:
+                            break
+                        ends.append(t)
                     elif x == w:  # a self-loop
-                        ban |= 1 << t[2]
+                        cut |= 1 << t[2]
                     elif at[x] < 0:
                         if live[x]:
                             out.append(t)
                     else:
-                        # the parity of the cycle closed with the path from
-                        # x: a chord's, unless x is v; then a digon's, and 0
+                        # a chord's, unless x is v; then a digon's, and 0
                         # for the edge the path came by
-                        q = odd ^ at[x] ^ t[2]
+                        q ^= at[x]
                         if not q and x != v:
                             break
-                        ban |= 1 << q
+                        cut |= 1 << q
                 else:
-                    if out and ban != 15:  # enter w; this break leaves the scan of v
+                    ban |= cut
+                    out = ends if ban == 15 else ends + out
+                    if out and cut != 15:  # enter w; this break leaves the scan of v
                         path.append(d)
                         at[w] = odd
                         mask ^= 1 << w
-                        stack.append((iter(out), w, odd, ban))
+                        stack.append((iter(out), w, odd, cut, ban))
                         break
             else:
                 stack.pop()
@@ -235,29 +261,7 @@ def candidate_cycles(
                     w = tail[path.pop() ^ 1]
                     at[w] = -1
                     mask ^= 1 << w
-        at[base] = -1
     return CycleCatalog(tuple(found), tuple(types), tuple(masks))
-
-
-def _split_at_base(path, d, t, loops, spokes, at, tail) -> bool:
-    """Whether an edge at the base proves the cycle path + [d], of parity
-    t != 0, not minimal.
-
-    A self-loop of parity t does.  An edge from the base to path vertex x
-    closes, with the path to x, a cycle of parity q.  For a chord, q = 0
-    or t splits off a smaller cycle of type t.  Parallel to the first edge
-    of a cycle on three or more vertices it closes a digon of parity q,
-    and parallel to the last edge one of parity q ^ t.  The first and the
-    last edge themselves give q = 0 and q = t.
-    """
-    if loops >> t & 1:
-        return True
-    first, last = tail[path[0] ^ 1], tail[d]
-    for x, b in spokes:
-        q = at[x] ^ b
-        if at[x] >= 0 and (q == t and x != last or not q and x != first):
-            return True
-    return False
 
 
 def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool]]]:
@@ -292,7 +296,7 @@ def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool]]]:
         yield base, live
 
 
-def _minimal_masks(masks: list[int]) -> list[int]:
+def _minimal_masks(masks: list[int]) -> tuple[int, ...]:
     """Inclusion-minimal distinct masks.
 
     Packing questions are unchanged by this reduction: swapping a cycle
@@ -304,7 +308,7 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     for m in distinct:
         if not any((k & m) == k for k in kept):
             kept.append(m)
-    return kept
+    return tuple(kept)
 
 
 def _packs(per_type: Sequence[list[int]], target: Sequence[int]) -> bool:

@@ -157,12 +157,25 @@ def test_candidate_limits_enforced(crossed_rings):
 
 
 def test_pruned_search_fits_a_small_step_budget():
-    # the full search takes 1,493,006 steps on this block
+    # the full search takes 1,493,006 steps on this block, the pruned one
+    # 61,407
     sg = block_graph((2, 1, 2, 1, 2, 0))
     with pytest.raises(LimitExceeded):
         all_simple_cycles(sg, node_limit=200_000)
     cat = candidate_cycles(sg, node_limit=200_000)
     assert [len(cat.minimal_masks(i)) for i in (1, 2, 3)] == [62, 79, 90]
+
+
+def test_pruned_search_counts_every_scanned_dart():
+    # two vertices joined by three edges, with 1,000 self-loops at vertex
+    # 1: the search follows or closes by about 2,000 darts, most of them
+    # the self-loops from base 1, but it meets vertex 1 three times from
+    # base 0 and reads its 2,003 darts each time
+    loops = [2 * e + k for e in range(3, 1003) for k in (0, 1)]
+    sg = SigmaGraph(CombinatorialMap([[0, 2, 4], [5, 3, 1] + loops]), (0, 1, 2))
+    with pytest.raises(LimitExceeded):
+        candidate_cycles(sg, node_limit=6_000)
+    assert candidate_cycles(sg, node_limit=20_000) == candidate_cycles(sg)
 
 
 def test_long_theta_fits_a_small_step_budget():
@@ -265,15 +278,49 @@ def test_cycles_match_plain_search(case):
 
 
 def _assert_candidates_cover(sg, cat):
-    """The pruned search keeps only cycles of the full catalog cat, typed
-    and masked alike, and per type the same inclusion-minimal masks."""
+    """The pruned search keeps exactly the cycles of the full catalog cat
+    that the lemma does not cut, typed and masked alike, and per type the
+    same inclusion-minimal masks."""
     cand = candidate_cycles(sg)
     where = {lp: c for c, lp in enumerate(cat.cycles)}
     for lp, t, m in zip(cand.cycles, cand.types, cand.masks):
         c = where[lp]
         assert (cat.types[c], cat.masks[c]) == (t, m), lp
+    assert set(cand.cycles) == _uncut(sg, cat)
     for i in (1, 2, 3):
         assert cand.minimal_masks(i) == cat.minimal_masks(i), i
+
+
+def _uncut(sg, cat):
+    """The cycles of cat of types 1..3 that no edge off them cuts by the
+    chord-split lemma of the `oracle` docstring, read straight off its
+    statement: the smaller cycles an edge closes are looked up in cat."""
+    tail = sg.cmap.dart_vertex
+    type_of = {lp.edge_set(): t for lp, t in zip(cat.cycles, cat.types)}
+
+    def cut(darts, t):
+        n, edges = len(darts), {d >> 1 for d in darts}
+        pos = {tail[d]: k for k, d in enumerate(darts)}  # darts[k] leaves its vertex
+        for v, a in pos.items():
+            for d in sg.cmap.rotations[v]:
+                e, b = d >> 1, pos.get(tail[d ^ 1])
+                if e in edges or b is None:
+                    continue
+                if b == a:  # a self-loop
+                    if n > 1 and type_of[frozenset([e])] == t:
+                        return True
+                elif (b - a) % n in (1, n - 1):  # parallel to an edge of the cycle
+                    f = darts[a if (b - a) % n == 1 else b] >> 1
+                    if n > 2 and type_of[frozenset([e, f])] == t:
+                        return True
+                else:  # a chord
+                    arc = {d >> 1 for d in darts[min(a, b):max(a, b)]}
+                    sides = {type_of[frozenset(arc | {e})], type_of[frozenset(edges - arc | {e})]}
+                    if None in sides or t in sides:
+                        return True
+        return False
+
+    return {lp for lp, t in zip(cat.cycles, cat.types) if t is not None and not cut(lp.darts, t)}
 
 
 def _flood_types(sg, loops):

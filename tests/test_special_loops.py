@@ -4,11 +4,9 @@ from itertools import permutations
 
 import pytest
 
-from pantslam import special_loops
 from pantslam.chords import family_graph
 from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph
-from pantslam.ladders import block_graph
 from pantslam.polytope import nu_transform
 from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import (
@@ -70,21 +68,6 @@ def test_loop_toward_level_bounds():
     for k in (1.0, True, "a"):
         with pytest.raises(OutOfRange):
             loop_toward(sg, 1, 2, k)
-
-
-def test_loop_toward_searches_widths_once_per_pair(monkeypatch):
-    runs = []
-    search = special_loops._widths
-    monkeypatch.setattr(special_loops, "_widths", lambda *a: runs.append(a) or search(*a))
-    sg = block_graph((8, 8, 8, 3, 3, 3))
-    d12 = sg.face_distance(sg.marked[0], sg.marked[1])
-    for k in range(1, d12 + 1):
-        loop_toward(sg, 1, 2, k)
-    assert len(runs) == 1
-    special_family(sg, 1)  # the same pair of positions
-    assert len(runs) == 1
-    loop_toward(sg, 2, 1, 1)
-    assert len(runs) == 2
 
 
 def test_crossed_rings_shared_prefix(crossed_rings):
