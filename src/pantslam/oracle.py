@@ -35,15 +35,28 @@ parity of the digon they close.  A self-loop at the base forbids its
 parity for every cycle through another vertex.  The branch dies once
 all three types are forbidden, and a cycle of parity 0 is never kept.
 No cycle of a minimal mask is ever cut, so per type the minimal masks
-are those of all cycles.  `all_simple_cycles` still enumerates every
-cycle, for the tests.
+are those of all cycles, which `all_simple_cycles` lists for the tests.
+
+Each base follows its darts in increasing order, and once the branch
+leaving by dart a is done, edge a leaves the 2-core but still cuts
+cycles as a chord (Read and Tarjan, Networks 5, 1975).  A kept cycle
+leaves the base by its smaller base dart, so those through a are found
+by then, and the later ones avoid a: each of their vertices keeps its
+two cycle edges in the core.
+
+Packing enumerates the disjoint collections of minimal masks depth
+first; a node's candidates are the later masks disjoint from its union.
+Below a node, counts are at most its own plus the per-type counts of
+its candidates left.  The reached counts are kept downward closed, and
+the bound only falls as candidates are used, so once it is reached the
+node is done (Bron and Kerbosch, CACM 16, 1973).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
 from .errors import LimitExceeded, OutOfRange
@@ -86,6 +99,11 @@ class CycleCatalog:
         return tuple(_minimal_masks([self.masks[c] for c in self.of_type(i)])
                      for i in (1, 2, 3))
 
+    @cached_property
+    def _points(self) -> frozenset[tuple[int, int, int]]:
+        """The type counts of the disjoint collections, enumerated once."""
+        return _disjoint_counts(self._minimal)
+
     def __len__(self) -> int:
         return len(self.cycles)
 
@@ -123,7 +141,7 @@ def all_simple_cycles(
     bits = sg._dual_tree()[2] if cm is not sg else [0] * cm.num_edges
     found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
-    for base, free in _peeled_bases(cm):  # free: live and off the path
+    for base, free, _ in _peeled_bases(cm):  # free: live and off the path
         path: list[int] = []
         odd, mask = 0, 1 << base
         scans = [iter(rotations[base])]  # the unscanned darts at each path vertex
@@ -167,12 +185,12 @@ def candidate_cycles(
     """The cycles of types 1..3 whose vertex masks can be minimal.
 
     The search of `all_simple_cycles`, pruned by the chord-split lemma of
-    the module docstring.  Each cycle kept is one that `all_simple_cycles`
-    finds, in the same direction, with the same type and mask, and per
-    type both catalogs have the same inclusion-minimal masks.  Meeting a
-    vertex reads its rotation once, for its chords, parallel edges and
-    self-loops and for the darts the path may leave it by; a vertex with
-    none is not entered.
+    the module docstring, with each base edge dropped after its branch.
+    Each cycle kept is one that `all_simple_cycles` finds, in the same
+    direction, with the same type and mask, and per type both catalogs
+    have the same inclusion-minimal masks.  Meeting a vertex reads its
+    rotation once, for its chords, parallel edges and self-loops and for
+    the darts the path may leave it by; a vertex with none is not entered.
 
     As in `all_simple_cycles`, every scanned dart is one step: each dart
     of the rotation of a base or of a vertex met, and each dart the path
@@ -186,114 +204,123 @@ def candidate_cycles(
     at = [-1] * cm.num_vertices  # per path vertex but the base: the parity of the path to it
     found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
-    for base, live in _peeled_bases(cm):
+    for base, live, drop in _peeled_bases(cm):
         nodes += len(darts[base])
         if nodes > node_limit:
             raise LimitExceeded("cycle search passed %d steps" % node_limit)
-        loops, follow = 1, []  # loops: bit p set by a self-loop of parity p at the base
+        loops = 1  # bit p set by a self-loop of parity p at the base
         for t in darts[base]:
             if t[1] == base:
                 loops |= 1 << t[2]
-                follow.append(t)
-            elif live[t[1]] and live[base]:  # a dead base enters nothing
-                follow.append(t)
         path: list[int] = []
         mask = 1 << base
-        # per path vertex: the darts still to follow, the vertex, the parity
-        # of the path to it, and two sets of parities (bit p for parity p,
-        # bit 0 always set, since parity 0 types nothing): those no cycle
-        # closing at the vertex may have, and those no longer cycle may have
-        stack = [(iter(follow), base, 0, 1, loops)]
-        while stack:
-            scan, v, here, shut, banned = stack[-1]
-            for d, w, b in scan:
-                odd = here ^ b
-                if w == base:
-                    nodes += 1
-                    if nodes > node_limit:
-                        raise LimitExceeded("cycle search passed %d steps" % node_limit)
-                    if (path[0] if path else d) < d ^ 1 and not shut >> odd & 1:
-                        found.append(Loop(path + [d]))
-                        types.append(_TYPE_OF_PARITY[odd])
-                        masks.append(mask)
-                        if len(found) > cycle_limit:
-                            raise LimitExceeded("more than %d cycles" % cycle_limit)
-                    continue
-                cut, ban, ends, out = banned, banned, [], []  # w's shut and banned
-                for t in darts[w]:
-                    nodes += 1
-                    if nodes > node_limit:
-                        raise LimitExceeded("cycle search passed %d steps" % node_limit)
-                    x = t[1]
-                    q = odd ^ t[2]  # with at[x]: the parity of the cycle t closes
-                    if x == base:
-                        # a chord of every longer cycle, unless v is the
-                        # base; then parallel to d, 0 for d itself
-                        if q:
-                            ban |= 1 << q
-                        elif v != base:
-                            break
-                        ends.append(t)
-                    elif x == w:  # a self-loop
-                        cut |= 1 << t[2]
-                    elif at[x] < 0:
-                        if live[x]:
-                            out.append(t)
+        for first in sorted(darts[base]):  # in dart order; see the module docstring
+            if first[1] != base and not (live[first[1]] and live[base]):
+                continue  # a dead base enters nothing
+            # per path vertex: the darts still to follow, the vertex, the parity
+            # of the path to it, and two sets of parities (bit p for parity p,
+            # bit 0 always set, since parity 0 types nothing): those no cycle
+            # closing at the vertex may have, and those no longer cycle may have
+            stack = [(iter((first,)), base, 0, 1, loops)]
+            while stack:
+                scan, v, here, shut, banned = stack[-1]
+                for d, w, b in scan:
+                    odd = here ^ b
+                    if w == base:
+                        nodes += 1
+                        if nodes > node_limit:
+                            raise LimitExceeded("cycle search passed %d steps" % node_limit)
+                        if (path[0] if path else d) < d ^ 1 and not shut >> odd & 1:
+                            found.append(Loop(path + [d]))
+                            types.append(_TYPE_OF_PARITY[odd])
+                            masks.append(mask)
+                            if len(found) > cycle_limit:
+                                raise LimitExceeded("more than %d cycles" % cycle_limit)
+                        continue
+                    cut, ban, ends, out = banned, banned, [], []  # w's shut and banned
+                    for t in darts[w]:
+                        nodes += 1
+                        if nodes > node_limit:
+                            raise LimitExceeded("cycle search passed %d steps" % node_limit)
+                        x = t[1]
+                        q = odd ^ t[2]  # with at[x]: the parity of the cycle t closes
+                        if x == base:
+                            # a chord of every longer cycle, unless v is the
+                            # base; then parallel to d, 0 for d itself
+                            if q:
+                                ban |= 1 << q
+                            elif v != base:
+                                break
+                            ends.append(t)
+                        elif x == w:  # a self-loop
+                            cut |= 1 << t[2]
+                        elif at[x] < 0:
+                            if live[x]:
+                                out.append(t)
+                        else:
+                            # a chord's, unless x is v; then a digon's, and 0
+                            # for the edge the path came by
+                            q ^= at[x]
+                            if not q and x != v:
+                                break
+                            cut |= 1 << q
                     else:
-                        # a chord's, unless x is v; then a digon's, and 0
-                        # for the edge the path came by
-                        q ^= at[x]
-                        if not q and x != v:
+                        ban |= cut
+                        out = ends if ban == 15 else ends + out
+                        if out and cut != 15:  # enter w; this break leaves the scan of v
+                            path.append(d)
+                            at[w] = odd
+                            mask ^= 1 << w
+                            stack.append((iter(out), w, odd, cut, ban))
                             break
-                        cut |= 1 << q
                 else:
-                    ban |= cut
-                    out = ends if ban == 15 else ends + out
-                    if out and cut != 15:  # enter w; this break leaves the scan of v
-                        path.append(d)
-                        at[w] = odd
+                    stack.pop()
+                    if path:
+                        w = tail[path.pop() ^ 1]
+                        at[w] = -1
                         mask ^= 1 << w
-                        stack.append((iter(out), w, odd, cut, ban))
-                        break
-            else:
-                stack.pop()
-                if path:
-                    w = tail[path.pop() ^ 1]
-                    at[w] = -1
-                    mask ^= 1 << w
+            if first[1] != base:  # no kept cycle still to come uses this edge
+                drop(first[0])
     return CycleCatalog(tuple(found), tuple(types), tuple(masks))
 
 
-def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool]]]:
-    """Each base vertex in turn, with the list of live vertices.
+def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool], Callable[[int], None]]]:
+    """Each base vertex in turn, with the list of live vertices and a drop.
 
     A vertex with fewer than two non-loop darts to live vertices lies on
     no cycle through another vertex, so it dies, and so may its
     neighbours in turn; base b-1 dies before base b is yielded.  The live
     vertices thus form the 2-core from the base up, which holds every
-    cycle through the base and higher vertices only.  Each dart is
-    counted off at most once, so the deaths cost O(V+E) in total.  A
-    caller that marks vertices dead while searching from a base revives
-    them before asking for the next.
+    cycle through the base and higher vertices only.  drop(d) takes the
+    edge of dart d out of that core for good, with the same cascade.
+    Each edge is counted off at most once, so the deaths cost O(V+E) in
+    total.  A caller that marks vertices dead while searching from a base
+    revives them before asking for the next.
     """
     rotations, tail = cm.rotations, cm.dart_vertex
-    # deg: non-loop darts to live vertices
+    # deg: non-loop darts to live vertices, by edges not dropped (gone)
     deg = [sum(tail[d ^ 1] != v for d in rot) for v, rot in enumerate(rotations)]
-    dying = [v for v, k in enumerate(deg) if k < 2]
-    live = [k >= 2 for k in deg]
+    live, gone = [True] * cm.num_vertices, bytearray(cm.num_edges)
+
+    def lower(ends: list[int]) -> None:  # each live vertex of ends loses a dart
+        while ends:
+            v = ends.pop()
+            if live[v]:  # ends may hold dead vertices, v itself by a self-loop
+                deg[v] -= 1
+                if deg[v] < 2:
+                    live[v] = False
+                    ends.extend(tail[d ^ 1] for d in rotations[v] if not gone[d >> 1])
+
+    def drop(d: int) -> None:
+        if live[tail[d]] and live[tail[d ^ 1]]:  # else a death counted it off
+            gone[d >> 1] = 1
+            lower([tail[d], tail[d ^ 1]])
+
+    lower([v for v, k in enumerate(deg) if k < 2])
     for base in range(cm.num_vertices):
-        if base and live[base - 1]:
-            live[base - 1] = False
-            dying.append(base - 1)
-        while dying:
-            for d in rotations[dying.pop()]:
-                w = tail[d ^ 1]
-                if live[w]:  # a self-loop leads back to the dead vertex
-                    deg[w] -= 1
-                    if deg[w] < 2:
-                        live[w] = False
-                        dying.append(w)
-        yield base, live
+        yield base, live, drop
+        if live[base]:  # it loses every dart and dies
+            lower([base] * deg[base])
 
 
 def _minimal_masks(masks: list[int]) -> tuple[int, ...]:
@@ -311,70 +338,55 @@ def _minimal_masks(masks: list[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _packs(per_type: Sequence[list[int]], target: Sequence[int]) -> bool:
-    """Whether target[j] masks of per_type[j], for every j, are pairwise disjoint.
+def _disjoint_counts(per_type: Sequence[Sequence[int]]) -> frozenset[tuple[int, int, int]]:
+    """The type counts of the disjoint collections of masks, per_type[j] of
+    type j+1, enumerated as the module docstring says."""
+    order = sorted(range(3), key=lambda j: len(per_type[j]))  # the scarcest type first
+    masks = [m for j in order for m in per_type[j]]
+    kinds = [j for j in order for _ in per_type[j]]
+    reached = {(0, 0, 0)}
+    # per node: its counts, its candidates, the next one to take, and the
+    # per-type count of the candidates from that one on
+    stack = [((0, 0, 0), list(range(len(masks))), 0, [len(ms) for ms in per_type])]
+    while stack:
+        here, cands, i, rest = stack[-1]
+        if i == len(cands) or (here[0] + rest[0], here[1] + rest[1], here[2] + rest[2]) in reached:
+            stack.pop()
+            continue
+        k = cands[i]
+        j, m = kinds[k], masks[k]
+        rest[j] -= 1
+        stack[-1] = (here, cands, i + 1, rest)
+        child = here[:j] + (here[j] + 1,) + here[j + 1:]
+        later = [c for c in cands[i + 1:] if not masks[c] & m]
+        counts = [0, 0, 0]
+        for c in later:
+            counts[kinds[c]] += 1
+        stack.append((child, later, 0, counts))
+        below = [child]
+        while below:
+            p = below.pop()
+            if p not in reached:
+                reached.add(p)
+                below.extend(p[:t] + (p[t] - 1,) + p[t + 1:] for t in range(3) if p[t])
+    return frozenset(reached)
 
-    One backtracking search with a slot per mask to pick, the scarcest
-    type first.  A slot picks a mask after the one the slot before it
-    picked when that slot has its type, and leaves enough masks of its
-    type for the slots of that type still to come.
-    """
-    order = sorted(range(len(target)), key=lambda j: len(per_type[j]))
-    slots = [(j, target[j] - 1 - r) for j in order for r in range(target[j])]
-    used, nxt = [0], [0]  # per slot reached: the picks before it, its next index
-    while 0 < len(used) <= len(slots):
-        j, after = slots[len(used) - 1]
-        masks, u, i = per_type[j], used[-1], nxt[-1]
-        stop = len(masks) - after
-        while i < stop and masks[i] & u:
-            i += 1
-        if i >= stop:
-            used.pop()
-            nxt.pop()
-        else:
-            nxt[-1] = i + 1
-            used.append(u | masks[i])
-            nxt.append(i + 1 if after else 0)
-    return bool(used)
 
-
-def max_disjoint_type(
-    sg: SigmaGraph,
-    i: int,
-    catalog: Optional[CycleCatalog] = None,
-) -> int:
+def max_disjoint_type(sg: SigmaGraph, i: int, catalog: Optional[CycleCatalog] = None) -> int:
     """Largest number of pairwise vertex-disjoint cycles of type i."""
+    _check_type(i)
     cat = catalog if catalog is not None else candidate_cycles(sg)
-    masks = [cat.minimal_masks(i)]
-    k = 0
-    while _packs(masks, (k + 1,)):
-        k += 1
-    return k
+    return max(p[i - 1] for p in cat._points)
 
 
 def lamination_space_bruteforce(
-    sg: SigmaGraph,
-    catalog: Optional[CycleCatalog] = None,
+    sg: SigmaGraph, catalog: Optional[CycleCatalog] = None
 ) -> frozenset[tuple[int, int, int]]:
     """All triples countable by a disjoint cycle collection.
 
     A triple (x1, x2, x3) is achievable when some pairwise vertex-disjoint
     collection contains exactly x_i cycles of type i; cycles separating
-    nothing never help and are excluded.  Achievability is closed downward
-    since any subcollection stays disjoint, so the set grows level by
-    level from the origin: a triple one step above the last level is
-    searched for only when every triple one step below it is achievable.
+    nothing never help and are excluded.  The catalog keeps the answer.
     """
     cat = catalog if catalog is not None else candidate_cycles(sg)
-    per_type = [cat.minimal_masks(i) for i in (1, 2, 3)]
-    achieved = {(0, 0, 0)}
-    level = [(0, 0, 0)]
-    while level:
-        above = {p[:i] + (p[i] + 1,) + p[i + 1:] for p in level for i in range(3)}
-        level = [
-            q for q in sorted(above)
-            if all(q[:i] + (q[i] - 1,) + q[i + 1:] in achieved for i in range(3) if q[i])
-            and _packs(per_type, q)
-        ]
-        achieved.update(level)
-    return frozenset(achieved)
+    return cat._points

@@ -1,5 +1,6 @@
 """Test-only references: the face flood for loop sides, the plain cycle
-search, and the helpers that only the tests call."""
+search, the level-by-level packing search, and the helpers that only the
+tests call."""
 
 from collections import deque
 from itertools import permutations
@@ -73,6 +74,62 @@ def plain_cycles(sg):
     types = tuple(sg.classify(loop) for loop in found)
     masks = tuple(sum(1 << v for v in loop.vertices(cm)) for loop in found)
     return CycleCatalog(tuple(found), types, masks)
+
+
+def packs(per_type, target):
+    """Whether target[j] masks of per_type[j], for every j, are pairwise disjoint.
+
+    One backtracking search with a slot per mask to pick, the scarcest
+    type first.  A slot picks a mask after the one the slot before it
+    picked when that slot has its type, and leaves enough masks of its
+    type for the slots of that type still to come.
+    """
+    order = sorted(range(len(target)), key=lambda j: len(per_type[j]))
+    slots = [(j, target[j] - 1 - r) for j in order for r in range(target[j])]
+    used, nxt = [0], [0]  # per slot reached: the picks before it, its next index
+    while 0 < len(used) <= len(slots):
+        j, after = slots[len(used) - 1]
+        masks, u, i = per_type[j], used[-1], nxt[-1]
+        stop = len(masks) - after
+        while i < stop and masks[i] & u:
+            i += 1
+        if i >= stop:
+            used.pop()
+            nxt.pop()
+        else:
+            nxt[-1] = i + 1
+            used.append(u | masks[i])
+            nxt.append(i + 1 if after else 0)
+    return bool(used)
+
+
+def packing_by_levels(cat):
+    """The achievable triples of catalog cat and its three packing numbers,
+    each by its own search with `packs` over the minimal masks.
+
+    The triples grow level by level from the origin: one step above the
+    last level is searched for only when every triple one step below it
+    is achievable.  Packing number i is the largest k for which k masks
+    of type i alone are pairwise disjoint.
+    """
+    per_type = [cat.minimal_masks(i) for i in (1, 2, 3)]
+    achieved = {(0, 0, 0)}
+    level = [(0, 0, 0)]
+    while level:
+        above = {p[:i] + (p[i] + 1,) + p[i + 1:] for p in level for i in range(3)}
+        level = [
+            q for q in sorted(above)
+            if all(q[:i] + (q[i] - 1,) + q[i + 1:] in achieved for i in range(3) if q[i])
+            and packs(per_type, q)
+        ]
+        achieved.update(level)
+    maxima = []
+    for masks in per_type:
+        k = 0
+        while packs([masks], (k + 1,)):
+            k += 1
+        maxima.append(k)
+    return frozenset(achieved), tuple(maxima)
 
 
 def distance_matrix(sg):

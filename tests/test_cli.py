@@ -94,6 +94,18 @@ def test_construct_writes_witness(tmp_path, capsys):
     assert g.cmap.num_faces >= 3
 
 
+def test_construct_witness_bytes_match_json_dump(tmp_path, capsys):
+    # the witness is written in one piece; its bytes are those json.dump
+    # streams with the same options, then a newline
+    out = tmp_path / "wit.json"
+    assert main(["construct", "2", "3", "0", "3", "2", "5", str(out)]) == 0
+    streamed = io.StringIO()
+    json.dump(constructor.construct_detailed((2, 3, 0, 3, 2, 5)).graph.to_dict(),
+              streamed, indent=1, sort_keys=True)
+    assert out.read_bytes() == (streamed.getvalue() + "\n").encode()
+    assert out.read_bytes().startswith(b'{\n "marked_faces": [')
+
+
 def test_construct_then_analyze_agree(tmp_path, capsys):
     out = tmp_path / "wit.json"
     assert main(["construct", "2", "3", "0", "3", "2", "5", str(out)]) == 0

@@ -20,7 +20,7 @@ from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
 from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, theta_graph
-from helpers import flood_sides, plain_cycles
+from helpers import flood_sides, packing_by_levels, plain_cycles
 
 
 def test_triangle_has_one_cycle():
@@ -158,12 +158,20 @@ def test_candidate_limits_enforced(crossed_rings):
 
 def test_pruned_search_fits_a_small_step_budget():
     # the full search takes 1,493,006 steps on this block, the pruned one
-    # 61,407
+    # 44,248 (61,407 before each base edge was dropped after its branch)
     sg = block_graph((2, 1, 2, 1, 2, 0))
     with pytest.raises(LimitExceeded):
-        all_simple_cycles(sg, node_limit=200_000)
-    cat = candidate_cycles(sg, node_limit=200_000)
+        all_simple_cycles(sg, node_limit=50_000)
+    cat = candidate_cycles(sg, node_limit=50_000)
     assert [len(cat.minimal_masks(i)) for i in (1, 2, 3)] == [62, 79, 90]
+
+
+def test_pruned_search_skips_the_last_branch_of_a_base():
+    # base 0 has three branches, one per path; the third is never entered,
+    # as the first two drop their edges and base 0 dies with one left.
+    # The search takes 16,001 steps; it took 24,000 entering all three.
+    cat = candidate_cycles(theta_graph(1000), node_limit=17_000)
+    assert sorted(cat.types) == [1, 2, 3]
 
 
 def test_pruned_search_counts_every_scanned_dart():
@@ -259,19 +267,24 @@ PLAIN_CASES = ([("nested", 50), ("theta", 50)]
                + [("doubled block", s) for s in range(4)])
 
 
-@pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
-def test_cycles_match_plain_search(case):
+def _case_graph(case):
     kind, n = case
     if kind == "nested":
-        sg = nested_loops(n)
-    elif kind == "theta":
-        sg = theta_graph(n)
+        return nested_loops(n)
+    if kind == "theta":
+        return theta_graph(n)
+    if kind == "corpus":
+        return build_corpus_graph(*n)
+    if kind.endswith("block"):
+        base = block_graph((1, 1, 0, 0, 0, 1))
     else:
-        if kind.endswith("block"):
-            base = block_graph((1, 1, 0, 0, 0, 1))
-        else:
-            base = theta_graph() if kind == "hung theta" else theta_graph(2)
-        sg = (_hung if kind.startswith("hung") else _doubled)(base, n)
+        base = theta_graph() if kind == "hung theta" else theta_graph(2)
+    return (_hung if kind.startswith("hung") else _doubled)(base, n)
+
+
+@pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
+def test_cycles_match_plain_search(case):
+    sg = _case_graph(case)
     cat = all_simple_cycles(sg)
     assert cat == plain_cycles(sg)
     _assert_candidates_cover(sg, cat)
@@ -347,6 +360,21 @@ def test_parity_types_match_flood_types(job):
     _assert_candidates_cover(sg, cat)
     for lp in cat.cycles[:400]:
         assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), lp
+
+
+PACKING_CASES = ([("corpus", job) for job in CATALOGUED_JOBS[::10]]
+                 + [("corpus", ("block", (2, 1, 2, 1, 2, 0))), ("nested", 50)]
+                 + [case for case in PLAIN_CASES if case[0].startswith(("hung", "doubled"))])
+
+
+@pytest.mark.parametrize("case", PACKING_CASES, ids=repr)
+def test_packing_matches_level_search(case):
+    # nested(50) has 49 pairwise-disjoint masks of type 1, so the
+    # enumeration must skip most siblings to finish
+    sg = _case_graph(case)
+    space, maxima = packing_by_levels(candidate_cycles(sg))
+    assert tuple(max_disjoint_type(sg, i) for i in (1, 2, 3)) == maxima
+    assert lamination_space_bruteforce(sg, candidate_cycles(sg)) == space
 
 
 @pytest.mark.parametrize("seed", range(3))
