@@ -85,7 +85,7 @@ def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     res = construct_detailed(tau)
     print("params: counts=%s depths=%s" % (res.counts, res.depths))
     print("verified: sigma = %s" % (tuple(tau),))
-    with open(out_path, "w", encoding="utf-8") as fh:  # one write, not json.dump's many
+    with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(res.graph.to_dict(), indent=1, sort_keys=True) + "\n")
     print("wrote %s" % out_path)
     return 0

@@ -114,7 +114,7 @@ class SigmaGraph:
     `_bucket` and `_walk` take 0-based positions into `marked`.
     """
 
-    __slots__ = ("cmap", "marked", "_dist_cache", "_bucket_cache", "_widths_cache", "_tree")
+    __slots__ = ("cmap", "marked", "_dist_cache", "_bucket_cache", "_tree")
 
     def __init__(self, cmap: CombinatorialMap, marked: Sequence[int]):
         marked = tuple(marked)
@@ -129,7 +129,6 @@ class SigmaGraph:
         self.marked = marked
         self._dist_cache: dict[int, tuple[int, ...]] = {}
         self._bucket_cache: dict[int, list[list[int]]] = {}
-        self._widths_cache: dict[tuple[int, int], list[int]] = {}  # see special_loops
         self._tree: Optional[tuple[list[int], list[int], list[int]]] = None
 
     # -- serialization ---------------------------------------------------

@@ -373,7 +373,11 @@ def _disjoint_counts(per_type: Sequence[Sequence[int]]) -> frozenset[tuple[int, 
 
 
 def max_disjoint_type(sg: SigmaGraph, i: int, catalog: Optional[CycleCatalog] = None) -> int:
-    """Largest number of pairwise vertex-disjoint cycles of type i."""
+    """Largest number of pairwise vertex-disjoint cycles of type i.
+
+    Read off the whole lamination space, which the first call computes for
+    all three types and caches on the catalog.
+    """
     _check_type(i)
     cat = catalog if catalog is not None else candidate_cycles(sg)
     return max(p[i - 1] for p in cat._points)

@@ -97,7 +97,7 @@ def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:
         raise OutOfRange(
             "level %r outside 1..%d for marked pair (%d, %d)" % (k, dij, i, j)
         )
-    return _toward(sg, i0, _full_widths(sg, i0, j0), k)
+    return _toward(sg, i0, _widths(sg, i0, j0, sg.marked[i0]), k)
 
 
 def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
@@ -107,7 +107,7 @@ def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     faces beyond it (see the module docstring).
     """
     i0 = _marked_index(i)
-    best = _full_widths(sg, i0, (i0 + 1) % 3)
+    best = _widths(sg, i0, (i0 + 1) % 3, sg.marked[i0])
     size = best[sg.marked[i0 - 1]]
     return SpecialLoopFamily(i, tuple(_toward(sg, i0, best, k + 1) for k in range(size)))
 
@@ -118,13 +118,6 @@ def _toward(sg: SigmaGraph, i0: int, best: list[int], k: int) -> Loop:
     face_of = sg.cmap.face_of_dart
     start = next(d for d in sg._bucket(i0, k) if best[face_of[d]] >= k)
     return Loop(sg._walk(i0, k, start))
-
-
-def _full_widths(sg: SigmaGraph, i0: int, j0: int) -> list[int]:
-    """`_widths` run until m_i settles, which it does last; kept on sg per pair."""
-    if (i0, j0) not in sg._widths_cache:
-        sg._widths_cache[i0, j0] = _widths(sg, i0, j0, sg.marked[i0])
-    return sg._widths_cache[i0, j0]
 
 
 def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:

@@ -9,8 +9,6 @@ from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph
 from pantslam.polytope import nu_transform
 from pantslam.randmaps import random_sigma_graph
-from pantslam import special_loops
-from pantslam.ladders import block_graph
 from pantslam.special_loops import (
     NuVector,
     SigmaVector,
@@ -59,28 +57,6 @@ def test_loop_toward_needs_distinct_indices():
     for i in (0, 1.0, True, "a"):
         with pytest.raises(OutOfRange):
             special_family(sg, i)
-
-
-def test_loop_toward_searches_widths_once_per_pair(monkeypatch):
-    calls = []
-
-    def counted(sg, i0, j0, stop):
-        calls.append((i0, j0, stop))
-        return widths(sg, i0, j0, stop)
-
-    widths = special_loops._widths
-    monkeypatch.setattr(special_loops, "_widths", counted)
-    sg = block_graph((20, 20, 20, 7, 7, 7))
-    sigma_of(sg)  # its searches stop early and are not kept
-    assert len(calls) == 3 and sg._widths_cache == {}
-    d12 = sg.face_distance(sg.marked[0], sg.marked[1])
-    loops = [loop_toward(sg, 1, 2, k) for k in range(1, d12 + 1)]
-    family = special_family(sg, 1)
-    assert len(calls) == 4
-    assert family.loops == tuple(loops[:len(family)])
-    fresh = SigmaGraph(sg.cmap, sg.marked)
-    monkeypatch.setattr(special_loops, "_widths", widths)
-    assert loops == [loop_toward(fresh, 1, 2, k) for k in range(1, d12 + 1)]
 
 
 def test_loop_toward_level_bounds():
