@@ -53,21 +53,28 @@ def _load_graph(path: str) -> SigmaGraph:
 def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
     sg = _load_graph(path)
     tau = sigma_of(sg)
+    # a block graph's points can run to gigabytes of text, written here in
+    # chunks of about 1 MiB; the runs, about m3 times fewer, are kept, as a
+    # second pass of the generator would cost more
     runs = list(_point_runs(tau))
     # the first run is (0, 0), so skipping the origin starts it at z = 1
     lo = int(exclude_origin)
-    lines = [
-        "sigma = %s" % (tuple(tau),),
-        "nu = %s" % (tuple(nu_transform(tau)),),
-        "lamination points (%d):" % (sum(top + 1 for _, _, top in runs) - lo),
-    ]
-    zstr = [str(z) for z in range(tau.m3 + 1)]
+    count = sum(top + 1 for _, _, top in runs) - lo
+    chunk = ["sigma = %s\nnu = %s\nlamination points (%d):\n"
+             % (tuple(tau), tuple(nu_transform(tau)), count)]
+    size = 0
+    zstr = ["%d\n" % z for z in range(tau.m3 + 1)]
     for x, y, top in runs:
         if lo <= top:
             prefix = "%d %d " % (x, y)
-            lines.append(prefix + ("\n" + prefix).join(zstr[lo:top + 1]))
+            run = prefix + prefix.join(zstr[lo:top + 1])
+            chunk.append(run)
+            size += len(run)
+            if size >= 1 << 20:
+                sys.stdout.write("".join(chunk))
+                chunk, size = [], 0
         lo = 0
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("".join(chunk))
     return 0
 
 
@@ -80,13 +87,23 @@ def cmd_check(tau: Sequence[int]) -> int:
     return 1
 
 
+def _witness_text(sg: SigmaGraph) -> str:
+    """The text of json.dumps(sg.to_dict(), indent=1, sort_keys=True) + "\\n"."""
+    # a valid map has no empty rotation, so no list takes json's [] form
+    rows = ",\n  ".join(["[\n   " + ",\n   ".join(map(str, r)) + "\n  ]"
+                         for r in sg.cmap.rotations])
+    marks = ",\n  ".join(map(str, sg.marked))
+    return '{\n "marked_faces": [\n  %s\n ],\n "vertices": [\n  %s\n ]\n}\n' % (marks, rows)
+
+
 def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     # construct_detailed returns only a witness that measures tau
     res = construct_detailed(tau)
     print("params: counts=%s depths=%s" % (res.counts, res.depths))
     print("verified: sigma = %s" % (tuple(tau),))
+    # not json.dumps: with indent, json encodes dart by dart in pure Python
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(res.graph.to_dict(), indent=1, sort_keys=True) + "\n")
+        fh.write(_witness_text(res.graph))
     print("wrote %s" % out_path)
     return 0
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -18,7 +19,7 @@ from pantslam.ladders import block_graph
 from pantslam.polytope import enumerate_points, nu_transform
 from pantslam.special_loops import SigmaVector, sigma_of
 
-from conftest import build_corpus_graph, corpus_jobs, theta_graph
+from conftest import build_corpus_graph, corpus_jobs, realizable_grid, theta_graph
 
 
 @pytest.fixture
@@ -94,16 +95,40 @@ def test_construct_writes_witness(tmp_path, capsys):
     assert g.cmap.num_faces >= 3
 
 
+def _json_reference(sg):
+    return json.dumps(sg.to_dict(), indent=1, sort_keys=True) + "\n"
+
+
 def test_construct_witness_bytes_match_json_dump(tmp_path, capsys):
-    # the witness is written in one piece; its bytes are those json.dump
-    # streams with the same options, then a newline
+    # (2, 3, 0, 3, 2, 5) has an empty family
+    for tau in [(2, 3, 0, 3, 2, 5), (30, 30, 30, 31, 31, 31)]:
+        out = tmp_path / "wit.json"
+        assert main(["construct", *map(str, tau), str(out)]) == 0
+        expected = _json_reference(constructor.construct_detailed(tau).graph)
+        assert out.read_bytes() == expected.encode(), tau
+
+
+def test_witness_text_matches_json_dumps_on_the_grid():
+    for tau in realizable_grid(3):
+        sg = constructor.construct_detailed(tau).graph
+        assert cli._witness_text(sg) == _json_reference(sg), tau
+
+
+def test_construct_overwrites_a_longer_file(tmp_path, capsys):
     out = tmp_path / "wit.json"
+    out.write_text("x" * 100_000)
     assert main(["construct", "2", "3", "0", "3", "2", "5", str(out)]) == 0
-    streamed = io.StringIO()
-    json.dump(constructor.construct_detailed((2, 3, 0, 3, 2, 5)).graph.to_dict(),
-              streamed, indent=1, sort_keys=True)
-    assert out.read_bytes() == (streamed.getvalue() + "\n").encode()
-    assert out.read_bytes().startswith(b'{\n "marked_faces": [')
+    expected = _json_reference(constructor.construct_detailed((2, 3, 0, 3, 2, 5)).graph)
+    assert out.read_bytes() == expected.encode()
+
+
+def test_construct_to_a_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "w.json"
+    assert main(["construct", "2", "3", "0", "3", "2", "5", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("FileNotFoundError: ")
+    assert captured.err == ""
+    assert not out.parent.exists()
 
 
 def test_construct_then_analyze_agree(tmp_path, capsys):
@@ -370,6 +395,57 @@ def test_analyze_prints_every_point_of_any_signature(theta_file, capsys, monkeyp
         for flag in ([], ["--exclude-origin"]):
             assert main(["analyze", theta_file] + flag) == 0
             assert capsys.readouterr().out == _expected_analyze(tau, bool(flag)), (tau, flag)
+
+
+class _Sink:
+    """A stdout that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class _CountingBuffer(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.fixture(scope="module")
+def deep_block_file(tmp_path_factory):
+    # about 7.9 MB of analyze output: several 1 MiB chunks
+    sg = block_graph((100, 100, 100, 33, 33, 33))
+    path = tmp_path_factory.mktemp("deep") / "block.json"
+    path.write_text(json.dumps(sg.to_dict()))
+    return str(path), sigma_of(sg)
+
+
+@pytest.mark.parametrize("flag", [[], ["--exclude-origin"]])
+def test_analyze_streams_a_deep_block_in_chunks(deep_block_file, flag):
+    path, tau = deep_block_file
+    buf = _CountingBuffer()
+    with contextlib.redirect_stdout(buf):
+        assert main(["analyze", path] + flag) == 0
+    assert buf.getvalue() == _expected_analyze(tau, bool(flag))
+    assert buf.writes > 1
+
+
+def test_analyze_memory_stays_bounded(deep_block_file):
+    # the text is 7.9 MB, and holding it whole with its joins peaked at
+    # 26.9 MB; loading the map alone takes about 2.6 MB
+    path, _ = deep_block_file
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            assert main(["analyze", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
 def test_parser_is_built_once_and_parses_afresh(theta_file, capsys):
