@@ -28,14 +28,8 @@ from .errors import (
     OutOfRange,
     OverlappingCrossings,
     PantsError,
-    UnknownVertex,
 )
-from .exploration import (
-    Loop,
-    SigmaGraph,
-    hemispheres,
-    layer,
-)
+from .exploration import Loop, SigmaGraph
 from .oracle import (
     CycleCatalog,
     all_simple_cycles,
@@ -50,7 +44,6 @@ from .polytope import (
     enumerate_points,
     lamination_space,
     nu_transform,
-    permute_signature,
 )
 from .randmaps import random_map, random_sigma_graph
 from .render import render_svg
@@ -58,7 +51,6 @@ from .special_loops import (
     NuVector,
     SigmaVector,
     SpecialLoopFamily,
-    loop_toward,
     sigma_of,
     special_family,
 )
@@ -93,7 +85,6 @@ __all__ = [
     "SigmaGraph",
     "SigmaVector",
     "SpecialLoopFamily",
-    "UnknownVertex",
     "all_simple_cycles",
     "candidate_cycles",
     "check_realizable",
@@ -101,14 +92,10 @@ __all__ = [
     "construct_detailed",
     "enumerate_points",
     "family_graph",
-    "hemispheres",
     "lamination_space",
     "lamination_space_bruteforce",
-    "layer",
-    "loop_toward",
     "max_disjoint_type",
     "nu_transform",
-    "permute_signature",
     "random_map",
     "random_sigma_graph",
     "render_svg",

@@ -20,7 +20,6 @@ from .errors import (
     Disconnected,
     MalformedRotation,
     NonSpherical,
-    UnknownVertex,
 )
 
 
@@ -109,11 +108,6 @@ class CombinatorialMap:
     def left_face(self, d: int) -> int:
         """Index of the face on the left of dart d."""
         return self.face_of_dart[d ^ 1]
-
-    def degree(self, v: int) -> int:
-        if type(v) is not int or not 0 <= v < len(self.rotations):
-            raise UnknownVertex(v)
-        return len(self.rotations[v])
 
     def edge_of(self, d: int) -> int:
         return d >> 1

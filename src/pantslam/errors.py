@@ -21,10 +21,6 @@ class NonSpherical(PantsError):
     """Euler characteristic is not 2, so the map is not on the sphere."""
 
 
-class UnknownVertex(PantsError):
-    """Vertex index out of range."""
-
-
 class DuplicateMarkedFace(PantsError):
     """The three marked faces are not pairwise distinct."""
 
@@ -38,8 +34,8 @@ class EmptyLayer(PantsError):
 
 
 class NotSimple(PantsError):
-    """A loop passed to `classify` or `hemispheres` revisits a vertex;
-    boundary walks never do (see `exploration`)."""
+    """A loop passed to `classify` revisits a vertex; boundary walks never
+    do (see `exploration`)."""
 
 
 class NotClosed(PantsError):
@@ -56,10 +52,10 @@ class OutOfRange(PantsError):
 
     Every int parameter of a signature, a family drawing, a block or a
     random map, every dart of a loop, every marked index and every level
-    or layer radius raises it when given a non-int (a bool included);
-    so do a marked index or loop type outside 1..3, a level, layer
-    radius, face count or command-line limit below its minimum, and a
-    block web larger than its neighboring ladders.
+    raises it when given a non-int (a bool included); so do a marked
+    index or loop type outside 1..3, a level, face count or command-line
+    limit below its minimum, and a block web larger than its neighboring
+    ladders.
     """
 
 

@@ -41,7 +41,7 @@ the sphere in two, and a path of faces changes side exactly where it
 crosses the walk, so two faces lie on opposite sides exactly when the
 tree path between them crosses the walk an odd number of times.
 `classify` reads the parities of the tree paths to marked faces 2 and 3,
-and `hemispheres` those of every face.  The level-k region is connected
+and `loop_sides` those of every face.  The level-k region is connected
 through shared vertices and, at each vertex of a boundary walk, the walk
 sweeps past the outside corners only, so the whole region lies left of
 each of its boundary walks.  The walk around marked face i with marked
@@ -312,18 +312,6 @@ class SigmaGraph:
 _TYPE_OF_PARITY = (None, 2, 3, 1)
 
 
-# -- public interface, marked faces numbered 1..3 -------------------------
-
-
-def layer(sg: SigmaGraph, i: int, k: int) -> frozenset[int]:
-    """Faces at distance exactly k from marked face i (k >= 0)."""
-    src = sg.marked[_marked_index(i)]
-    if type(k) is not int or k < 0:
-        raise OutOfRange("layer radius must be a nonnegative int, got %r" % (k,))
-    dist = sg._dist_from(src)
-    return frozenset(f for f, d in enumerate(dist) if d == k)
-
-
 def _check_simple(cm: CombinatorialMap, loop: Loop) -> None:
     """Raise unless the loop's darts are the map's, chain up and visit
     each vertex once."""
@@ -337,21 +325,13 @@ def _check_simple(cm: CombinatorialMap, loop: Loop) -> None:
         raise NotSimple("walk revisits a vertex: %r" % (loop,))
 
 
-def hemispheres(
-    sg: SigmaGraph, loop: Loop
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The two face sets separated by a vertex-simple closed walk: the
-    side left of its first dart, then the other."""
-    _check_simple(sg.cmap, loop)
-    return loop_sides(sg, loop)
-
-
 def loop_sides(sg: SigmaGraph, loop: Loop) -> tuple[frozenset[int], frozenset[int]]:
-    """`hemispheres` without the simplicity check, by dual-tree parity.
+    """The two face sets separated by a vertex-simple closed walk: the side
+    left of its first dart, then the other.
 
-    A face lies on its tree parent's side unless the tree edge between
-    them lies on the loop.  The name stays because `perfbench` times
-    side splits under it.
+    By dual-tree parity: a face lies on its tree parent's side unless the
+    tree edge between them lies on the walk.  Unlike `classify`, it does
+    not check that the walk is closed and vertex-simple.
     """
     order, via, _ = sg._dual_tree()
     cm = sg.cmap

@@ -88,23 +88,6 @@ def nu_transform(tau: Sequence[int]) -> NuVector:
     return NuVector(*(m[(i + 1) % 3] + m[(i + 2) % 3] - d[i] for i in range(3)))
 
 
-def permute_signature(tau: Sequence[int], perm: Sequence[int]) -> SigmaVector:
-    """Signature after relabeling the marked faces by the given permutation.
-
-    perm maps new index to old index; both halves permute the same way
-    because the distance entry at i concerns the pair excluding i.
-    """
-    vals = validate_tau(tau)
-    for p in perm:
-        if type(p) is not int:
-            raise OutOfRange("permutation entries must be ints, got %r" % (p,))
-    if sorted(perm) != [0, 1, 2]:
-        raise NegativeParameter("not a permutation of 0,1,2: %r" % (perm,))
-    m, d = vals.mu, vals.delta
-    return SigmaVector(*(tuple(m[perm[i]] for i in range(3))
-                         + tuple(d[perm[i]] for i in range(3))))
-
-
 @dataclass(frozen=True)
 class LaminationPolytope:
     """A signature together with all its admissible integer triples."""

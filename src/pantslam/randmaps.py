@@ -152,18 +152,14 @@ def _check_count(name: str, value: object) -> None:
         raise OutOfRange("%s must be an int, got %r" % (name, value))
 
 
-def random_map(
-    rng: Union[Random, int],
-    num_faces: int,
-    neutral_prob: float = 0.3,
-) -> CombinatorialMap:
+def random_map(rng: Union[Random, int], num_faces: int) -> CombinatorialMap:
     """Grow a random sphere map with exactly num_faces faces.
 
     Doubling, loop and chord surgeries each add one face; subdivision and
-    pendant edges reshape without adding faces and are mixed in with the
-    given probability.  They are the only surgeries that add vertices and
-    stop after the first 500 steps, so large maps carry all their edges
-    on a few hundred vertices, some of them hubs of very high degree.
+    pendant edges reshape without adding faces, and each of the first 500
+    steps is one of these two with probability 0.3.  They are the only
+    surgeries that add vertices, so large maps carry all their edges on a
+    few hundred vertices, some of them hubs of very high degree.
     """
     if isinstance(rng, int):
         rng = Random(rng)
@@ -175,7 +171,7 @@ def random_map(
     while len(rs.least) < num_faces:
         steps += 1
         ne = rs.num_edges
-        if steps <= 500 and rng.random() < neutral_prob:
+        if steps <= 500 and rng.random() < 0.3:
             if rng.random() < 0.5:
                 rs.subdivide(rng.randrange(ne))
             else:

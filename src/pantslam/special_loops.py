@@ -25,9 +25,9 @@ six-entry signature of the marked graph.
 The loops come from the same search.  For 1 <= k <= d_ij, the faces
 whose widest value from m_j is at least k form m_j's complementary
 component of R_k.  A level-k dart whose right face lies in it is on that
-component's boundary walk, which separates i from j: `loop_toward`
-walks from the first such dart.  For k <= W_i the component also holds
-m_k, and `special_family` takes these walks for k = 1..W_i.
+component's boundary walk, which separates i from j.  For k <= W_i the
+component also holds m_k, and `special_family` walks from the first such
+dart for k = 1..W_i.
 
 Marked faces are numbered 1..3 throughout the public interface.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import OutOfRange
 from .exploration import Loop, SigmaGraph, _marked_index
 
 
@@ -83,23 +82,6 @@ class SpecialLoopFamily:
         return len(self.loops)
 
 
-def loop_toward(sg: SigmaGraph, i: int, j: int, k: int) -> Loop:
-    """The unique level-k loop around marked face i with face j beyond it.
-
-    Indices i and j are 1-based and must be distinct.  Such a loop exists
-    for every level 1..d_ij (see the module docstring).
-    """
-    i0, j0 = _marked_index(i), _marked_index(j)
-    if i0 == j0:
-        raise OutOfRange("need two distinct marked indices, got %r, %r" % (i, j))
-    dij = sg.face_distance(sg.marked[i0], sg.marked[j0])
-    if type(k) is not int or not 1 <= k <= dij:
-        raise OutOfRange(
-            "level %r outside 1..%d for marked pair (%d, %d)" % (k, dij, i, j)
-        )
-    return _toward(sg, i0, _widths(sg, i0, j0, sg.marked[i0]), k)
-
-
 def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     """Loops around marked face i separating it from both other marked faces.
 
@@ -108,16 +90,12 @@ def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     """
     i0 = _marked_index(i)
     best = _widths(sg, i0, (i0 + 1) % 3, sg.marked[i0])
-    size = best[sg.marked[i0 - 1]]
-    return SpecialLoopFamily(i, tuple(_toward(sg, i0, best, k + 1) for k in range(size)))
-
-
-def _toward(sg: SigmaGraph, i0: int, best: list[int], k: int) -> Loop:
-    """The level-k walk around position i0 bounding the faces of widest
-    value at least k, from the first level-k dart whose right face has it."""
     face_of = sg.cmap.face_of_dart
-    start = next(d for d in sg._bucket(i0, k) if best[face_of[d]] >= k)
-    return Loop(sg._walk(i0, k, start))
+    loops = []
+    for k in range(1, best[sg.marked[i0 - 1]] + 1):
+        start = next(d for d in sg._bucket(i0, k) if best[face_of[d]] >= k)
+        loops.append(Loop(sg._walk(i0, k, start)))
+    return SpecialLoopFamily(i, tuple(loops))
 
 
 def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:

@@ -3,14 +3,15 @@ search, the level-by-level packing search, and the helpers that only the
 tests call."""
 
 from collections import deque
-from itertools import permutations
+from itertools import combinations, permutations
 
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import NegativeParameter, OutOfRange
 from pantslam.exploration import Loop
 from pantslam.ladders import block_complex, doubled
 from pantslam.oracle import CycleCatalog
-from pantslam.polytope import nu_transform, permute_signature, validate_tau
+from pantslam.polytope import nu_transform, validate_tau
+from pantslam.special_loops import SigmaVector
 
 
 def flood_sides(cmap, loop):
@@ -35,6 +36,29 @@ def flood_sides(cmap, loop):
     assert not left & right and len(left) + len(right) == cmap.num_faces, (
         "loop does not split the sphere in two")
     return left, right
+
+
+def pair_meeting_breaches(sg, families):
+    """Loop pairs that break the pair-meeting rule, as (i, k, j, l).
+
+    families[i - 1] lists the loops of family i, innermost first.  For
+    marked faces i != j at distance delta, the level-k loop of family i
+    and the level-l loop of family j share a vertex exactly when
+    k + l > delta; two loops of one family never share one.
+    """
+    verts = [[frozenset(lp.vertices(sg.cmap)) for lp in fam] for fam in families]
+    delta = sg.distances()
+    out = []
+    for i0, j0 in combinations(range(3), 2):
+        for k, a in enumerate(verts[i0], 1):
+            for l, b in enumerate(verts[j0], 1):
+                if bool(a & b) != (k + l > delta[3 - i0 - j0]):
+                    out.append((i0 + 1, k, j0 + 1, l))
+    for i0, fam in enumerate(verts):
+        for (k, a), (l, b) in combinations(enumerate(fam, 1), 2):
+            if a & b:
+                out.append((i0 + 1, k, i0 + 1, l))
+    return out
 
 
 def plain_cycles(sg):
@@ -164,6 +188,23 @@ def slack_form_ok(tau):
         if not 0 <= nu[i] <= hi:
             return False
     return True
+
+
+def permute_signature(tau, perm):
+    """Signature after relabeling the marked faces by the given permutation.
+
+    perm maps new index to old index; both halves permute the same way
+    because the distance entry at i concerns the pair excluding i.
+    """
+    vals = validate_tau(tau)
+    for p in perm:
+        if type(p) is not int:
+            raise OutOfRange("permutation entries must be ints, got %r" % (p,))
+    if sorted(perm) != [0, 1, 2]:
+        raise NegativeParameter("not a permutation of 0,1,2: %r" % (perm,))
+    m, d = vals.mu, vals.delta
+    return SigmaVector(*(tuple(m[perm[i]] for i in range(3))
+                         + tuple(d[perm[i]] for i in range(3))))
 
 
 def all_relabelings(tau):

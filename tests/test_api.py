@@ -1,6 +1,9 @@
 """The public surface: exported names, the version, marked-face numbering."""
 
+import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +48,49 @@ def test_benchmark_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _called(tree):
+    """Names the parsed code calls, by name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                names.add(func.attr)
+    return names
+
+
+def _imported(tree):
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    """A public function stays only when a verb, a benchmark workload, the
+    benchmark's tracing or README's Library example reaches it."""
+    root = Path(__file__).resolve().parents[1]
+
+    def parse(path):
+        return ast.parse((root / path).read_text(encoding="utf-8"))
+
+    reached = set()
+    for path in ("src/pantslam/cli.py", "perfbench/workloads.py"):
+        tree = parse(path)
+        reached |= _called(tree) | _imported(tree)
+    (tracing,) = [node for node in parse("perfbench/worker.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "install_tracing"]
+    reached |= {node.value for node in ast.walk(tracing)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    library = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    reached |= _called(ast.parse(library.group(1)))
+    public = [name for name in pantslam.__all__ if inspect.isfunction(getattr(pantslam, name))]
+    assert len(public) > 10
+    unreached = [name for name in public if name not in reached]
+    assert unreached == [], "reached only by tests: " + ", ".join(unreached)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

@@ -12,7 +12,7 @@ from pantslam.errors import (
     NotSimple,
     OutOfRange,
 )
-from pantslam.exploration import Loop, SigmaGraph, hemispheres, layer
+from pantslam.exploration import Loop, SigmaGraph, loop_sides
 from pantslam.ladders import block_graph
 from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import special_family
@@ -65,30 +65,29 @@ def test_distance_matrix_symmetric():
 
 def test_layer_zero_is_the_marked_face():
     sg = theta_graph()
-    for i in (1, 2, 3):
-        assert layer(sg, i, 0) == frozenset({sg.marked[i - 1]})
+    for m in sg.marked:
+        assert [f for f, d in enumerate(sg._dist_from(m)) if d == 0] == [m]
 
 
 def test_layer_negative_radius_rejected():
     sg = theta_graph()
-    for k in (-1, 1.5, "a", True):
-        with pytest.raises(OutOfRange):
-            layer(sg, 1, k)
-    # boundary levels start at 1 and are ints too
-    for k in (0, 1.0, "a", True):
+    # boundary levels start at 1 and are ints
+    for k in (-1, 0, 1.0, 1.5, "a", True):
         with pytest.raises(OutOfRange):
             sg.boundary_loops(1, k)
 
 
 def test_layer_beyond_diameter_is_empty():
-    assert layer(theta_graph(), 1, 5) == frozenset()
+    sg = theta_graph()
+    assert max(sg._dist_from(sg.marked[0])) == 1
+    for k in (2, 5):
+        with pytest.raises(EmptyLayer):
+            sg.boundary_loops(1, k)
 
 
 def test_layer_bad_marked_index():
     sg = theta_graph()
     for i in (4, 1.0, True, "a"):
-        with pytest.raises(OutOfRange):
-            layer(sg, i, 0)
         with pytest.raises(OutOfRange):
             sg.boundary_loops(i, 1)
 
@@ -117,7 +116,7 @@ def test_theta_digons_are_type_loops():
 def test_theta_hemispheres():
     sg = theta_graph()
     (lp,) = sg.boundary_loops(1, 1)
-    sides = hemispheres(sg, lp)
+    sides = loop_sides(sg, lp)
     assert set(map(frozenset, sides)) == {frozenset({0}), frozenset({1, 2})}
 
 
@@ -125,7 +124,7 @@ def test_hemispheres_partition_all_faces():
     sg = block_graph((2, 1, 1, 0, 1, 1))
     for i in (1, 2, 3):
         for lp in sg.boundary_loops(i, 1):
-            a, b = hemispheres(sg, lp)
+            a, b = loop_sides(sg, lp)
             assert a.isdisjoint(b)
             assert a | b == frozenset(range(sg.cmap.num_faces))
 
@@ -140,7 +139,7 @@ def test_hemispheres_match_flood_reference():
             top = min(sg.face_distance(m, f) for f in sg.marked if f != m)
             for k in range(1, min(len(special_family(sg, i)) + 1, top) + 1):
                 for lp in sg.boundary_loops(i, k):
-                    assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), (seed, lp)
+                    assert loop_sides(sg, lp) == flood_sides(sg.cmap, lp), (seed, lp)
                     checked += 1
     assert checked > 500
 
@@ -150,13 +149,11 @@ def test_open_walk_rejected():
     # an open walk, one that closes only when read modulo 6, one past dart 5
     for darts in ((0,), (-6, -3), (6, 9)):
         with pytest.raises(NotClosed):
-            hemispheres(sg, Loop(darts))
-        with pytest.raises(NotClosed):
             sg.classify(Loop(darts))
     # darts that are not ints; (True, 4) would otherwise read as the loop (1, 4)
     for darts in ((0.0, 3.0), ("a",), ("a", 1), (True, 4)):
         with pytest.raises(OutOfRange):
-            hemispheres(sg, Loop(darts))
+            sg.classify(Loop(darts))
     # a walk of no darts
     with pytest.raises(NotClosed):
         Loop(())
@@ -165,8 +162,6 @@ def test_open_walk_rejected():
 def test_vertex_revisit_rejected():
     cm = CombinatorialMap([[0, 6, 2, 4], [5, 3, 7, 1]])
     sg = SigmaGraph(cm, (0, 2, 3))
-    with pytest.raises(NotSimple):
-        hemispheres(sg, Loop((0, 3, 2, 7)))
     with pytest.raises(NotSimple):
         sg.classify(Loop((0, 3, 2, 7)))
 

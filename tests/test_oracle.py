@@ -7,7 +7,7 @@ import pytest
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import EmptyLayer, LimitExceeded, NonSpherical, OutOfRange
-from pantslam.exploration import SigmaGraph, hemispheres
+from pantslam.exploration import SigmaGraph, loop_sides
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
     all_simple_cycles,
@@ -359,7 +359,7 @@ def test_parity_types_match_flood_types(job):
     assert list(cat.types) == _flood_types(sg, cat.cycles)
     _assert_candidates_cover(sg, cat)
     for lp in cat.cycles[:400]:
-        assert hemispheres(sg, lp) == flood_sides(sg.cmap, lp), lp
+        assert loop_sides(sg, lp) == flood_sides(sg.cmap, lp), lp
 
 
 PACKING_CASES = ([("corpus", job) for job in CATALOGUED_JOBS[::10]]

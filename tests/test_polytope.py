@@ -13,12 +13,17 @@ from pantslam.polytope import (
     enumerate_points,
     lamination_space,
     nu_transform,
-    permute_signature,
     validate_tau,
 )
 
 from conftest import theta_graph
-from helpers import all_relabelings, is_downward_closed, slack_form_ok, tau_from_mu_nu
+from helpers import (
+    all_relabelings,
+    is_downward_closed,
+    permute_signature,
+    slack_form_ok,
+    tau_from_mu_nu,
+)
 
 
 def test_validate_accepts_good_tuple():

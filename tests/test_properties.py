@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pantslam.combmap import CombinatorialMap
-from pantslam.exploration import Loop, SigmaGraph, hemispheres, layer
+from pantslam.exploration import Loop, SigmaGraph, loop_sides
 from pantslam.ladders import block_graph, block_signature
-from pantslam.polytope import check_realizable, enumerate_points, nu_transform, permute_signature
+from pantslam.polytope import check_realizable, enumerate_points, nu_transform
 from pantslam.randmaps import random_map, random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
@@ -24,6 +24,8 @@ from helpers import (
     distance_matrix,
     is_downward_closed,
     non_bridge_edges,
+    pair_meeting_breaches,
+    permute_signature,
     slack_form_ok,
     tau_from_mu_nu,
 )
@@ -113,8 +115,7 @@ def test_signature_satisfies_realizability(sg):
 @PROPERTY_SETTINGS
 def test_boundary_loops_are_simple_and_edge_disjoint(sg):
     for i in (1, 2, 3):
-        k = 1
-        while layer(sg, i, k):
+        for k in range(1, max(sg._dist_from(sg.marked[i - 1])) + 1):
             loops = sg.boundary_loops(i, k)
             used_edges = set()
             for lp in loops:
@@ -122,7 +123,6 @@ def test_boundary_loops_are_simple_and_edge_disjoint(sg):
                 assert len(set(verts)) == len(verts)
                 assert used_edges.isdisjoint(lp.edge_set())
                 used_edges |= lp.edge_set()
-            k += 1
 
 
 @given(marked_graphs(max_faces=8))
@@ -131,7 +131,7 @@ def test_hemispheres_partition_faces(sg):
     all_faces = frozenset(range(sg.cmap.num_faces))
     for i in (1, 2, 3):
         for lp in sg.boundary_loops(i, 1):
-            a, b = hemispheres(sg, lp)
+            a, b = loop_sides(sg, lp)
             assert a | b == all_faces
             assert a.isdisjoint(b)
             src = sg.marked[i - 1]
@@ -144,11 +144,10 @@ def test_layer_boundary_separates_near_from_far(sg):
     dm = distance_matrix(sg)
     for i in (1, 2, 3):
         src = sg.marked[i - 1]
-        k = 1
-        while layer(sg, i, k):
+        for k in range(1, max(dm[src]) + 1):
             far_sides = []
             for lp in sg.boundary_loops(i, k):
-                a, b = hemispheres(sg, lp)
+                a, b = loop_sides(sg, lp)
                 far = b if src in a else a
                 far_sides.append(far)
                 # the near face along each strand sits exactly one
@@ -166,23 +165,13 @@ def test_layer_boundary_separates_near_from_far(sg):
                 f for f in range(sg.cmap.num_faces) if dm[src][f] >= k
             }
             assert union == expected
-            k += 1
 
 
 @given(marked_graphs(max_faces=9))
 @PROPERTY_SETTINGS
 def test_interlock_law_on_random_graphs(sg):
-    tau = sigma_of(sg)
-    fams = {i: special_family(sg, i).loops for i in (1, 2, 3)}
-    for i in range(3):
-        d_i = tau.delta[i]
-        fa = fams[(i + 1) % 3 + 1]
-        fb = fams[(i + 2) % 3 + 1]
-        for k in range(1, len(fa) + 1):
-            va = set(fa[k - 1].vertices(sg.cmap))
-            for j in range(1, len(fb) + 1):
-                vb = set(fb[j - 1].vertices(sg.cmap))
-                assert (not (va & vb)) == (j + k <= d_i)
+    fams = [special_family(sg, i).loops for i in (1, 2, 3)]
+    assert pair_meeting_breaches(sg, fams) == []
 
 
 @given(marked_graphs(max_faces=9))
@@ -198,8 +187,8 @@ def test_complementary_inner_sides_are_disjoint(sg):
             j = d_i + 1 - k
             if k > len(fa) or j > len(fb):
                 continue
-            sa = hemispheres(sg, fa[k - 1])
-            sb = hemispheres(sg, fb[j - 1])
+            sa = loop_sides(sg, fa[k - 1])
+            sb = loop_sides(sg, fb[j - 1])
             inner_a = sa[0] if sg.marked[ia - 1] in sa[0] else sa[1]
             inner_b = sb[0] if sg.marked[ib - 1] in sb[0] else sb[1]
             assert inner_a.isdisjoint(inner_b)

@@ -1,6 +1,6 @@
 """Nested separating loop families and the six-number signature."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,13 +12,12 @@ from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import (
     NuVector,
     SigmaVector,
-    loop_toward,
     sigma_of,
     special_family,
 )
 
 from conftest import build_corpus_graph, corpus_jobs, family_corpus, theta_graph
-from helpers import flood_sides
+from helpers import flood_sides, pair_meeting_breaches
 
 
 def test_sigma_vector_views():
@@ -40,43 +39,22 @@ def test_triple_ring_signature(triple_ring):
     assert tuple(sigma_of(triple_ring)) == (1, 1, 1, 2, 2, 2)
 
 
-def test_theta_loop_toward_is_shared():
+def test_special_family_bad_marked_index():
     sg = theta_graph()
-    a = loop_toward(sg, 1, 2, 1)
-    b = loop_toward(sg, 1, 3, 1)
-    assert a.darts == (1, 4)
-    assert a.edge_set() == b.edge_set()
-
-
-def test_loop_toward_needs_distinct_indices():
-    sg = theta_graph()
-    # marked indices that are not ints; True would otherwise read as 1
-    for i, j in ((1, 1), (4, 1), (True, 2), (1.0, 2), (1, 2.0), ("a", 2)):
-        with pytest.raises(OutOfRange):
-            loop_toward(sg, i, j, 1)
-    for i in (0, 1.0, True, "a"):
+    # indices outside 1..3 or not ints; True would otherwise read as 1
+    for i in (0, 4, 1.0, True, "a"):
         with pytest.raises(OutOfRange):
             special_family(sg, i)
 
 
-def test_loop_toward_level_bounds():
-    sg = theta_graph()
-    with pytest.raises(OutOfRange):
-        loop_toward(sg, 1, 2, 0)
-    with pytest.raises(OutOfRange):
-        loop_toward(sg, 1, 2, 2)
-    for k in (1.0, True, "a"):
-        with pytest.raises(OutOfRange):
-            loop_toward(sg, 1, 2, k)
-
-
 def test_crossed_rings_shared_prefix(crossed_rings):
     # the four nested loops around the first marked face agree whichever
-    # far face is used as the target
-    for k in range(1, 5):
-        a = loop_toward(crossed_rings, 1, 2, k)
-        b = loop_toward(crossed_rings, 1, 3, k)
-        assert a.edge_set() == b.edge_set()
+    # far face is used as the target, and they make up its family
+    fam = special_family(crossed_rings, 1)
+    assert len(fam) == 4
+    for k, lp in enumerate(fam.loops, 1):
+        for j0 in (1, 2):
+            assert _reference_toward(crossed_rings, 0, j0, k) == lp
 
 
 def test_theta_families():
@@ -85,6 +63,7 @@ def test_theta_families():
         fam = special_family(sg, i)
         assert fam.i == i
         assert len(fam.loops) == 1
+    assert special_family(sg, 1).loops[0].darts == (1, 4)
     assert special_family(sg, 2).loops[0].darts == (0, 3)
 
 
@@ -147,6 +126,21 @@ def test_family_sizes_are_widest_paths():
     assert len(graphs) > 15_000
 
 
+def test_pair_meeting_rule_on_corpus_and_random_maps():
+    # read off special_family and the distances alone, with no oracle
+    graphs = [build_corpus_graph(*job) for job in corpus_jobs()]
+    graphs += [random_sigma_graph(seed, max_faces=300) for seed in range(100)]
+    pairs = shifted = 0
+    for sg in graphs:
+        fams = [special_family(sg, i).loops for i in (1, 2, 3)]
+        assert pair_meeting_breaches(sg, fams) == [], sg.marked
+        pairs += sum(len(fams[i0]) * len(fams[j0]) for i0, j0 in combinations(range(3), 2))
+        # family 1 with every level shifted by one breaks the rule somewhere
+        shifted += len(pair_meeting_breaches(sg, [fams[0][1:], fams[1], fams[2]]))
+    assert len(graphs) == 1062 and pairs > 13_000
+    assert shifted > 1000
+
+
 # -- differential check against flood-based references ------------------------
 
 
@@ -189,12 +183,5 @@ def test_families_match_flood_reference_in_every_marked_order():
             for i0 in (0, 1, 2):
                 fam = special_family(sg, i0 + 1)
                 assert fam.loops == _reference_family(sg, i0)
-                for j0 in (0, 1, 2):
-                    if j0 == i0:
-                        continue
-                    dij = sg.face_distance(sg.marked[i0], sg.marked[j0])
-                    for k in range(1, min(len(fam) + 1, dij) + 1):
-                        got = loop_toward(sg, i0 + 1, j0 + 1, k)
-                        assert got == _reference_toward(sg, i0, j0, k)
-                        checked += 1
-    assert checked > 1000
+                checked += len(fam)
+    assert checked > 2000
