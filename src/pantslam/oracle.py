@@ -37,6 +37,25 @@ all three types are forbidden, and a cycle of parity 0 is never kept.
 No cycle of a minimal mask is ever cut, so per type the minimal masks
 are those of all cycles, which `all_simple_cycles` lists for the tests.
 
+That search runs on the map's series reduction: each chain, a maximal
+walk through inner vertices (two darts each, neither on a self-loop),
+becomes one edge between its two ends, a chain-loop if they coincide,
+carrying the XOR of the chain's crossing bits and the mask of its inner
+vertices.  An inner vertex lies on its chain's two edges only, so a
+simple cycle visits a whole chain or none of it: the cycles of the map
+are those of the reduced multigraph, with the same parities and masks.
+An inner vertex is no end of a chord, parallel edge or self-loop, so the
+lemma reads on the reduced multigraph with three changes.  A chain cuts
+nothing (its inner vertices lie off the cycle) and leads the path only
+to a vertex off it.  An edge parallel to a chain of the path joins two
+vertices that are not consecutive on the cycle, so it is a chord.  A
+cycle closing at w through a chain has its inner vertices past w, so it
+is forbidden what is forbidden past w.  Each kept cycle is expanded back
+to its darts and leaves its least vertex, which may be inner, by the
+smaller of its two darts there, as `all_simple_cycles` keeps it.  A step
+is one scanned dart of the reduced multigraph, so a chain costs one step
+however long it is.
+
 Each base follows its darts in increasing order, and once the branch
 leaving by dart a is done, edge a leaves the 2-core but still cuts
 cycles as a chord (Read and Tarjan, Networks 5, 1975).  A kept cycle
@@ -141,7 +160,9 @@ def all_simple_cycles(
     bits = sg._dual_tree()[2] if cm is not sg else [0] * cm.num_edges
     found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
-    for base, free, _ in _peeled_bases(cm):  # free: live and off the path
+    heads = [[(d, tail[d ^ 1]) for d in rot] for rot in rotations]
+    # free: live and off the path
+    for base, free, _ in _peeled_bases(heads, range(cm.num_vertices)):
         path: list[int] = []
         odd, mask = 0, 1 << base
         scans = [iter(rotations[base])]  # the unscanned darts at each path vertex
@@ -185,71 +206,80 @@ def candidate_cycles(
     """The cycles of types 1..3 whose vertex masks can be minimal.
 
     The search of `all_simple_cycles`, pruned by the chord-split lemma of
-    the module docstring, with each base edge dropped after its branch.
-    Each cycle kept is one that `all_simple_cycles` finds, in the same
-    direction, with the same type and mask, and per type both catalogs
-    have the same inclusion-minimal masks.  Meeting a vertex reads its
-    rotation once, for its chords, parallel edges and self-loops and for
-    the darts the path may leave it by; a vertex with none is not entered.
+    the module docstring, with each base edge dropped after its branch,
+    run on the map's series reduction (see the module docstring).  Each cycle
+    kept is one that `all_simple_cycles` finds, in the same direction,
+    with the same type and mask, and per type both catalogs have the same
+    inclusion-minimal masks.  Meeting a vertex reads its row once, for its
+    chords, parallel edges and self-loops and for the darts the path may
+    leave it by; a vertex with none is not entered.
 
-    As in `all_simple_cycles`, every scanned dart is one step: each dart
-    of the rotation of a base or of a vertex met, and each dart the path
-    closes by.  LimitExceeded is raised when the cycle count or the step count
-    passes its bound.
+    Every scanned dart of the reduced multigraph is one step: each dart
+    of the row of a base or of a vertex met, and each dart the path closes
+    by.  A chain of degree-2 vertices costs one step however long it is.
+    LimitExceeded is raised when the cycle count or the step count passes
+    its bound.
     """
-    cm = sg.cmap
-    tail, bits = cm.dart_vertex, sg._dual_tree()[2]
-    # per vertex, per dart of its rotation: the dart, its head and its bits
-    darts = [[(d, tail[d ^ 1], bits[d >> 1]) for d in rot] for rot in cm.rotations]
-    at = [-1] * cm.num_vertices  # per path vertex but the base: the parity of the path to it
+    tail = sg.cmap.dart_vertex
+    bases, rows, runs = _series_reduced(sg.cmap, sg._dual_tree()[2])
+    at = [-1] * len(rows)  # per path vertex but the base: the parity of the path to it
     found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
     nodes = 0
-    for base, live, drop in _peeled_bases(cm):
-        nodes += len(darts[base])
+    for base, live, drop in _peeled_bases(rows, bases):
+        row = rows[base]
+        nodes += len(row)
         if nodes > node_limit:
             raise LimitExceeded("cycle search passed %d steps" % node_limit)
         loops = 1  # bit p set by a self-loop of parity p at the base
-        for t in darts[base]:
-            if t[1] == base:
+        for t in row:
+            if t[1] == base and not t[3]:
                 loops |= 1 << t[2]
         path: list[int] = []
-        mask = 1 << base
-        for first in sorted(darts[base]):  # in dart order; see the module docstring
+        for first in sorted(row):  # in dart order; see the module docstring
             if first[1] != base and not (live[first[1]] and live[base]):
                 continue  # a dead base enters nothing
             # per path vertex: the darts still to follow, the vertex, the parity
-            # of the path to it, and two sets of parities (bit p for parity p,
-            # bit 0 always set, since parity 0 types nothing): those no cycle
-            # closing at the vertex may have, and those no longer cycle may have
-            stack = [(iter((first,)), base, 0, 1, loops)]
+            # of the path to it, two sets of parities (bit p for parity p, bit 0
+            # always set, since parity 0 types nothing): those no cycle closing
+            # at the vertex by an edge may have, and those no longer cycle may
+            # have, and the mask of the path
+            stack = [(iter((first,)), base, 0, 1, loops, 1 << base)]
             while stack:
-                scan, v, here, shut, banned = stack[-1]
-                for d, w, b in scan:
+                scan, v, here, shut, banned, mask = stack[-1]
+                for d, w, b, m, r in scan:
                     odd = here ^ b
                     if w == base:
                         nodes += 1
                         if nodes > node_limit:
                             raise LimitExceeded("cycle search passed %d steps" % node_limit)
-                        if (path[0] if path else d) < d ^ 1 and not shut >> odd & 1:
-                            found.append(Loop(path + [d]))
+                        # a chain's inner vertices inherit the banned set
+                        if (path[0] if path else d) < r and not (banned if m else shut) >> odd & 1:
+                            found.append(_unreduced(path + [d], mask | m, runs, tail))
                             types.append(_TYPE_OF_PARITY[odd])
-                            masks.append(mask)
+                            masks.append(mask | m)
                             if len(found) > cycle_limit:
                                 raise LimitExceeded("more than %d cycles" % cycle_limit)
                         continue
+                    prev = -1 if m else v  # v, unless a chain's inner vertices lie between
                     cut, ban, ends, out = banned, banned, [], []  # w's shut and banned
-                    for t in darts[w]:
+                    for t in rows[w]:
                         nodes += 1
                         if nodes > node_limit:
                             raise LimitExceeded("cycle search passed %d steps" % node_limit)
                         x = t[1]
+                        if t[3]:  # a chain cuts nothing and leads only off the path
+                            if x == base:
+                                ends.append(t)
+                            elif x != w and at[x] < 0 and live[x]:
+                                out.append(t)
+                            continue
                         q = odd ^ t[2]  # with at[x]: the parity of the cycle t closes
                         if x == base:
-                            # a chord of every longer cycle, unless v is the
+                            # a chord of every longer cycle, unless prev is the
                             # base; then parallel to d, 0 for d itself
                             if q:
                                 ban |= 1 << q
-                            elif v != base:
+                            elif prev != base:
                                 break
                             ends.append(t)
                         elif x == w:  # a self-loop
@@ -258,10 +288,10 @@ def candidate_cycles(
                             if live[x]:
                                 out.append(t)
                         else:
-                            # a chord's, unless x is v; then a digon's, and 0
+                            # a chord's, unless x is prev; then a digon's, and 0
                             # for the edge the path came by
                             q ^= at[x]
-                            if not q and x != v:
+                            if not q and x != prev:
                                 break
                             cut |= 1 << q
                     else:
@@ -270,37 +300,90 @@ def candidate_cycles(
                         if out and cut != 15:  # enter w; this break leaves the scan of v
                             path.append(d)
                             at[w] = odd
-                            mask ^= 1 << w
-                            stack.append((iter(out), w, odd, cut, ban))
+                            stack.append((iter(out), w, odd, cut, ban, mask | 1 << w | m))
                             break
                 else:
                     stack.pop()
                     if path:
-                        w = tail[path.pop() ^ 1]
-                        at[w] = -1
-                        mask ^= 1 << w
+                        path.pop()
+                        at[v] = -1
             if first[1] != base:  # no kept cycle still to come uses this edge
-                drop(first[0])
+                drop(base, first)
     return CycleCatalog(tuple(found), tuple(types), tuple(masks))
 
 
-def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool], Callable[[int], None]]]:
+def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, list, dict]:
+    """The map's series reduction (see the module docstring), O(V+E).
+
+    Every vertex but an inner one is a branch vertex; if all are inner,
+    the map is one cycle and vertex 0 ends its chain.  Each reduced dart
+    is a tuple (d, x, b, m, r): d is the dart it leaves its branch vertex
+    by, x its head, b the XOR of the crossing bits along it, m the mask
+    of its inner vertices (0 for an edge of the map) and r the d of the
+    reduced dart back.  Returns the branch vertices in increasing order,
+    per vertex its row (its reduced darts in rotation order, None for an
+    inner vertex), and per chain dart d the darts of the map along it.
+    """
+    rotations, tail, nxt = cm.rotations, cm.dart_vertex, cm._next
+    inner = [len(rot) == 2 and tail[rot[0] ^ 1] != v for v, rot in enumerate(rotations)]
+    bases = [v for v, i in enumerate(inner) if not i]
+    if not bases:  # one cycle: vertex 0 ends its only chain
+        inner[0] = False
+        bases = [0]
+    rows = [None] * cm.num_vertices
+    runs = {}
+    for v in bases:
+        rows[v] = row = []
+        for d0 in rotations[v]:
+            d, b, m, w = d0, bits[d0 >> 1], 0, tail[d0 ^ 1]
+            run = [d0]
+            while inner[w]:
+                m |= 1 << w
+                d = nxt[d ^ 1]  # w's other dart
+                run.append(d)
+                b ^= bits[d >> 1]
+                w = tail[d ^ 1]
+            row.append((d0, w, b, m, d ^ 1))
+            if m:
+                runs[d0] = run
+    return bases, rows, runs
+
+
+def _unreduced(darts: list[int], mask: int, runs: dict, tail: Sequence[int]) -> Loop:
+    """The Loop of a cycle given by reduced darts, with its chains expanded,
+    in the direction `all_simple_cycles` keeps: leaving the cycle's least
+    vertex, which may be inner, by the smaller of its two darts there."""
+    if runs.keys().isdisjoint(darts):  # all its vertices branch: the base is least
+        return Loop(darts)
+    darts = [e for d in darts for e in runs.get(d, (d,))]
+    low = (mask & -mask).bit_length() - 1
+    i = next(i for i, d in enumerate(darts) if tail[d] == low)
+    if darts[i] > darts[i - 1] ^ 1:
+        darts = [d ^ 1 for d in reversed(darts)]
+    return Loop(darts)
+
+
+def _peeled_bases(rows: Sequence, bases: Sequence[int]) -> Iterator[tuple[int, list, Callable]]:
     """Each base vertex in turn, with the list of live vertices and a drop.
 
-    A vertex with fewer than two non-loop darts to live vertices lies on
-    no cycle through another vertex, so it dies, and so may its
-    neighbours in turn; base b-1 dies before base b is yielded.  The live
-    vertices thus form the 2-core from the base up, which holds every
-    cycle through the base and higher vertices only.  drop(d) takes the
-    edge of dart d out of that core for good, with the same cascade.
-    Each edge is counted off at most once, so the deaths cost O(V+E) in
-    total.  A caller that marks vertices dead while searching from a base
-    revives them before asking for the next.
+    rows[v] lists the darts at base v as tuples that start with the dart
+    and its head; bases lists the vertices with a row, in increasing
+    order.  A vertex with fewer than two non-loop darts to live vertices
+    lies on no cycle through another vertex, so it dies, and so may its
+    neighbours in turn; base b dies before the next base is yielded.  The
+    live vertices thus form the 2-core from the base up, which holds
+    every cycle through the base and higher vertices only.  drop(v, t)
+    takes the edge of dart t at v, whose tuple ends with the dart back,
+    out of that core for good, with the same cascade.  Each edge is
+    counted off at most once, so the deaths cost O(V+E) in total.  A
+    caller that marks vertices dead while searching from a base revives
+    them before asking for the next.
     """
-    rotations, tail = cm.rotations, cm.dart_vertex
-    # deg: non-loop darts to live vertices, by edges not dropped (gone)
-    deg = [sum(tail[d ^ 1] != v for d in rot) for v, rot in enumerate(rotations)]
-    live, gone = [True] * cm.num_vertices, bytearray(cm.num_edges)
+    # deg: non-loop darts to live vertices, by edges not dropped (darts in gone)
+    deg = [0] * len(rows)
+    for v in bases:
+        deg[v] = sum(t[1] != v for t in rows[v])
+    live, gone = [True] * len(rows), set()
 
     def lower(ends: list[int]) -> None:  # each live vertex of ends loses a dart
         while ends:
@@ -309,15 +392,15 @@ def _peeled_bases(cm: CombinatorialMap) -> Iterator[tuple[int, list[bool], Calla
                 deg[v] -= 1
                 if deg[v] < 2:
                     live[v] = False
-                    ends.extend(tail[d ^ 1] for d in rotations[v] if not gone[d >> 1])
+                    ends.extend(t[1] for t in rows[v] if t[0] not in gone)
 
-    def drop(d: int) -> None:
-        if live[tail[d]] and live[tail[d ^ 1]]:  # else a death counted it off
-            gone[d >> 1] = 1
-            lower([tail[d], tail[d ^ 1]])
+    def drop(v: int, t: tuple) -> None:
+        if live[v] and live[t[1]]:  # else a death counted it off
+            gone.update((t[0], t[-1]))
+            lower([v, t[1]])
 
-    lower([v for v, k in enumerate(deg) if k < 2])
-    for base in range(cm.num_vertices):
+    lower([v for v in bases if deg[v] < 2])
+    for base in bases:
         yield base, live, drop
         if live[base]:  # it loses every dart and dies
             lower([base] * deg[base])
@@ -328,13 +411,27 @@ def _minimal_masks(masks: list[int]) -> tuple[int, ...]:
 
     Packing questions are unchanged by this reduction: swapping a cycle
     for one of the same type visiting a vertex subset keeps any disjoint
-    collection disjoint, with the same type counts.
+    collection disjoint, with the same type counts.  The masks are kept
+    by size, each unless a kept one is its subset; the kept masks are
+    filed by their lowest bit, so a new mask meets only those filed under
+    one of its own bits.
     """
     distinct = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
+    filed: dict[int, list[int]] = {}  # per lowest bit: the kept masks with it
+    lows = 0  # the bits filed under
     for m in distinct:
-        if not any((k & m) == k for k in kept):
+        hit = m & lows
+        while hit:
+            low = hit & -hit
+            if any(k & m == k for k in filed[low]):
+                break
+            hit ^= low
+        else:
             kept.append(m)
+            low = m & -m
+            filed.setdefault(low, []).append(m)
+            lows |= low
     return tuple(kept)
 
 

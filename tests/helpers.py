@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import NegativeParameter, OutOfRange
-from pantslam.exploration import Loop
+from pantslam.exploration import Loop, SigmaGraph
 from pantslam.ladders import block_complex, doubled
 from pantslam.oracle import CycleCatalog
 from pantslam.polytope import nu_transform, validate_tau
@@ -275,3 +275,22 @@ def delete_edge(cmap, k):
         if new:
             rots.append(new)
     return CombinatorialMap(rots)
+
+
+def subdivided(sg, edges):
+    """Each listed edge in turn split by a new vertex of degree 2, marking
+    the same faces.  Edge e keeps its first end and the new edge takes its
+    second, so an edge listed may be one an earlier split made."""
+    cm = sg.cmap
+    rots = [list(r) for r in cm.rotations]
+    where = {d: (v, p) for v, r in enumerate(rots) for p, d in enumerate(r)}
+    m = cm.num_edges
+    for e in edges:
+        v, p = where[2 * e + 1]
+        rots[v][p] = 2 * m + 1
+        where[2 * m + 1] = (v, p)
+        where[2 * e + 1], where[2 * m] = (len(rots), 0), (len(rots), 1)
+        rots.append([2 * e + 1, 2 * m])
+        m += 1
+    new = CombinatorialMap(rots)
+    return SigmaGraph(new, tuple(new.face_of(cm.faces[f][0]) for f in sg.marked))

@@ -20,7 +20,7 @@ from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
 from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, theta_graph
-from helpers import flood_sides, packing_by_levels, plain_cycles
+from helpers import flood_sides, packing_by_levels, plain_cycles, subdivided
 
 
 def test_triangle_has_one_cycle():
@@ -158,7 +158,8 @@ def test_candidate_limits_enforced(crossed_rings):
 
 def test_pruned_search_fits_a_small_step_budget():
     # the full search takes 1,493,006 steps on this block, the pruned one
-    # 44,248 (61,407 before each base edge was dropped after its branch)
+    # 40,702 (44,248 before chains were contracted, 61,407 before each base
+    # edge was dropped after its branch)
     sg = block_graph((2, 1, 2, 1, 2, 0))
     with pytest.raises(LimitExceeded):
         all_simple_cycles(sg, node_limit=50_000)
@@ -167,11 +168,20 @@ def test_pruned_search_fits_a_small_step_budget():
 
 
 def test_pruned_search_skips_the_last_branch_of_a_base():
-    # base 0 has three branches, one per path; the third is never entered,
-    # as the first two drop their edges and base 0 dies with one left.
-    # The search takes 16,001 steps; it took 24,000 entering all three.
-    cat = candidate_cycles(theta_graph(1000), node_limit=17_000)
+    # each path is one chain, so base 0 has three branches, one per chain;
+    # the third is never entered, as the first two drop their edges and
+    # base 0 dies with one left.  The search takes 18 steps: 3 at each
+    # base, 3 to meet vertex 1 and 3 to close, per branch; entering the
+    # third branch would take 6 more.
+    cat = candidate_cycles(theta_graph(1000), node_limit=18)
     assert sorted(cat.types) == [1, 2, 3]
+
+
+def test_pruned_search_steps_do_not_grow_along_chains():
+    for n in (2, 10_000):
+        with pytest.raises(LimitExceeded):
+            candidate_cycles(theta_graph(n), node_limit=17)
+        assert len(candidate_cycles(theta_graph(n), node_limit=18)) == 3
 
 
 def test_pruned_search_counts_every_scanned_dart():
@@ -220,11 +230,11 @@ def _hung(sg, seed, pendants=8, loops=3):
 
 
 def _doubled(sg, seed, parallels=3, loops=2):
-    """sg's map with random edges doubled, each copy closing a digon,
-    and self-loops in random corners; the first loop's monogon replaces a
-    random marked face.  On a map whose vertices all lie on the 2-core,
-    the search meets every copy and loop as a parallel edge or self-loop
-    of the path."""
+    """sg's map with random edges doubled, self-loops too, each copy
+    closing a digon, and self-loops in random corners; the first loop's
+    monogon replaces a random marked face.  On a map whose vertices all
+    lie on the 2-core, the search meets every copy and loop as a parallel
+    edge or self-loop of the path."""
     rng = random.Random(seed)
     rots = [list(r) for r in sg.cmap.rotations]
     tail = sg.cmap.dart_vertex
@@ -232,8 +242,6 @@ def _doubled(sg, seed, parallels=3, loops=2):
     for _ in range(parallels):
         d = rng.randrange(2 * sg.cmap.num_edges)
         u, v = tail[d], tail[d ^ 1]
-        if u == v:
-            continue
         for a, b in ((1, 0), (0, 1)):  # the order that keeps the map spherical
             trial = [list(r) for r in rots]
             trial[u].insert(trial[u].index(d) + a, 2 * e)
@@ -260,11 +268,32 @@ def _doubled(sg, seed, parallels=3, loops=2):
     return SigmaGraph(cm, marked)
 
 
+def _subdivided(sg, seed, cuts=6):
+    """sg's map with random edges split by new vertices of degree 2, the
+    new edges too, so self-loops become chain-loops, parallel edges
+    parallel chains, and some chains hold several vertices; all vertices
+    are shuffled, so a chain's vertex may be the least of a cycle."""
+    rng = random.Random(seed)
+    sub = subdivided(sg, [rng.randrange(sg.cmap.num_edges + k) for k in range(cuts)])
+    rots = list(sub.cmap.rotations)
+    rng.shuffle(rots)
+    cm = CombinatorialMap(rots)
+    return SigmaGraph(cm, [cm.face_of(sub.cmap.faces[f][0]) for f in sub.marked])
+
+
+# The subdivided cases put chains where the reduced search reads the
+# lemma its own way: a copy parallel to a chain of the path and a chain
+# into the base under a ban (doubled theta and block), a chain-loop at a
+# base beside a plain self-loop of the same parity (doubled nested, whose
+# loops get copies), and cycles whose least vertex is inside a chain (all
+# three).  Breaking any of these rules in the search fails some case.
 PLAIN_CASES = ([("nested", 50), ("theta", 50)]
                + [("hung theta", s) for s in range(3)]
                + [("hung block", s) for s in range(3)]
                + [("doubled theta", s) for s in range(4)]
-               + [("doubled block", s) for s in range(4)])
+               + [("doubled block", s) for s in range(4)]
+               + [("subdivided doubled " + kind, s)
+                  for kind in ("theta", "block", "nested") for s in range(4)])
 
 
 def _case_graph(case):
@@ -275,11 +304,16 @@ def _case_graph(case):
         return theta_graph(n)
     if kind == "corpus":
         return build_corpus_graph(*n)
-    if kind.endswith("block"):
+    if kind.startswith("subdivided "):
+        return _subdivided(_case_graph((kind[len("subdivided "):], n)), n)
+    how, _, of = kind.partition(" ")
+    if of == "block":
         base = block_graph((1, 1, 0, 0, 0, 1))
+    elif of == "nested":
+        base = nested_loops(6)
     else:
-        base = theta_graph() if kind == "hung theta" else theta_graph(2)
-    return (_hung if kind.startswith("hung") else _doubled)(base, n)
+        base = theta_graph() if how == "hung" else theta_graph(2)
+    return (_hung if how == "hung" else _doubled)(base, n)
 
 
 @pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
@@ -364,7 +398,7 @@ def test_parity_types_match_flood_types(job):
 
 PACKING_CASES = ([("corpus", job) for job in CATALOGUED_JOBS[::10]]
                  + [("corpus", ("block", (2, 1, 2, 1, 2, 0))), ("nested", 50)]
-                 + [case for case in PLAIN_CASES if case[0].startswith(("hung", "doubled"))])
+                 + [case for case in PLAIN_CASES if case[0] not in ("nested", "theta")])
 
 
 @pytest.mark.parametrize("case", PACKING_CASES, ids=repr)
@@ -444,3 +478,23 @@ def test_cycles_match_edge_subset_brute_force(job):
     got = [lp.edge_set() for lp in all_simple_cycles(sg).cycles]
     assert len(set(got)) == len(got)
     assert set(got) == _cycle_edge_sets(sg.cmap)
+
+
+METAMORPHIC_CASES = ([("corpus", job) for job in corpus_jobs()[::40]]
+                     + [("random", seed) for seed in range(10)])
+
+
+@pytest.mark.parametrize("case", METAMORPHIC_CASES, ids=repr)
+def test_subdivision_keeps_sigma_and_lamination_space(case):
+    # 15 random splits, of self-loops, parallel edges and earlier splits
+    # too: no cycle changes type and no two cycles start or stop meeting,
+    # so sigma, the lamination space and the packing numbers stay (the
+    # minimal mask counts may change: a split copy is a mask of its own)
+    kind, n = case
+    sg = _case_graph(case) if kind == "corpus" else random_sigma_graph(n, max_faces=14)
+    sub = _subdivided(sg, repr(case), cuts=15)
+    assert sigma_of(sub) == sigma_of(sg)
+    cat, sub_cat = candidate_cycles(sg), candidate_cycles(sub)
+    assert lamination_space_bruteforce(sub, sub_cat) == lamination_space_bruteforce(sg, cat)
+    for i in (1, 2, 3):
+        assert max_disjoint_type(sub, i, sub_cat) == max_disjoint_type(sg, i, cat)

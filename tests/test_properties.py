@@ -27,6 +27,7 @@ from helpers import (
     pair_meeting_breaches,
     permute_signature,
     slack_form_ok,
+    subdivided,
     tau_from_mu_nu,
 )
 
@@ -330,28 +331,13 @@ def _renumbered(sg, seed):
     return SigmaGraph(new, tuple(new.face_of(dmap[cm.faces[f][0]]) for f in sg.marked))
 
 
-def _subdivided(sg, edges):
-    """Each listed edge split by a new vertex of degree 2."""
-    cm = sg.cmap
-    rots = [list(r) for r in cm.rotations]
-    where = {d: (v, p) for v, r in enumerate(rots) for p, d in enumerate(r)}
-    m = cm.num_edges
-    for e in edges:
-        v, p = where[2 * e + 1]
-        rots[v][p] = 2 * m + 1
-        rots.append([2 * e + 1, 2 * m])
-        m += 1
-    new = CombinatorialMap(rots)
-    return SigmaGraph(new, tuple(new.face_of(cm.faces[f][0]) for f in sg.marked))
-
-
 def test_large_signature_survives_mirroring_renumbering_and_subdivision():
     for t in BIG_BLOCKS[1:]:
         sg = block_graph(t)
         tau = sigma_of(sg)
         assert sigma_of(_mirrored(sg)) == tau
         assert sigma_of(_renumbered(sg, sum(t))) == tau
-        sub = _subdivided(sg, range(0, sg.cmap.num_edges, 3))
+        sub = subdivided(sg, range(0, sg.cmap.num_edges, 3))
         assert sub.cmap.num_vertices > sg.cmap.num_vertices
         assert sigma_of(sub) == tau
 
@@ -378,6 +364,6 @@ def test_large_random_signature_survives_mirroring_renumbering_and_subdivision()
         tau = sigma_of(sg)
         assert sigma_of(_mirrored(sg)) == tau
         assert sigma_of(_renumbered(sg, seed + nf)) == tau
-        sub = _subdivided(sg, range(0, sg.cmap.num_edges, 3))
+        sub = subdivided(sg, range(0, sg.cmap.num_edges, 3))
         assert sub.cmap.num_vertices > sg.cmap.num_vertices
         assert sigma_of(sub) == tau
