@@ -13,7 +13,7 @@ Validity demands the sphere condition V - E + F = 2.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -38,8 +38,8 @@ class CombinatorialMap:
     )
 
     def __init__(self, rotations: Sequence[Sequence[int]]):
-        rots = tuple(tuple(r) for r in rotations)
-        all_darts = [d for r in rots for d in r]
+        rots = tuple(map(tuple, rotations))
+        all_darts = list(chain.from_iterable(rots))
         n = len(all_darts)
         if n == 0:
             raise MalformedRotation("map must have at least one edge")
@@ -54,10 +54,13 @@ class CombinatorialMap:
         dart_vertex = [0] * n
         nxt = [0] * n
         for v, r in enumerate(rots):
-            k = len(r)
-            for i, d in enumerate(r):
+            if not r:  # left for the connectivity check to reject
+                continue
+            prev = r[-1]
+            for d in r:
                 dart_vertex[d] = v
-                nxt[d] = r[(i + 1) % k]
+                nxt[prev] = d
+                prev = d
         self.dart_vertex = tuple(dart_vertex)
         self._next = tuple(nxt)
 
@@ -118,20 +121,18 @@ class CombinatorialMap:
         nv = len(self.rotations)
         if nv == 0:
             raise MalformedRotation("no vertices")
+        rotations, tail = self.rotations, self.dart_vertex
         seen = [False] * nv
         seen[0] = True
-        queue = deque([0])
-        reached = 1
-        while queue:
-            v = queue.popleft()
-            for d in self.rotations[v]:
-                w = self.dart_vertex[d ^ 1]
+        queue = [0]
+        for v in queue:
+            for d in rotations[v]:
+                w = tail[d ^ 1]
                 if not seen[w]:
                     seen[w] = True
-                    reached += 1
                     queue.append(w)
-        if reached != nv:
-            raise Disconnected("%d of %d vertices reachable" % (reached, nv))
+        if len(queue) != nv:
+            raise Disconnected("%d of %d vertices reachable" % (len(queue), nv))
 
     def _trace_faces(self):
         """Face orbits in canonical order, and the face of each dart.
@@ -142,21 +143,26 @@ class CombinatorialMap:
         The darts are exactly 0..2E-1, so `_next` and the twin swap both
         permute them, and so does their composite.  Its orbits are cycles,
         and earlier orbits are whole ones, so a trace stops only on
-        returning to the dart it was opened with.
+        returning to the dart it was opened with.  The composite is built
+        as one list, `_next` with the entries of each dart pair swapped.
         """
-        n = len(self.dart_vertex)
+        nxt = self._next
+        n = len(nxt)
+        step = [0] * n
+        step[0::2], step[1::2] = nxt[1::2], nxt[0::2]
         face_of = [-1] * n
         faces = []
         for start in range(n):
             if face_of[start] != -1:
                 continue
             f = len(faces)
-            orbit = []
-            d = start
-            while face_of[d] == -1:
+            face_of[start] = f
+            orbit = [start]
+            d = step[start]
+            while d != start:
                 face_of[d] = f
                 orbit.append(d)
-                d = self._next[d ^ 1]
+                d = step[d]
             faces.append(tuple(orbit))
         return tuple(faces), tuple(face_of)
 
@@ -173,10 +179,11 @@ class CombinatorialMap:
         rots = data.get("vertices")
         if not isinstance(rots, list) or not all(isinstance(r, list) for r in rots):
             raise MalformedRotation("vertices must be a list of dart lists")
-        for r in rots:
-            for d in r:
-                if type(d) is not int:
-                    raise MalformedRotation("vertices: dart %r is not an int" % (d,))
+        if not set(map(type, chain.from_iterable(rots))) <= {int}:
+            for r in rots:
+                for d in r:
+                    if type(d) is not int:
+                        raise MalformedRotation("vertices: dart %r is not an int" % (d,))
         return cls(rots)
 
     def __eq__(self, other) -> bool:

@@ -52,7 +52,6 @@ alone: it is the one walk typed i or j.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from .combmap import CombinatorialMap
@@ -167,9 +166,8 @@ class SigmaGraph:
         dist = [-1] * cm.num_faces
         dist[src] = 0
         expanded = [False] * cm.num_vertices
-        queue = deque([src])
-        while queue:
-            f = queue.popleft()
+        queue = [src]
+        for f in queue:
             near = dist[f] + 1
             for d in faces[f]:
                 v = tail[d]
@@ -272,13 +270,14 @@ class SigmaGraph:
         """
         if self._tree is None:
             cm = self.cmap
+            faces, face_of = cm.faces, cm.face_of_dart
             root = self.marked[0]
             via = [-2] * cm.num_faces  # -2 until the face is reached
             via[root] = -1
             order = [root]
             for f in order:
-                for d in cm.faces[f]:
-                    g = cm.left_face(d)
+                for d in faces[f]:
+                    g = face_of[d ^ 1]
                     if via[g] == -2:
                         via[g] = d
                         order.append(g)
@@ -286,7 +285,7 @@ class SigmaGraph:
             for bit, f in ((1, self.marked[1]), (2, self.marked[2])):
                 while f != root:
                     bits[via[f] >> 1] |= bit
-                    f = cm.face_of(via[f])
+                    f = face_of[via[f]]
             self._tree = (order, via, bits)
         return self._tree
 

@@ -17,6 +17,7 @@ distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import NegativeParameter, NonPositiveDelta, OutOfRange
@@ -106,12 +107,19 @@ def _point_runs(tau: SigmaVector):
     The coordinatewise caps and the pair sums give x <= min(m1, d2),
     y <= min(m2, d1, d3 - x) and top = min(m3, d1 - y, d2 - x); the extra
     caps x <= d2 and y <= d1 keep every run nonempty.  The first run is
-    always (0, 0, ...), the one holding the origin.
+    always (0, 0, ...), the one holding the origin.  For one x, with
+    c = min(m3, d2 - x), top is c while y < d1 - c and d1 - y after that,
+    so each x's runs are zipped from C iterators: the interpreter steps
+    once per x, not once per run.
     """
     m1, m2, m3, d1, d2, d3 = tau
-    for x in range(min(m1, d2) + 1):
-        for y in range(min(m2, d1, d3 - x) + 1):
-            yield x, y, min(m3, d1 - y, d2 - x)
+
+    def runs_at(x):
+        c = min(m3, d2 - x)
+        tops = chain(repeat(c, d1 - c), range(min(c, d1), -1, -1))
+        return zip(repeat(x), range(min(m2, d1, d3 - x) + 1), tops)
+
+    return chain.from_iterable(map(runs_at, range(min(m1, d2) + 1)))
 
 
 def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:

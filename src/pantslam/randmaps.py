@@ -4,8 +4,10 @@ Maps grow from a single self-loop by local surgeries on the rotation
 system; every surgery preserves planarity, so each intermediate map
 stays a valid sphere map.  The rotations live in per-dart successor and
 predecessor links while the map grows, so each surgery costs O(1) plus
-the length of the faces it touches, and the finished rotations are built
-into one `CombinatorialMap`, which validates them once.
+the length of the faces it touches.  Every surgery adds exactly one
+edge, so the growth loop counts the edges itself, one per surgery.  The
+finished rotations are built into one `CombinatorialMap`, which
+validates them once.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ class _Rotations:
         self.head = [0]
         self.least = [0, 1]
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.vertex) // 2
-
     def face(self, i: int) -> list[int]:
         """Face i in canonical order: its orbit from its least dart."""
         return self._orbit(self.least[i])
@@ -63,9 +61,10 @@ class _Rotations:
         return out
 
     def _new_edge(self) -> int:
-        m = self.num_edges
-        for links in (self.nxt, self.prv, self.vertex):
-            links += (0, 0)
+        m = len(self.vertex) >> 1
+        self.nxt += (0, 0)
+        self.prv += (0, 0)
+        self.vertex += (0, 0)
         return m
 
     def _new_vertex(self, d: int) -> None:
@@ -74,9 +73,10 @@ class _Rotations:
         self.head.append(d)
 
     def _insert_after(self, x: int, d: int) -> None:
-        y = self.nxt[x]
-        self.nxt[x], self.prv[d], self.nxt[d], self.prv[y] = d, x, y, d
-        self.vertex[d] = self.vertex[x]
+        nxt, prv, vertex = self.nxt, self.prv, self.vertex
+        y = nxt[x]
+        nxt[x], prv[d], nxt[d], prv[y] = d, x, y, d
+        vertex[d] = vertex[x]
 
     def _insert_before(self, x: int, d: int) -> None:
         self._insert_after(self.prv[x], d)
@@ -167,29 +167,31 @@ def random_map(rng: Union[Random, int], num_faces: int) -> CombinatorialMap:
     if num_faces < 2:
         raise OutOfRange("a sphere map has at least 2 faces")
     rs = _Rotations()
-    steps = 0
-    while len(rs.least) < num_faces:
-        steps += 1
-        ne = rs.num_edges
-        if steps <= 500 and rng.random() < 0.3:
-            if rng.random() < 0.5:
-                rs.subdivide(rng.randrange(ne))
+    least = rs.least
+    random, randrange = rng.random, rng.randrange
+    # the edge count, which is also the number of the step: each adds one
+    ne = 1
+    while len(least) < num_faces:
+        if ne <= 500 and random() < 0.3:
+            if random() < 0.5:
+                rs.subdivide(randrange(ne))
             else:
-                rs.pendant(rng.randrange(2 * ne))
+                rs.pendant(randrange(2 * ne))
         else:
-            pick = rng.random()
+            pick = random()
             if pick < 0.4:
-                rs.double(rng.randrange(ne))
+                rs.double(randrange(ne))
             elif pick < 0.7:
-                rs.loop(rng.randrange(2 * ne))
+                rs.loop(randrange(2 * ne))
             else:
-                i = rng.randrange(len(rs.least))
+                i = randrange(len(least))
                 face = rs.face(i)
                 if len(face) < 2:
-                    rs.loop(rng.randrange(2 * ne))
+                    rs.loop(randrange(2 * ne))
                 else:
                     a, b = rng.sample(face, 2)
                     rs.chord(i, a, b)
+        ne += 1
     return CombinatorialMap(rs.rotations())
 
 

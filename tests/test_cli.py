@@ -295,6 +295,8 @@ BAD_SHAPES = [
     '{"vertices": 5}',
     # past the parser's limit on the digits of an int
     pytest.param("[%s]" % ("1" * 5000), id="5000-digit-int"),
+    # an empty rotation beside a self-loop's: a vertex with no darts
+    '{"vertices": [[0, 1], []], "marked_faces": [0, 1, 0]}',
 ]
 
 
@@ -321,11 +323,24 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=12,
 )
+
+
+@st.composite
+def _cut_darts(draw):
+    """The darts 0..2k-1 shuffled and cut into at most 4 rotations, some
+    perhaps empty: near-valid maps that pass the dart count."""
+    n = 2 * draw(st.integers(1, 4))
+    darts = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    return [darts[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
 # near misses of a graph file, so map validation and the pipeline are reached
 GRAPH_LIKE = st.fixed_dictionaries(
     {},
     optional={
         "vertices": st.lists(st.lists(st.integers(-1, 9), max_size=4), max_size=4)
+        | _cut_darts()
         | JSON_VALUES,
         "marked_faces": st.lists(st.integers(-1, 4), max_size=4) | JSON_VALUES,
     },

@@ -73,6 +73,10 @@ def test_missing_dart_rejected():
 def test_empty_vertex_rejected():
     with pytest.raises(MalformedRotation):
         CombinatorialMap([[]])
+    # an empty rotation beside darts: nothing reaches or leaves it
+    for rots in ([[0, 1], []], [[], [0, 1]]):
+        with pytest.raises(Disconnected):
+            CombinatorialMap(rots)
 
 
 def test_disconnected_rejected():

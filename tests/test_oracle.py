@@ -231,10 +231,11 @@ def _hung(sg, seed, pendants=8, loops=3):
 
 def _doubled(sg, seed, parallels=3, loops=2):
     """sg's map with random edges doubled, self-loops too, each copy
-    closing a digon, and self-loops in random corners; the first loop's
-    monogon replaces a random marked face.  On a map whose vertices all
-    lie on the 2-core, the search meets every copy and loop as a parallel
-    edge or self-loop of the path."""
+    closing a digon, and self-loops in random corners; the monogon of the
+    first loop that still bounds one (a later loop may hang inside it)
+    replaces a random marked face.  On a map whose vertices all lie on
+    the 2-core, the search meets every copy and loop as a parallel edge or
+    self-loop of the path."""
     rng = random.Random(seed)
     rots = [list(r) for r in sg.cmap.rotations]
     tail = sg.cmap.dart_vertex
@@ -261,7 +262,7 @@ def _doubled(sg, seed, parallels=3, loops=2):
         loop_darts.append(2 * e)
         e += 1
     cm = CombinatorialMap(rots)
-    monogon = next(f for f in (cm.face_of(loop_darts[0]), cm.left_face(loop_darts[0]))
+    monogon = next(f for d in loop_darts for f in (cm.face_of(d), cm.left_face(d))
                    if len(cm.faces[f]) == 1)
     marked = [cm.face_of(sg.cmap.faces[f][0]) for f in sg.marked]
     marked[rng.randrange(3)] = monogon
@@ -314,6 +315,15 @@ def _case_graph(case):
     else:
         base = theta_graph() if how == "hung" else theta_graph(2)
     return (_hung if how == "hung" else _doubled)(base, n)
+
+
+@pytest.mark.parametrize("base", [theta_graph(2), nested_loops(6)], ids=["theta", "nested"])
+def test_doubled_marks_a_monogon_for_every_seed(base):
+    # seeds where the second loop hangs inside the first one's monogon
+    # (theta 47, 56, 60, 73, 74; nested 24, 78) mark the second's
+    for s in range(100):
+        sg = _doubled(base, s)
+        assert 1 in (len(sg.cmap.faces[f]) for f in sg.marked), s
 
 
 @pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
