@@ -50,11 +50,10 @@ nothing (its inner vertices lie off the cycle) and leads the path only
 to a vertex off it.  An edge parallel to a chain of the path joins two
 vertices that are not consecutive on the cycle, so it is a chord.  A
 cycle closing at w through a chain has its inner vertices past w, so it
-is forbidden what is forbidden past w.  Each kept cycle is expanded back
-to its darts and leaves its least vertex, which may be inner, by the
-smaller of its two darts there, as `all_simple_cycles` keeps it.  A step
-is one scanned dart of the reduced multigraph, so a chain costs one step
-however long it is.
+is forbidden what is forbidden past w.  A kept cycle is recorded by its
+type and its mask, its chains' inner vertices included, and never
+expanded back to darts.  A step is one scanned dart of the reduced
+multigraph, so a chain costs one step however long it is.
 
 Each base follows its darts in increasing order, and once the branch
 leaving by dart a is done, edge a leaves the 2-core but still cuts
@@ -75,11 +74,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .combmap import CombinatorialMap
 from .errors import LimitExceeded, OutOfRange
-from .exploration import _TYPE_OF_PARITY, Loop, SigmaGraph
+from .exploration import _TYPE_OF_PARITY, SigmaGraph
 
 __all__ = [
     "CycleCatalog",
@@ -92,14 +91,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CycleCatalog:
-    """A set of vertex-simple cycles of a marked map, classified and masked.
+    """A set of vertex-simple cycles of a marked map, as packing reads them.
 
-    types[c] is the separation type of cycles[c] (1, 2 or 3, or None for
-    a cycle bounding a disk free of marked faces); masks[c] is a bitmask
-    of the vertices the cycle visits, used for disjointness tests.
+    types[c] is the separation type of cycle c (1, 2 or 3, or None for a
+    cycle bounding a disk free of marked faces); masks[c] is a bitmask of
+    the vertices it visits, used for disjointness tests.
     """
 
-    cycles: tuple[Loop, ...]
     types: tuple[Optional[int], ...]
     masks: tuple[int, ...]
 
@@ -124,7 +122,7 @@ class CycleCatalog:
         return _disjoint_counts(self._minimal)
 
     def __len__(self) -> int:
-        return len(self.cycles)
+        return len(self.masks)
 
 
 def _check_type(i: int) -> None:
@@ -133,7 +131,7 @@ def _check_type(i: int) -> None:
 
 
 def all_simple_cycles(
-    sg: Union[SigmaGraph, CombinatorialMap],
+    sg: SigmaGraph,
     cycle_limit: int = 100_000,
     node_limit: int = 10_000_000,
 ) -> CycleCatalog:
@@ -152,13 +150,12 @@ def all_simple_cycles(
     argument of `SigmaGraph.classify` (see the `exploration` docstring).
 
     Every scanned dart is one step; LimitExceeded is raised when the
-    cycle count or the step count passes its bound.  On a bare map every
-    type is None.
+    cycle count or the step count passes its bound.
     """
-    cm = sg.cmap if isinstance(sg, SigmaGraph) else sg
+    cm = sg.cmap
     rotations, tail = cm.rotations, cm.dart_vertex
-    bits = sg._dual_tree()[2] if cm is not sg else [0] * cm.num_edges
-    found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
+    bits = sg._dual_tree()[2]
+    types, masks = [], []  # per cycle
     nodes = 0
     heads = [[(d, tail[d ^ 1]) for d in rot] for rot in rotations]
     # free: live and off the path
@@ -174,10 +171,9 @@ def all_simple_cycles(
                 w = tail[d ^ 1]
                 if w == base:
                     if (path[0] if path else d) < d ^ 1:  # false for the edge walked back
-                        found.append(Loop(path + [d]))
                         types.append(_TYPE_OF_PARITY[odd ^ bits[d >> 1]])
                         masks.append(mask)
-                        if len(found) > cycle_limit:
+                        if len(masks) > cycle_limit:
                             raise LimitExceeded("more than %d cycles" % cycle_limit)
                     continue
                 if not free[w] or not free[base]:  # a dead base enters nothing
@@ -195,7 +191,7 @@ def all_simple_cycles(
                     free[tail[d ^ 1]] = True
                     odd ^= bits[d >> 1]
                     mask ^= 1 << tail[d ^ 1]
-    return CycleCatalog(tuple(found), tuple(types), tuple(masks))
+    return CycleCatalog(tuple(types), tuple(masks))
 
 
 def candidate_cycles(
@@ -207,12 +203,12 @@ def candidate_cycles(
 
     The search of `all_simple_cycles`, pruned by the chord-split lemma of
     the module docstring, with each base edge dropped after its branch,
-    run on the map's series reduction (see the module docstring).  Each cycle
-    kept is one that `all_simple_cycles` finds, in the same direction,
-    with the same type and mask, and per type both catalogs have the same
-    inclusion-minimal masks.  Meeting a vertex reads its row once, for its
-    chords, parallel edges and self-loops and for the darts the path may
-    leave it by; a vertex with none is not entered.
+    run on the map's series reduction (see the module docstring).  Its
+    (type, mask) pairs are among those of `all_simple_cycles`, and per
+    type both catalogs have the same inclusion-minimal masks.  Meeting a
+    vertex reads its row once, for its chords, parallel edges and
+    self-loops and for the darts the path may leave it by; a vertex with
+    none is not entered.
 
     Every scanned dart of the reduced multigraph is one step: each dart
     of the row of a base or of a vertex met, and each dart the path closes
@@ -220,10 +216,9 @@ def candidate_cycles(
     LimitExceeded is raised when the cycle count or the step count passes
     its bound.
     """
-    tail = sg.cmap.dart_vertex
-    bases, rows, runs = _series_reduced(sg.cmap, sg._dual_tree()[2])
+    bases, rows = _series_reduced(sg.cmap, sg._dual_tree()[2])
     at = [-1] * len(rows)  # per path vertex but the base: the parity of the path to it
-    found, types, masks = [], [], []  # per cycle: its Loop, type and vertex mask
+    types, masks = [], []  # per cycle
     nodes = 0
     for base, live, drop in _peeled_bases(rows, bases):
         row = rows[base]
@@ -234,7 +229,6 @@ def candidate_cycles(
         for t in row:
             if t[1] == base and not t[3]:
                 loops |= 1 << t[2]
-        path: list[int] = []
         for first in sorted(row):  # in dart order; see the module docstring
             if first[1] != base and not (live[first[1]] and live[base]):
                 continue  # a dead base enters nothing
@@ -252,12 +246,12 @@ def candidate_cycles(
                         nodes += 1
                         if nodes > node_limit:
                             raise LimitExceeded("cycle search passed %d steps" % node_limit)
-                        # a chain's inner vertices inherit the banned set
-                        if (path[0] if path else d) < r and not (banned if m else shut) >> odd & 1:
-                            found.append(_unreduced(path + [d], mask | m, runs, tail))
+                        # kept leaving the base by its smaller dart (each path
+                        # starts with first); chain vertices inherit the ban
+                        if first[0] < r and not (banned if m else shut) >> odd & 1:
                             types.append(_TYPE_OF_PARITY[odd])
                             masks.append(mask | m)
-                            if len(found) > cycle_limit:
+                            if len(masks) > cycle_limit:
                                 raise LimitExceeded("more than %d cycles" % cycle_limit)
                         continue
                     prev = -1 if m else v  # v, unless a chain's inner vertices lie between
@@ -298,21 +292,18 @@ def candidate_cycles(
                         ban |= cut
                         out = ends if ban == 15 else ends + out
                         if out and cut != 15:  # enter w; this break leaves the scan of v
-                            path.append(d)
                             at[w] = odd
                             stack.append((iter(out), w, odd, cut, ban, mask | 1 << w | m))
                             break
                 else:
                     stack.pop()
-                    if path:
-                        path.pop()
-                        at[v] = -1
+                    at[v] = -1  # harmless for the base, whose entry is never set
             if first[1] != base:  # no kept cycle still to come uses this edge
                 drop(base, first)
-    return CycleCatalog(tuple(found), tuple(types), tuple(masks))
+    return CycleCatalog(tuple(types), tuple(masks))
 
 
-def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, list, dict]:
+def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, list]:
     """The map's series reduction (see the module docstring), O(V+E).
 
     Every vertex but an inner one is a branch vertex; if all are inner,
@@ -320,9 +311,9 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
     is a tuple (d, x, b, m, r): d is the dart it leaves its branch vertex
     by, x its head, b the XOR of the crossing bits along it, m the mask
     of its inner vertices (0 for an edge of the map) and r the d of the
-    reduced dart back.  Returns the branch vertices in increasing order,
-    per vertex its row (its reduced darts in rotation order, None for an
-    inner vertex), and per chain dart d the darts of the map along it.
+    reduced dart back.  Returns the branch vertices in increasing order
+    and per vertex its row (its reduced darts in rotation order, None for
+    an inner vertex).
     """
     rotations, tail, nxt = cm.rotations, cm.dart_vertex, cm._next
     inner = [len(rot) == 2 and tail[rot[0] ^ 1] != v for v, rot in enumerate(rotations)]
@@ -331,36 +322,17 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
         inner[0] = False
         bases = [0]
     rows = [None] * cm.num_vertices
-    runs = {}
     for v in bases:
         rows[v] = row = []
         for d0 in rotations[v]:
             d, b, m, w = d0, bits[d0 >> 1], 0, tail[d0 ^ 1]
-            run = [d0]
             while inner[w]:
                 m |= 1 << w
                 d = nxt[d ^ 1]  # w's other dart
-                run.append(d)
                 b ^= bits[d >> 1]
                 w = tail[d ^ 1]
             row.append((d0, w, b, m, d ^ 1))
-            if m:
-                runs[d0] = run
-    return bases, rows, runs
-
-
-def _unreduced(darts: list[int], mask: int, runs: dict, tail: Sequence[int]) -> Loop:
-    """The Loop of a cycle given by reduced darts, with its chains expanded,
-    in the direction `all_simple_cycles` keeps: leaving the cycle's least
-    vertex, which may be inner, by the smaller of its two darts there."""
-    if runs.keys().isdisjoint(darts):  # all its vertices branch: the base is least
-        return Loop(darts)
-    darts = [e for d in darts for e in runs.get(d, (d,))]
-    low = (mask & -mask).bit_length() - 1
-    i = next(i for i, d in enumerate(darts) if tail[d] == low)
-    if darts[i] > darts[i - 1] ^ 1:
-        darts = [d ^ 1 for d in reversed(darts)]
-    return Loop(darts)
+    return bases, rows
 
 
 def _peeled_bases(rows: Sequence, bases: Sequence[int]) -> Iterator[tuple[int, list, Callable]]:

@@ -62,7 +62,8 @@ def pair_meeting_breaches(sg, families):
 
 
 def plain_cycles(sg):
-    """The cycle catalog of `oracle.all_simple_cycles` without its peel.
+    """The cycles `oracle.all_simple_cycles` finds, searched without its
+    peel: their Loops and their catalog, in the same order.
 
     From each base vertex a depth-first search walks paths through higher
     vertices only and keeps each cycle in the direction whose first dart
@@ -97,7 +98,7 @@ def plain_cycles(sg):
                     on_path[tail[path.pop() ^ 1]] = False
     types = tuple(sg.classify(loop) for loop in found)
     masks = tuple(sum(1 << v for v in loop.vertices(cm)) for loop in found)
-    return CycleCatalog(tuple(found), types, masks)
+    return found, CycleCatalog(types, masks)
 
 
 def packs(per_type, target):

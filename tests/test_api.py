@@ -68,6 +68,22 @@ def _imported(tree):
             for alias in node.names}
 
 
+def _readme_library():
+    """The code of README's Library example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+
+
+def test_readme_library_prints_what_its_comments_say(capsys):
+    """Each print line's comment starts with the value it prints, then a colon."""
+    code = _readme_library()
+    said = [line.split("# ", 1)[1].split(":", 1)[0]
+            for line in code.splitlines() if line.startswith("print(")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == said
+    assert len(said) == 7
+
+
 def test_every_public_function_is_reached_outside_the_tests():
     """A public function stays only when a verb, a benchmark workload, the
     benchmark's tracing or README's Library example reaches it."""
@@ -84,9 +100,7 @@ def test_every_public_function_is_reached_outside_the_tests():
                   if isinstance(node, ast.FunctionDef) and node.name == "install_tracing"]
     reached |= {node.value for node in ast.walk(tracing)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    library = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
-    reached |= _called(ast.parse(library.group(1)))
+    reached |= _called(ast.parse(_readme_library()))
     public = [name for name in pantslam.__all__ if inspect.isfunction(getattr(pantslam, name))]
     assert len(public) > 10
     unreached = [name for name in public if name not in reached]

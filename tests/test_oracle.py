@@ -23,11 +23,16 @@ from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, 
 from helpers import flood_sides, packing_by_levels, plain_cycles, subdivided
 
 
-def test_triangle_has_one_cycle():
-    tri = CombinatorialMap([[0, 5], [1, 2], [3, 4]])
-    cat = all_simple_cycles(tri)
-    assert len(cat) == 1
-    assert cat.types == (None,)
+def test_digon_around_an_unmarked_face_has_no_type():
+    # the theta graph with edge 0 doubled by edge 3; marking the faces of
+    # the theta graph's first darts leaves the face between edges 2 and 3
+    # unmarked, so the digon (4, 7) around it separates nothing
+    th = theta_graph()
+    cm = CombinatorialMap([[6, 0, 2, 4], [5, 3, 1, 7]])
+    sg = SigmaGraph(cm, [cm.face_of(th.cmap.faces[f][0]) for f in th.marked])
+    cat = all_simple_cycles(sg)
+    assert cat.types == (1, 2, 1, 3, 3, None)
+    assert cat.masks == (0b11,) * 6
 
 
 def test_theta_catalog():
@@ -329,31 +334,30 @@ def test_doubled_marks_a_monogon_for_every_seed(base):
 @pytest.mark.parametrize("case", PLAIN_CASES, ids=repr)
 def test_cycles_match_plain_search(case):
     sg = _case_graph(case)
-    cat = all_simple_cycles(sg)
-    assert cat == plain_cycles(sg)
-    _assert_candidates_cover(sg, cat)
+    loops, ref = plain_cycles(sg)
+    assert all_simple_cycles(sg) == ref
+    _assert_candidates_cover(sg, loops, ref)
 
 
-def _assert_candidates_cover(sg, cat):
-    """The pruned search keeps exactly the cycles of the full catalog cat
-    that the lemma does not cut, typed and masked alike, and per type the
-    same inclusion-minimal masks."""
+def _assert_candidates_cover(sg, loops, cat):
+    """The pruned search keeps the (type, mask) pairs of exactly the cycles
+    that the lemma does not cut, as often as they occur among them, and
+    per type the same inclusion-minimal masks; loops are the cycles of the
+    full catalog cat, in its order."""
     cand = candidate_cycles(sg)
-    where = {lp: c for c, lp in enumerate(cat.cycles)}
-    for lp, t, m in zip(cand.cycles, cand.types, cand.masks):
-        c = where[lp]
-        assert (cat.types[c], cat.masks[c]) == (t, m), lp
-    assert set(cand.cycles) == _uncut(sg, cat)
+    uncut = [(cat.types[c], cat.masks[c]) for c in _uncut(sg, loops, cat)]
+    assert sorted(zip(cand.types, cand.masks)) == sorted(uncut)
     for i in (1, 2, 3):
         assert cand.minimal_masks(i) == cat.minimal_masks(i), i
 
 
-def _uncut(sg, cat):
-    """The cycles of cat of types 1..3 that no edge off them cuts by the
-    chord-split lemma of the `oracle` docstring, read straight off its
-    statement: the smaller cycles an edge closes are looked up in cat."""
+def _uncut(sg, loops, cat):
+    """The indices of the cycles of cat of types 1..3 that no edge off them
+    cuts by the chord-split lemma of the `oracle` docstring, read straight
+    off its statement: the smaller cycles an edge closes are looked up in
+    cat, whose cycle c is loops[c]."""
     tail = sg.cmap.dart_vertex
-    type_of = {lp.edge_set(): t for lp, t in zip(cat.cycles, cat.types)}
+    type_of = {lp.edge_set(): t for lp, t in zip(loops, cat.types)}
 
     def cut(darts, t):
         n, edges = len(darts), {d >> 1 for d in darts}
@@ -377,7 +381,8 @@ def _uncut(sg, cat):
                         return True
         return False
 
-    return {lp for lp, t in zip(cat.cycles, cat.types) if t is not None and not cut(lp.darts, t)}
+    return [c for c, (lp, t) in enumerate(zip(loops, cat.types))
+            if t is not None and not cut(lp.darts, t)]
 
 
 def _flood_types(sg, loops):
@@ -398,11 +403,11 @@ CATALOGUED_JOBS = [job for job in corpus_jobs() if job not in OVER_LIMIT]
 @pytest.mark.parametrize("job", CATALOGUED_JOBS[::10], ids=repr)
 def test_parity_types_match_flood_types(job):
     sg = build_corpus_graph(*job)
-    cat = all_simple_cycles(sg)
-    assert cat == plain_cycles(sg)  # the peeled search against the plain one
-    assert list(cat.types) == _flood_types(sg, cat.cycles)
-    _assert_candidates_cover(sg, cat)
-    for lp in cat.cycles[:400]:
+    loops, ref = plain_cycles(sg)
+    assert all_simple_cycles(sg) == ref  # the peeled search against the plain one
+    assert list(ref.types) == _flood_types(sg, loops)
+    _assert_candidates_cover(sg, loops, ref)
+    for lp in loops[:400]:
         assert loop_sides(sg, lp) == flood_sides(sg.cmap, lp), lp
 
 
@@ -485,7 +490,9 @@ SMALL_JOBS = [job for job in corpus_jobs() if build_corpus_graph(*job).cmap.num_
 @pytest.mark.parametrize("job", SMALL_JOBS + [("nested", 5)], ids=repr)
 def test_cycles_match_edge_subset_brute_force(job):
     sg = nested_loops(job[1]) if job[0] == "nested" else build_corpus_graph(*job)
-    got = [lp.edge_set() for lp in all_simple_cycles(sg).cycles]
+    loops, ref = plain_cycles(sg)
+    assert all_simple_cycles(sg) == ref
+    got = [lp.edge_set() for lp in loops]
     assert len(set(got)) == len(got)
     assert set(got) == _cycle_edge_sets(sg.cmap)
 
