@@ -3,7 +3,8 @@
 Verbs: analyze, check, construct, roundtrip, render, oracle.  Exit codes
 are scriptable: 0 for success or a positive verdict, 1 for a negative
 domain result (not realizable, sweep mismatch, oracle disagreement),
-2 for unreadable or malformed input.
+2 for unreadable or malformed input or an exhausted resource (a search
+limit, or memory).
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except LimitExceeded as exc:
         print("LimitExceeded: %s" % exc)
+        return 2
+    except MemoryError:
+        print("MemoryError: out of memory")
         return 2
     except (PantsError, OSError, json.JSONDecodeError) as exc:
         print("%s: %s" % (type(exc).__name__, exc))

@@ -35,25 +35,23 @@ parity of the digon they close.  A self-loop at the base forbids its
 parity for every cycle through another vertex.  The branch dies once
 all three types are forbidden, and a cycle of parity 0 is never kept.
 No cycle of a minimal mask is ever cut, so per type the minimal masks
-are those of all cycles, which `all_simple_cycles` lists for the tests.
+are those of all cycles.
 
-That search runs on the map's series reduction: each chain, a maximal
-walk through inner vertices (two darts each, neither on a self-loop),
-becomes one edge between its two ends, a chain-loop if they coincide,
-carrying the XOR of the chain's crossing bits and the mask of its inner
-vertices.  An inner vertex lies on its chain's two edges only, so a
-simple cycle visits a whole chain or none of it: the cycles of the map
-are those of the reduced multigraph, with the same parities and masks.
-An inner vertex is no end of a chord, parallel edge or self-loop, so the
-lemma reads on the reduced multigraph with three changes.  A chain cuts
-nothing (its inner vertices lie off the cycle) and leads the path only
-to a vertex off it.  An edge parallel to a chain of the path joins two
-vertices that are not consecutive on the cycle, so it is a chord.  A
-cycle closing at w through a chain has its inner vertices past w, so it
-is forbidden what is forbidden past w.  A kept cycle is recorded by its
-type and its mask, its chains' inner vertices included, and never
-expanded back to darts.  A step is one scanned dart of the reduced
-multigraph, so a chain costs one step however long it is.
+That search runs on the map's series reduction.  A vertex with two
+darts, neither on a self-loop, is inner, and any other is a branch
+vertex.  Each chain, a maximal walk through inner vertices, becomes one
+edge between its two ends, a self-loop if they coincide, carrying the
+XOR of the chain's crossing bits.  An inner vertex lies on its chain's
+two edges only, so a simple cycle visits a whole chain or none of it,
+and two cycles through it both pass the chain's ends: the cycles of the
+map are those of the reduced multigraph, with the same parities, and two
+of them are disjoint exactly when they share no branch vertex.  So masks
+here hold branch vertices only, and the lemma reads on the reduced
+multigraph as stated, each chain an edge like any other.
+`all_simple_cycles`, which the tests compare with, masks all vertices;
+projected onto the branch vertices, its masks have the same minimal ones
+per type.  A step is one scanned dart of the reduced multigraph, so a
+chain costs one step however long it is.
 
 Each base follows its darts in increasing order, and once the branch
 leaving by dart a is done, edge a leaves the 2-core but still cuts
@@ -95,7 +93,8 @@ class CycleCatalog:
 
     types[c] is the separation type of cycle c (1, 2 or 3, or None for a
     cycle bounding a disk free of marked faces); masks[c] is a bitmask of
-    the vertices it visits, used for disjointness tests.
+    the vertices it visits (its branch vertices alone, from
+    `candidate_cycles`), used for disjointness tests.
     """
 
     types: tuple[Optional[int], ...]
@@ -204,11 +203,12 @@ def candidate_cycles(
     The search of `all_simple_cycles`, pruned by the chord-split lemma of
     the module docstring, with each base edge dropped after its branch,
     run on the map's series reduction (see the module docstring).  Its
-    (type, mask) pairs are among those of `all_simple_cycles`, and per
-    type both catalogs have the same inclusion-minimal masks.  Meeting a
-    vertex reads its row once, for its chords, parallel edges and
-    self-loops and for the darts the path may leave it by; a vertex with
-    none is not entered.
+    masks hold branch vertices only; its (type, mask) pairs are among
+    those of `all_simple_cycles` with the masks projected onto the branch
+    vertices, and per type both have the same inclusion-minimal masks.
+    Meeting a vertex reads its row once, for its chords, parallel edges
+    and self-loops and for the darts the path may leave it by; a vertex
+    with none is not entered.
 
     Every scanned dart of the reduced multigraph is one step: each dart
     of the row of a base or of a vertex met, and each dart the path closes
@@ -227,7 +227,7 @@ def candidate_cycles(
             raise LimitExceeded("cycle search passed %d steps" % node_limit)
         loops = 1  # bit p set by a self-loop of parity p at the base
         for t in row:
-            if t[1] == base and not t[3]:
+            if t[1] == base:
                 loops |= 1 << t[2]
         for first in sorted(row):  # in dart order; see the module docstring
             if first[1] != base and not (live[first[1]] and live[base]):
@@ -240,40 +240,33 @@ def candidate_cycles(
             stack = [(iter((first,)), base, 0, 1, loops, 1 << base)]
             while stack:
                 scan, v, here, shut, banned, mask = stack[-1]
-                for d, w, b, m, r in scan:
+                for d, w, b, r in scan:
                     odd = here ^ b
                     if w == base:
                         nodes += 1
                         if nodes > node_limit:
                             raise LimitExceeded("cycle search passed %d steps" % node_limit)
                         # kept leaving the base by its smaller dart (each path
-                        # starts with first); chain vertices inherit the ban
-                        if first[0] < r and not (banned if m else shut) >> odd & 1:
+                        # starts with first)
+                        if first[0] < r and not shut >> odd & 1:
                             types.append(_TYPE_OF_PARITY[odd])
-                            masks.append(mask | m)
+                            masks.append(mask)
                             if len(masks) > cycle_limit:
                                 raise LimitExceeded("more than %d cycles" % cycle_limit)
                         continue
-                    prev = -1 if m else v  # v, unless a chain's inner vertices lie between
                     cut, ban, ends, out = banned, banned, [], []  # w's shut and banned
                     for t in rows[w]:
                         nodes += 1
                         if nodes > node_limit:
                             raise LimitExceeded("cycle search passed %d steps" % node_limit)
                         x = t[1]
-                        if t[3]:  # a chain cuts nothing and leads only off the path
-                            if x == base:
-                                ends.append(t)
-                            elif x != w and at[x] < 0 and live[x]:
-                                out.append(t)
-                            continue
                         q = odd ^ t[2]  # with at[x]: the parity of the cycle t closes
                         if x == base:
-                            # a chord of every longer cycle, unless prev is the
+                            # a chord of every longer cycle, unless v is the
                             # base; then parallel to d, 0 for d itself
                             if q:
                                 ban |= 1 << q
-                            elif prev != base:
+                            elif v != base:
                                 break
                             ends.append(t)
                         elif x == w:  # a self-loop
@@ -282,10 +275,10 @@ def candidate_cycles(
                             if live[x]:
                                 out.append(t)
                         else:
-                            # a chord's, unless x is prev; then a digon's, and 0
+                            # a chord's, unless x is v; then a digon's, and 0
                             # for the edge the path came by
                             q ^= at[x]
-                            if not q and x != prev:
+                            if not q and x != v:
                                 break
                             cut |= 1 << q
                     else:
@@ -293,7 +286,7 @@ def candidate_cycles(
                         out = ends if ban == 15 else ends + out
                         if out and cut != 15:  # enter w; this break leaves the scan of v
                             at[w] = odd
-                            stack.append((iter(out), w, odd, cut, ban, mask | 1 << w | m))
+                            stack.append((iter(out), w, odd, cut, ban, mask | 1 << w))
                             break
                 else:
                     stack.pop()
@@ -308,10 +301,9 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
 
     Every vertex but an inner one is a branch vertex; if all are inner,
     the map is one cycle and vertex 0 ends its chain.  Each reduced dart
-    is a tuple (d, x, b, m, r): d is the dart it leaves its branch vertex
-    by, x its head, b the XOR of the crossing bits along it, m the mask
-    of its inner vertices (0 for an edge of the map) and r the d of the
-    reduced dart back.  Returns the branch vertices in increasing order
+    is a tuple (d, x, b, r): d is the dart it leaves its branch vertex
+    by, x its head, b the XOR of the crossing bits along it and r the d
+    of the reduced dart back.  Returns the branch vertices in increasing order
     and per vertex its row (its reduced darts in rotation order, None for
     an inner vertex).
     """
@@ -325,13 +317,12 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
     for v in bases:
         rows[v] = row = []
         for d0 in rotations[v]:
-            d, b, m, w = d0, bits[d0 >> 1], 0, tail[d0 ^ 1]
+            d, b, w = d0, bits[d0 >> 1], tail[d0 ^ 1]
             while inner[w]:
-                m |= 1 << w
                 d = nxt[d ^ 1]  # w's other dart
                 b ^= bits[d >> 1]
                 w = tail[d ^ 1]
-            row.append((d0, w, b, m, d ^ 1))
+            row.append((d0, w, b, d ^ 1))
     return bases, rows
 
 
@@ -382,8 +373,10 @@ def _minimal_masks(masks: list[int]) -> tuple[int, ...]:
     """Inclusion-minimal distinct masks.
 
     Packing questions are unchanged by this reduction: swapping a cycle
-    for one of the same type visiting a vertex subset keeps any disjoint
-    collection disjoint, with the same type counts.  The masks are kept
+    for one of the same type whose mask is a subset keeps any disjoint
+    collection disjoint, with the same type counts.  This holds for masks
+    over all vertices and for masks over branch vertices alone, which
+    decide disjointness too (see the module docstring).  The masks are kept
     by size, each unless a kept one is its subset; the kept masks are
     filed by their lowest bit, so a new mask meets only those filed under
     one of its own bits.

@@ -231,6 +231,25 @@ def test_oracle_limit_maps_to_input_error(theta_file, capsys):
     assert main(["oracle", theta_file, "--cycle-limit", "1"]) == 2
 
 
+@pytest.mark.parametrize("verb", ["construct", "oracle"])
+def test_memory_error_is_exit_2(theta_file, tmp_path, capsys, monkeypatch, verb):
+    # the builder each verb calls first runs out of memory; no real
+    # allocation is attempted
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    out = tmp_path / "w.json"
+    if verb == "construct":
+        monkeypatch.setattr(cli, "construct_detailed", exhausted)
+        argv = ["construct", "2", "3", "3", "3", "4", "4", str(out)]
+    else:
+        monkeypatch.setattr(cli, "candidate_cycles", exhausted)
+        argv = ["oracle", theta_file]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == "MemoryError: out of memory\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("limit", ["0", "-3"])
 def test_oracle_cycle_limit_below_one_is_input_error(theta_file, capsys, limit):
     assert main(["oracle", theta_file, "--cycle-limit", limit]) == 2

@@ -10,6 +10,7 @@ from pantslam.errors import EmptyLayer, LimitExceeded, NonSpherical, OutOfRange
 from pantslam.exploration import SigmaGraph, loop_sides
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
+    CycleCatalog,
     all_simple_cycles,
     candidate_cycles,
     lamination_space_bruteforce,
@@ -163,13 +164,29 @@ def test_candidate_limits_enforced(crossed_rings):
 
 def test_pruned_search_fits_a_small_step_budget():
     # the full search takes 1,493,006 steps on this block, the pruned one
-    # 40,702 (44,248 before chains were contracted, 61,407 before each base
-    # edge was dropped after its branch)
+    # 26,796 (40,702 while masks held inner chain vertices, 44,248 before
+    # chains were contracted, 61,407 before each base edge was dropped
+    # after its branch)
     sg = block_graph((2, 1, 2, 1, 2, 0))
     with pytest.raises(LimitExceeded):
-        all_simple_cycles(sg, node_limit=50_000)
-    cat = candidate_cycles(sg, node_limit=50_000)
-    assert [len(cat.minimal_masks(i)) for i in (1, 2, 3)] == [62, 79, 90]
+        all_simple_cycles(sg, node_limit=27_000)
+    cat = candidate_cycles(sg, node_limit=27_000)
+    assert [len(cat.minimal_masks(i)) for i in (1, 2, 3)] == [42, 59, 78]
+
+
+def test_split_block_fits_a_small_step_budget():
+    # with every edge split the reduced multigraph is the block's own, so
+    # the search keeps the same 180 cycles in 34,213 steps (32,768 unsplit);
+    # while masks held inner chain vertices it kept 36,703, and packing
+    # their minimal masks ran for over a minute
+    sg = block_graph((2, 2, 2, 1, 2, 0))
+    sub = subdivided(sg, range(sg.cmap.num_edges))
+    cat, sub_cat = candidate_cycles(sg), candidate_cycles(sub, node_limit=35_000)
+    assert len(sub_cat) == len(cat) == 180
+    for i in (1, 2, 3):
+        assert sub_cat.minimal_masks(i) == cat.minimal_masks(i)
+    assert [len(cat.minimal_masks(i)) for i in (1, 2, 3)] == [42, 60, 78]
+    assert lamination_space_bruteforce(sub, sub_cat) == lamination_space_bruteforce(sg, cat)
 
 
 def test_pruned_search_skips_the_last_branch_of_a_base():
@@ -280,19 +297,25 @@ def _subdivided(sg, seed, cuts=6):
     parallel chains, and some chains hold several vertices; all vertices
     are shuffled, so a chain's vertex may be the least of a cycle."""
     rng = random.Random(seed)
-    sub = subdivided(sg, [rng.randrange(sg.cmap.num_edges + k) for k in range(cuts)])
-    rots = list(sub.cmap.rotations)
+    return _shuffled(subdivided(sg, [rng.randrange(sg.cmap.num_edges + k)
+                                     for k in range(cuts)]), rng)
+
+
+def _shuffled(sg, rng):
+    """sg's map with its vertices shuffled by rng, marking the same faces."""
+    rots = list(sg.cmap.rotations)
     rng.shuffle(rots)
     cm = CombinatorialMap(rots)
-    return SigmaGraph(cm, [cm.face_of(sub.cmap.faces[f][0]) for f in sub.marked])
+    return SigmaGraph(cm, [cm.face_of(sg.cmap.faces[f][0]) for f in sg.marked])
 
 
-# The subdivided cases put chains where the reduced search reads the
-# lemma its own way: a copy parallel to a chain of the path and a chain
-# into the base under a ban (doubled theta and block), a chain-loop at a
-# base beside a plain self-loop of the same parity (doubled nested, whose
-# loops get copies), and cycles whose least vertex is inside a chain (all
-# three).  Breaking any of these rules in the search fails some case.
+# The subdivided cases put chains where the reduced search meets them as
+# ordinary edges of the reduced multigraph: a copy parallel to a chain of
+# the path and a chain into the base (doubled theta and block), a
+# chain-loop at a base beside a plain self-loop of the same parity
+# (doubled nested, whose loops get copies), and cycles whose least vertex
+# is inside a chain (all three).  The reference reads the lemma on the
+# same reduction, so each of these must match it exactly.
 PLAIN_CASES = ([("nested", 50), ("theta", 50)]
                + [("hung theta", s) for s in range(3)]
                + [("hung block", s) for s in range(3)]
@@ -340,43 +363,70 @@ def test_cycles_match_plain_search(case):
 
 
 def _assert_candidates_cover(sg, loops, cat):
-    """The pruned search keeps the (type, mask) pairs of exactly the cycles
-    that the lemma does not cut, as often as they occur among them, and
-    per type the same inclusion-minimal masks; loops are the cycles of the
-    full catalog cat, in its order."""
+    """The pruned search keeps the (type, branch mask) pairs of exactly the
+    cycles that the lemma does not cut, as often as they occur among them,
+    and per type the same inclusion-minimal masks as the full catalog cat
+    with its masks projected onto the branch vertices; loops are the
+    cycles of cat, in its order."""
     cand = candidate_cycles(sg)
-    uncut = [(cat.types[c], cat.masks[c]) for c in _uncut(sg, loops, cat)]
+    reduction = _series_reduction(sg.cmap)
+    on = sum(1 << v for v, b in enumerate(reduction[0]) if b)
+    projected = CycleCatalog(cat.types, tuple(m & on for m in cat.masks))
+    uncut = [(cat.types[c], cat.masks[c] & on) for c in _uncut(sg, loops, cat, reduction)]
     assert sorted(zip(cand.types, cand.masks)) == sorted(uncut)
     for i in (1, 2, 3):
-        assert cand.minimal_masks(i) == cat.minimal_masks(i), i
+        assert cand.minimal_masks(i) == projected.minimal_masks(i), i
 
 
-def _uncut(sg, loops, cat):
+def _series_reduction(cm):
+    """Per vertex whether it is a branch vertex (all but those with two
+    darts, neither on a self-loop; vertex 0 if that leaves none), and per
+    dart leaving a branch vertex the edge set of its chain and the branch
+    vertex that chain ends at."""
+    tail = cm.dart_vertex
+    branch = [len(r) != 2 or tail[r[0] ^ 1] == v for v, r in enumerate(cm.rotations)]
+    branch[0] = branch[0] or not any(branch)
+    chain, end = {}, {}
+    for v, rot in enumerate(cm.rotations):
+        for d0 in rot if branch[v] else ():
+            d, edges = d0, {d0 >> 1}
+            while not branch[tail[d ^ 1]]:
+                d = next(x for x in cm.rotations[tail[d ^ 1]] if x != d ^ 1)
+                edges.add(d >> 1)
+            chain[d0], end[d0] = frozenset(edges), tail[d ^ 1]
+    return branch, chain, end
+
+
+def _uncut(sg, loops, cat, reduction):
     """The indices of the cycles of cat of types 1..3 that no edge off them
     cuts by the chord-split lemma of the `oracle` docstring, read straight
-    off its statement: the smaller cycles an edge closes are looked up in
-    cat, whose cycle c is loops[c]."""
+    off its statement on the series reduction (`_series_reduction` of the
+    map): each chain is one edge and a cycle's vertices are its branch
+    vertices.  The smaller cycles an edge closes are looked up in cat,
+    whose cycle c is loops[c]."""
+    branch, chain, end = reduction
     tail = sg.cmap.dart_vertex
     type_of = {lp.edge_set(): t for lp, t in zip(loops, cat.types)}
 
     def cut(darts, t):
-        n, edges = len(darts), {d >> 1 for d in darts}
-        pos = {tail[d]: k for k, d in enumerate(darts)}  # darts[k] leaves its vertex
+        steps = [d for d in darts if branch[tail[d]]]  # each starts a chain of the cycle
+        n, edges = len(steps), frozenset(d >> 1 for d in darts)
+        pos = {tail[d]: k for k, d in enumerate(steps)}  # steps[k] leaves its vertex
         for v, a in pos.items():
             for d in sg.cmap.rotations[v]:
-                e, b = d >> 1, pos.get(tail[d ^ 1])
-                if e in edges or b is None:
+                e, b = chain[d], pos.get(end[d])
+                if d >> 1 in edges or b is None:
                     continue
                 if b == a:  # a self-loop
-                    if n > 1 and type_of[frozenset([e])] == t:
+                    if n > 1 and type_of[e] == t:
                         return True
                 elif (b - a) % n in (1, n - 1):  # parallel to an edge of the cycle
-                    f = darts[a if (b - a) % n == 1 else b] >> 1
-                    if n > 2 and type_of[frozenset([e, f])] == t:
+                    f = chain[steps[a if (b - a) % n == 1 else b]]
+                    if n > 2 and type_of[e | f] == t:
                         return True
                 else:  # a chord
-                    arc = {d >> 1 for d in darts[min(a, b):max(a, b)]}
-                    sides = {type_of[frozenset(arc | {e})], type_of[frozenset(edges - arc | {e})]}
+                    arc = frozenset().union(*(chain[d] for d in steps[min(a, b):max(a, b)]))
+                    sides = {type_of[arc | e], type_of[edges - arc | e]}
                     if None in sides or t in sides:
                         return True
         return False
@@ -503,15 +553,17 @@ METAMORPHIC_CASES = ([("corpus", job) for job in corpus_jobs()[::40]]
 
 @pytest.mark.parametrize("case", METAMORPHIC_CASES, ids=repr)
 def test_subdivision_keeps_sigma_and_lamination_space(case):
-    # 15 random splits, of self-loops, parallel edges and earlier splits
-    # too: no cycle changes type and no two cycles start or stop meeting,
-    # so sigma, the lamination space and the packing numbers stay (the
-    # minimal mask counts may change: a split copy is a mask of its own)
+    # every edge split twice, self-loops and parallel edges too, and the
+    # vertices shuffled: no cycle changes type and no two cycles start or
+    # stop meeting, and the branch vertices and the reduced multigraph
+    # stay (up to numbering), so sigma, the lamination space, the packing
+    # numbers and the minimal mask counts per type stay
     kind, n = case
     sg = _case_graph(case) if kind == "corpus" else random_sigma_graph(n, max_faces=14)
-    sub = _subdivided(sg, repr(case), cuts=15)
+    sub = _shuffled(subdivided(sg, range(2 * sg.cmap.num_edges)), random.Random(repr(case)))
     assert sigma_of(sub) == sigma_of(sg)
     cat, sub_cat = candidate_cycles(sg), candidate_cycles(sub)
     assert lamination_space_bruteforce(sub, sub_cat) == lamination_space_bruteforce(sg, cat)
     for i in (1, 2, 3):
         assert max_disjoint_type(sub, i, sub_cat) == max_disjoint_type(sg, i, cat)
+        assert len(sub_cat.minimal_masks(i)) == len(cat.minimal_masks(i)), i
