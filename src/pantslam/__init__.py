@@ -50,7 +50,6 @@ from .render import render_svg
 from .special_loops import (
     NuVector,
     SigmaVector,
-    SpecialLoopFamily,
     sigma_of,
     special_family,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "RealizabilityVerdict",
     "SigmaGraph",
     "SigmaVector",
-    "SpecialLoopFamily",
     "all_simple_cycles",
     "candidate_cycles",
     "check_realizable",

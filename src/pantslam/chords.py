@@ -231,7 +231,7 @@ def family_graph(
     cmap = CombinatorialMap(rotations)
 
     for d in arc.values():
-        if cmap.face_of(d) != cmap.face_of(d + 1):
+        if cmap.face_of_dart[d] != cmap.face_of_dart[d + 1]:
             raise InvariantViolated("axis arc is not a cut edge")
 
     # the innermost curve's chord and mirror bound the digon right of the
@@ -240,8 +240,8 @@ def family_graph(
     marked = []
     for i in range(3):
         if counts[i] >= 1:
-            marked.append(cmap.face_of(first[curve_of[i, counts[i]]]))
+            marked.append(cmap.face_of_dart[first[curve_of[i, counts[i]]]])
         else:
             j = last[(i - 1) % 3]
-            marked.append(cmap.face_of(cmap.rotations[j][len(chord_ends[j])]))
+            marked.append(cmap.face_of_dart[cmap.rotations[j][len(chord_ends[j])]])
     return SigmaGraph(cmap, marked)

@@ -151,7 +151,7 @@ def cmd_render(path: str, out_svg: str) -> int:
     data = _load_json(path)
     if isinstance(data, dict) and "marked_faces" in data:
         sg = SigmaGraph.from_dict(data)
-        groups = [special_family(sg, i).loops for i in (1, 2, 3)]
+        groups = [special_family(sg, i) for i in (1, 2, 3)]
         svg = render_svg(sg, highlight=groups)
     else:
         svg = render_svg(CombinatorialMap.from_dict(data))

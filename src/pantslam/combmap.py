@@ -3,12 +3,17 @@
 Darts are the integers 0..2E-1.  Dart 2k and dart 2k+1 are the two
 sides of edge k, so the twin involution is just xor with 1.  A map is
 given by the counterclockwise cyclic order of outgoing darts around
-each vertex.  Faces are recovered as the orbits of
+each vertex.  Callers read the map's tables directly:
 
-    next_face(d) = rotation_successor(twin(d))
+- `dart_vertex[d]` is the tail of d and `dart_vertex[d ^ 1]` its head;
+- `face_of_dart[d]` is the face right of d and `face_of_dart[d ^ 1]`
+  the face left of it;
+- `d >> 1` is the edge of d;
+- `rotation_next[d]` is the next dart counterclockwise around its tail.
 
-which traverses the face lying to the RIGHT of each dart it visits.
-Validity demands the sphere condition V - E + F = 2.
+Faces are the orbits of d -> rotation_next[d ^ 1], which walks the face
+right of each dart it visits.  Validity demands the sphere condition
+V - E + F = 2.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class CombinatorialMap:
     __slots__ = (
         "rotations",
         "dart_vertex",
-        "_next",
+        "rotation_next",
         "faces",
         "face_of_dart",
     )
@@ -40,12 +45,15 @@ class CombinatorialMap:
     def __init__(self, rotations: Sequence[Sequence[int]]):
         rots = tuple(map(tuple, rotations))
         all_darts = list(chain.from_iterable(rots))
+        if not set(map(type, all_darts)) <= {int}:
+            bad = next(d for d in all_darts if type(d) is not int)
+            raise MalformedRotation("vertices: dart %r is not an int" % (bad,))
         n = len(all_darts)
         if n == 0:
             raise MalformedRotation("map must have at least one edge")
         if n % 2 != 0:
             raise MalformedRotation("odd number of darts")
-        if sorted(all_darts) != list(range(n)):
+        if not set(all_darts).issuperset(range(n)):  # n darts, so each once
             raise MalformedRotation(
                 "darts must be exactly 0..%d, each used once" % (n - 1)
             )
@@ -62,7 +70,7 @@ class CombinatorialMap:
                 nxt[prev] = d
                 prev = d
         self.dart_vertex = tuple(dart_vertex)
-        self._next = tuple(nxt)
+        self.rotation_next = tuple(nxt)
 
         self._check_connected()
         self.faces, self.face_of_dart = self._trace_faces()
@@ -93,34 +101,10 @@ class CombinatorialMap:
     def num_darts(self) -> int:
         return len(self.dart_vertex)
 
-    def tail(self, d: int) -> int:
-        """Vertex the dart points away from."""
-        return self.dart_vertex[d]
-
-    def head(self, d: int) -> int:
-        """Vertex the dart points toward."""
-        return self.dart_vertex[d ^ 1]
-
-    def rotation_next(self, d: int) -> int:
-        return self._next[d]
-
-    def face_of(self, d: int) -> int:
-        """Index of the face on the right of dart d."""
-        return self.face_of_dart[d]
-
-    def left_face(self, d: int) -> int:
-        """Index of the face on the left of dart d."""
-        return self.face_of_dart[d ^ 1]
-
-    def edge_of(self, d: int) -> int:
-        return d >> 1
-
     # -- construction internals ----------------------------------------
 
     def _check_connected(self) -> None:
-        nv = len(self.rotations)
-        if nv == 0:
-            raise MalformedRotation("no vertices")
+        nv = len(self.rotations)  # at least 1, as there are darts
         rotations, tail = self.rotations, self.dart_vertex
         seen = [False] * nv
         seen[0] = True
@@ -140,13 +124,14 @@ class CombinatorialMap:
         Each orbit starts at its least dart and faces are sorted by that
         dart: the scan opens an orbit at the least untraced dart, which
         no earlier orbit holds, so the orbits come out in that order.
-        The darts are exactly 0..2E-1, so `_next` and the twin swap both
-        permute them, and so does their composite.  Its orbits are cycles,
-        and earlier orbits are whole ones, so a trace stops only on
+        The darts are exactly 0..2E-1, so `rotation_next` and the twin swap
+        both permute them, and so does their composite.  Its orbits are
+        cycles, and earlier orbits are whole ones, so a trace stops only on
         returning to the dart it was opened with.  The composite is built
-        as one list, `_next` with the entries of each dart pair swapped.
+        as one list, `rotation_next` with the entries of each dart pair
+        swapped.
         """
-        nxt = self._next
+        nxt = self.rotation_next
         n = len(nxt)
         step = [0] * n
         step[0::2], step[1::2] = nxt[1::2], nxt[0::2]
@@ -179,21 +164,7 @@ class CombinatorialMap:
         rots = data.get("vertices")
         if not isinstance(rots, list) or not all(isinstance(r, list) for r in rots):
             raise MalformedRotation("vertices must be a list of dart lists")
-        if not set(map(type, chain.from_iterable(rots))) <= {int}:
-            for r in rots:
-                for d in r:
-                    if type(d) is not int:
-                        raise MalformedRotation("vertices: dart %r is not an int" % (d,))
         return cls(rots)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CombinatorialMap)
-            and self.rotations == other.rotations
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.rotations)
 
     def __repr__(self) -> str:
         return "CombinatorialMap(V=%d, E=%d, F=%d)" % (

@@ -81,9 +81,6 @@ class Loop:
         i = darts.index(min(darts))
         self.darts = darts[i:] + darts[:i]
 
-    def __len__(self) -> int:
-        return len(self.darts)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Loop) and self.darts == other.darts
 
@@ -247,7 +244,7 @@ class SigmaGraph:
         dart start, which must be of level k, by the successor rule of
         `boundary_loops`."""
         dist = self._dist_from(self.marked[i0])
-        nxt, face_of = self.cmap._next, self.cmap.face_of_dart
+        nxt, face_of = self.cmap.rotation_next, self.cmap.face_of_dart
         walk, d = [], start
         while not walk or d != start:
             walk.append(d)
@@ -339,6 +336,6 @@ def loop_sides(sg: SigmaGraph, loop: Loop) -> tuple[frozenset[int], frozenset[in
     for g in order[1:]:
         d = via[g]
         side[g] = side[cm.face_of_dart[d]] ^ ((d >> 1) in on)
-    s = side[cm.left_face(loop.darts[0])]
+    s = side[cm.face_of_dart[loop.darts[0] ^ 1]]
     left = frozenset(f for f, x in enumerate(side) if x == s)
     return left, frozenset(range(cm.num_faces)).difference(left)

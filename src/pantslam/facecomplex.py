@@ -94,5 +94,5 @@ class FaceComplex:
             orbits.append(orbit)
 
         cmap = CombinatorialMap(orbits)
-        face_index = tuple(cmap.left_face(darts[0]) for darts in face_darts)
+        face_index = tuple(cmap.face_of_dart[darts[0] ^ 1] for darts in face_darts)
         return BuiltMap(cmap, face_index, tuple(face_darts))

@@ -75,8 +75,8 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .combmap import CombinatorialMap
-from .errors import LimitExceeded, OutOfRange
-from .exploration import _TYPE_OF_PARITY, SigmaGraph
+from .errors import LimitExceeded
+from .exploration import _TYPE_OF_PARITY, SigmaGraph, _marked_index
 
 __all__ = [
     "CycleCatalog",
@@ -100,33 +100,20 @@ class CycleCatalog:
     types: tuple[Optional[int], ...]
     masks: tuple[int, ...]
 
-    def of_type(self, i: int) -> tuple[int, ...]:
-        _check_type(i)
-        return tuple(c for c, t in enumerate(self.types) if t == i)
-
     def minimal_masks(self, i: int) -> tuple[int, ...]:
         """The inclusion-minimal distinct masks of the cycles of type i."""
-        _check_type(i)
-        return self._minimal[i - 1]
+        return self._minimal[_marked_index(i)]
 
     @cached_property
     def _minimal(self) -> tuple[tuple[int, ...], ...]:
         """The minimal masks per type 1..3, reduced once per catalog."""
-        return tuple(_minimal_masks([self.masks[c] for c in self.of_type(i)])
+        return tuple(_minimal_masks([m for t, m in zip(self.types, self.masks) if t == i])
                      for i in (1, 2, 3))
 
     @cached_property
     def _points(self) -> frozenset[tuple[int, int, int]]:
         """The type counts of the disjoint collections, enumerated once."""
         return _disjoint_counts(self._minimal)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-
-def _check_type(i: int) -> None:
-    if type(i) is not int or not 1 <= i <= 3:
-        raise OutOfRange("type must be 1, 2 or 3, got %r" % (i,))
 
 
 def all_simple_cycles(
@@ -307,7 +294,7 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
     and per vertex its row (its reduced darts in rotation order, None for
     an inner vertex).
     """
-    rotations, tail, nxt = cm.rotations, cm.dart_vertex, cm._next
+    rotations, tail, nxt = cm.rotations, cm.dart_vertex, cm.rotation_next
     inner = [len(rot) == 2 and tail[rot[0] ^ 1] != v for v, rot in enumerate(rotations)]
     bases = [v for v, i in enumerate(inner) if not i]
     if not bases:  # one cycle: vertex 0 ends its only chain
@@ -440,9 +427,9 @@ def max_disjoint_type(sg: SigmaGraph, i: int, catalog: Optional[CycleCatalog] = 
     Read off the whole lamination space, which the first call computes for
     all three types and caches on the catalog.
     """
-    _check_type(i)
+    i0 = _marked_index(i)
     cat = catalog if catalog is not None else candidate_cycles(sg)
-    return max(p[i - 1] for p in cat._points)
+    return max(p[i0] for p in cat._points)
 
 
 def lamination_space_bruteforce(

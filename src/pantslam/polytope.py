@@ -24,8 +24,6 @@ from .errors import NegativeParameter, NonPositiveDelta, OutOfRange
 from .exploration import SigmaGraph
 from .special_loops import NuVector, SigmaVector, sigma_of
 
-Signature = tuple[int, int, int, int, int, int]
-
 
 def validate_tau(tau: Sequence[int]) -> SigmaVector:
     vals = tuple(tau)
@@ -54,15 +52,11 @@ class RealizabilityVerdict:
     condition: str | None = None
     index: int | None = None
 
-    @property
-    def realizable(self) -> bool:
+    def __bool__(self) -> bool:
         return self.condition is None
 
-    def __bool__(self) -> bool:
-        return self.realizable
-
     def __str__(self) -> str:
-        if self.realizable:
+        if self:
             return "Realizable"
         return "Violates(%s, %d)" % (self.condition, self.index)
 

@@ -63,7 +63,7 @@ def layout(cmap: CombinatorialMap) -> tuple[dict[int, tuple[float, float]], int]
     outer = max(range(cmap.num_faces), key=lambda f: len(cmap.faces[f]))
     ring: list[int] = []
     for d in cmap.faces[outer]:
-        v = cmap.tail(d)
+        v = cmap.dart_vertex[d]
         if v not in ring:
             ring.append(v)
     nv = cmap.num_vertices
@@ -81,7 +81,7 @@ def layout(cmap: CombinatorialMap) -> tuple[dict[int, tuple[float, float]], int]
         b = [0j] * len(inner)
         for j, v in enumerate(inner):
             for d in cmap.rotations[v]:
-                u = cmap.head(d)
+                u = cmap.dart_vertex[d ^ 1]
                 if u == v:
                     continue
                 diag[j] += 1.0
@@ -99,7 +99,7 @@ def _edge_groups(cmap: CombinatorialMap):
     plain: dict[tuple[int, int], list[int]] = {}
     loops: dict[int, list[int]] = {}
     for k in range(cmap.num_edges):
-        u, v = cmap.tail(2 * k), cmap.head(2 * k)
+        u, v = cmap.dart_vertex[2 * k], cmap.dart_vertex[2 * k + 1]
         if u == v:
             loops.setdefault(u, []).append(k)
         else:
@@ -109,13 +109,12 @@ def _edge_groups(cmap: CombinatorialMap):
 
 def render_svg(
     graph: Union[SigmaGraph, CombinatorialMap],
-    highlight: Iterable[Sequence[int]] = (),
+    highlight: Iterable[Iterable[Loop]] = (),
 ) -> str:
     """Render a map (marked or bare) to an SVG 1.1 document string.
 
     highlight takes groups of loops; every loop in group i is stroked
-    bold in the i-th palette color.  Loops may be Loop objects or dart
-    sequences.
+    bold in the i-th palette color.
     """
     if isinstance(graph, SigmaGraph):
         cmap = graph.cmap
@@ -130,19 +129,15 @@ def render_svg(
     def pix(p: tuple[float, float]) -> tuple[float, float]:
         return (cx + scale * p[0], cx - scale * p[1])
 
-    edge_color: dict[int, str] = {}
-    edge_bold: set[int] = set()
+    edge_color: dict[int, str] = {}  # per bold edge
     for gi, group in enumerate(highlight):
         color = _PALETTE[gi % len(_PALETTE)]
         for loop in group:
-            darts = loop.darts if isinstance(loop, Loop) else tuple(loop)
-            for d in darts:
-                k = cmap.edge_of(d)
-                edge_color[k] = color
-                edge_bold.add(k)
+            for d in loop.darts:
+                edge_color[d >> 1] = color
 
     def stroke(k: int) -> str:
-        if k in edge_bold:
+        if k in edge_color:
             return 'stroke="%s" stroke-width="3.2"' % edge_color[k]
         return 'stroke="#555" stroke-width="1.3"'
 
@@ -192,7 +187,7 @@ def render_svg(
         if f == outer_face:
             x, y = 14.0, 20.0 + 16.0 * idx
         else:
-            vs = [cmap.tail(d) for d in cmap.faces[f]]
+            vs = [cmap.dart_vertex[d] for d in cmap.faces[f]]
             x = sum(pix(pos[v])[0] for v in vs) / len(vs)
             y = sum(pix(pos[v])[1] for v in vs) / len(vs)
         parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '

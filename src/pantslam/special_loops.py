@@ -29,12 +29,28 @@ component's boundary walk, which separates i from j.  For k <= W_i the
 component also holds m_k, and `special_family` walks from the first such
 dart for k = 1..W_i.
 
+So the signature certifies the lamination space, the type counts of
+pairwise vertex-disjoint cycles: it is the polytope of `polytope`.
+
+- Its points occur: the innermost x_i loops of each family i are
+  disjoint, by the pair-meeting rule: the level-a loop of family i and
+  the level-b loop of family j meet exactly when a + b > delta_k, and
+  two loops of one family never meet.
+- x_i + x_j <= delta_k: a cycle of type i or j separates m_i from m_j,
+  so it passes one of the delta_k vertices where a shortest face chain
+  between them changes faces.
+- x_i <= mu_i: n disjoint type-i cycles nest around m_i, and a face
+  chain from m_i crosses each at its own vertex, so the faces outside
+  the n-th, joined by edges and holding m_j and m_k, lie at distance n
+  or more: n <= W_i.  A flood from m_j through edges over the faces at
+  distance mu_i + 1 or more from m_i that misses m_k confirms W_i <= mu_i.
+- mu_i = W_i, by the widest-path argument above.
+
 Marked faces are numbered 1..3 throughout the public interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exploration import Loop, SigmaGraph, _marked_index
@@ -71,19 +87,9 @@ class NuVector(NamedTuple):
     n3: int
 
 
-@dataclass(frozen=True)
-class SpecialLoopFamily:
-    """The nested separating loops around marked face i, innermost first."""
-
-    i: int
-    loops: tuple[Loop, ...]
-
-    def __len__(self) -> int:
-        return len(self.loops)
-
-
-def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
-    """Loops around marked face i separating it from both other marked faces.
+def special_family(sg: SigmaGraph, i: int) -> tuple[Loop, ...]:
+    """Loops around marked face i separating it from both other marked
+    faces, innermost first.
 
     The level-k member, for k = 1..W_i, is the level-k loop with both far
     faces beyond it (see the module docstring).
@@ -95,7 +101,7 @@ def special_family(sg: SigmaGraph, i: int) -> SpecialLoopFamily:
     for k in range(1, best[sg.marked[i0 - 1]] + 1):
         start = next(d for d in sg._bucket(i0, k) if best[face_of[d]] >= k)
         loops.append(Loop(sg._walk(i0, k, start)))
-    return SpecialLoopFamily(i, tuple(loops))
+    return tuple(loops)
 
 
 def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:

@@ -61,9 +61,10 @@ def nested_loops(k: int) -> SigmaGraph:
     cm = CombinatorialMap(rots)
 
     def monogon(d: int) -> int:
-        return next(f for f in (cm.face_of(d), cm.left_face(d)) if len(cm.faces[f]) == 1)
+        sides = (cm.face_of_dart[d], cm.face_of_dart[d ^ 1])
+        return next(f for f in sides if len(cm.faces[f]) == 1)
 
-    return SigmaGraph(cm, (monogon(2 * (k - 1)), monogon(0), cm.face_of(2 * k)))
+    return SigmaGraph(cm, (monogon(2 * (k - 1)), monogon(0), cm.face_of_dart[2 * k]))
 
 
 # the corpus jobs on which `oracle.all_simple_cycles`, the full catalog,

@@ -32,7 +32,7 @@ def flood_sides(cmap, loop):
         return frozenset(seen)
 
     d0 = loop.darts[0]
-    left, right = flood(cmap.left_face(d0)), flood(cmap.face_of(d0))
+    left, right = flood(cmap.face_of_dart[d0 ^ 1]), flood(cmap.face_of_dart[d0])
     assert not left & right and len(left) + len(right) == cmap.num_faces, (
         "loop does not split the sphere in two")
     return left, right
@@ -256,7 +256,7 @@ def block_mirror(t):
 def non_bridge_edges(cmap):
     """Edges with distinct faces on their two sides; safe to delete."""
     return [k for k in range(cmap.num_edges)
-            if cmap.face_of(2 * k) != cmap.face_of(2 * k + 1)]
+            if cmap.face_of_dart[2 * k] != cmap.face_of_dart[2 * k + 1]]
 
 
 def delete_edge(cmap, k):
@@ -267,7 +267,7 @@ def delete_edge(cmap, k):
     """
     if not 0 <= k < cmap.num_edges:
         raise OutOfRange("edge %d out of range" % k)
-    if cmap.face_of(2 * k) == cmap.face_of(2 * k + 1):
+    if cmap.face_of_dart[2 * k] == cmap.face_of_dart[2 * k + 1]:
         raise OutOfRange("edge %d is a bridge" % k)
     gone = (2 * k, 2 * k + 1)
     rots = []
@@ -294,4 +294,4 @@ def subdivided(sg, edges):
         rots.append([2 * e + 1, 2 * m])
         m += 1
     new = CombinatorialMap(rots)
-    return SigmaGraph(new, tuple(new.face_of(cm.faces[f][0]) for f in sg.marked))
+    return SigmaGraph(new, tuple(new.face_of_dart[cm.faces[f][0]] for f in sg.marked))

@@ -54,7 +54,7 @@ def _equivalence_job(job):
     except LimitExceeded:
         return (job, "over-limit", "")
     for i in (1, 2, 3):
-        if max_disjoint_type(g, i, cat) != len(special_family(g, i).loops):
+        if max_disjoint_type(g, i, cat) != len(special_family(g, i)):
             return (job, "mismatch", "packing number %d" % i)
     if set(lamination_space_bruteforce(g, cat)) != set(lamination_space(g).points):
         return (job, "mismatch", "point sets differ")
@@ -65,7 +65,7 @@ def _interlock_job(job):
     kind, params = job
     g = build_corpus_graph(kind, params)
     tau = sigma_of(g)
-    fams = {i: special_family(g, i).loops for i in (1, 2, 3)}
+    fams = {i: special_family(g, i) for i in (1, 2, 3)}
     bad = []
     for i in range(3):
         fa = fams[(i + 1) % 3 + 1]

@@ -1,12 +1,14 @@
 """The public surface: exported names, the version, marked-face numbering."""
 
 import ast
+import functools
 import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -16,6 +18,8 @@ from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph
 
 from conftest import THETA_ROTATIONS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -27,7 +31,7 @@ def test_every_exported_name_resolves():
 def test_version_has_one_source():
     assert pantslam.__version__ == "0.1.0"
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
     assert "version" not in meta["project"]
     assert meta["project"]["dynamic"] == ["version"]
@@ -37,8 +41,7 @@ def test_version_has_one_source():
 
 def test_benchmark_tracer_installs():
     """perfbench wraps program functions by name; renaming one breaks this."""
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run(
         [sys.executable, "-c",
          "import tracer, worker; worker.install_tracing(tracer.Tracer())"],
@@ -70,7 +73,7 @@ def _imported(tree):
 
 def _readme_library():
     """The code of README's Library example."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
 
 
@@ -84,27 +87,52 @@ def test_readme_library_prints_what_its_comments_say(capsys):
     assert len(said) == 7
 
 
+def _parse(path):
+    return ast.parse((ROOT / path).read_text(encoding="utf-8"))
+
+
+def _tracing_targets():
+    """The strings in the benchmark's install_tracing: the names it wraps."""
+    (tracing,) = [node for node in _parse("perfbench/worker.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "install_tracing"]
+    return {node.value for node in ast.walk(tracing)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
 def test_every_public_function_is_reached_outside_the_tests():
     """A public function stays only when a verb, a benchmark workload, the
     benchmark's tracing or README's Library example reaches it."""
-    root = Path(__file__).resolve().parents[1]
-
-    def parse(path):
-        return ast.parse((root / path).read_text(encoding="utf-8"))
-
-    reached = set()
+    reached = _tracing_targets() | _called(ast.parse(_readme_library()))
     for path in ("src/pantslam/cli.py", "perfbench/workloads.py"):
-        tree = parse(path)
+        tree = _parse(path)
         reached |= _called(tree) | _imported(tree)
-    (tracing,) = [node for node in parse("perfbench/worker.py").body
-                  if isinstance(node, ast.FunctionDef) and node.name == "install_tracing"]
-    reached |= {node.value for node in ast.walk(tracing)
-                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    reached |= _called(ast.parse(_readme_library()))
     public = [name for name in pantslam.__all__ if inspect.isfunction(getattr(pantslam, name))]
     assert len(public) > 10
     unreached = [name for name in public if name not in reached]
     assert unreached == [], "reached only by tests: " + ", ".join(unreached)
+
+
+def _named(tree):
+    """Names the parsed code reads, bare or as an attribute."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+
+
+def test_every_public_method_is_named_outside_the_tests():
+    """A public method or property of an exported class stays only when the
+    package, a benchmark workload, the benchmark's tracing or README's
+    Library example names it; a second spelling of a table lookup does not."""
+    named = _tracing_targets() | _named(ast.parse(_readme_library()))
+    for path in sorted(ROOT.glob("src/pantslam/*.py")) + [ROOT / "perfbench/workloads.py"]:
+        named |= _named(_parse(path))
+    kinds = (property, functools.cached_property, classmethod, staticmethod, FunctionType)
+    public = ["%s.%s" % (cls.__name__, name)
+              for cls in map(pantslam.__dict__.get, pantslam.__all__) if inspect.isclass(cls)
+              for name, member in vars(cls).items()
+              if not name.startswith("_") and isinstance(member, kinds)]
+    assert len(public) > 10
+    unnamed = [name for name in public if name.split(".")[1] not in named]
+    assert unnamed == [], "named only by tests: " + ", ".join(unnamed)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

@@ -25,29 +25,23 @@ def test_theta_counts():
 def test_theta_faces():
     cm = theta_map()
     assert cm.faces == ((0, 5), (1, 2), (3, 4))
-    assert [cm.face_of(d) for d in range(6)] == [0, 1, 1, 2, 2, 0]
-    assert [cm.left_face(d) for d in range(6)] == [1, 0, 2, 1, 0, 2]
+    assert [cm.face_of_dart[d] for d in range(6)] == [0, 1, 1, 2, 2, 0]
+    assert [cm.face_of_dart[d ^ 1] for d in range(6)] == [1, 0, 2, 1, 0, 2]
 
 
 def test_theta_incidence():
     cm = theta_map()
-    assert [cm.head(d) for d in range(6)] == [1, 0, 1, 0, 1, 0]
-    assert [cm.tail(d) for d in range(6)] == [0, 1, 0, 1, 0, 1]
-    assert [cm.rotation_next(d) for d in range(6)] == [2, 5, 4, 1, 0, 3]
-    assert [cm.rotation_next(d ^ 1) for d in range(6)] == [5, 2, 1, 4, 3, 0]
+    assert [cm.dart_vertex[d ^ 1] for d in range(6)] == [1, 0, 1, 0, 1, 0]
+    assert [cm.dart_vertex[d] for d in range(6)] == [0, 1, 0, 1, 0, 1]
+    assert [cm.rotation_next[d] for d in range(6)] == [2, 5, 4, 1, 0, 3]
+    assert [cm.rotation_next[d ^ 1] for d in range(6)] == [5, 2, 1, 4, 3, 0]
 
 
 def test_rotation_next_cycles_each_rotation():
     cm = theta_map()
     for r in cm.rotations:
         for i, d in enumerate(r):
-            assert cm.rotation_next(d) == r[(i + 1) % len(r)]
-
-
-def test_face_of_left_face_are_twins():
-    cm = theta_map()
-    for d in range(cm.num_darts):
-        assert cm.left_face(d) == cm.face_of(d ^ 1)
+            assert cm.rotation_next[d] == r[(i + 1) % len(r)]
 
 
 def test_single_loop():
@@ -68,6 +62,13 @@ def test_duplicate_dart_rejected():
 def test_missing_dart_rejected():
     with pytest.raises(MalformedRotation):
         CombinatorialMap([[0, 2]])
+
+
+@pytest.mark.parametrize("rots", [[[0, "a"]], [[0, None]], [[0], [1.0]], [[0], [True]]])
+def test_non_int_dart_rejected(rots):
+    # True and 1.0 equal the dart 1 but are not darts
+    with pytest.raises(MalformedRotation, match="^vertices: dart .* is not an int$"):
+        CombinatorialMap(rots)
 
 
 def test_empty_vertex_rejected():
@@ -99,8 +100,8 @@ def test_degree_and_vertex_lookup():
 def test_faces_helper_matches_attribute():
     cm = theta_map()
     for f, orbit in enumerate(cm.faces):
-        assert [cm.rotation_next(d ^ 1) for d in orbit] == list(orbit[1:] + orbit[:1])
-        assert {cm.face_of(d) for d in orbit} == {f}
+        assert [cm.rotation_next[d ^ 1] for d in orbit] == list(orbit[1:] + orbit[:1])
+        assert {cm.face_of_dart[d] for d in orbit} == {f}
 
 
 def test_json_roundtrip():

@@ -186,7 +186,7 @@ def _adjacency_distances(sg, src):
     cm = sg.cmap
     adj = [set() for _ in range(cm.num_faces)]
     for rot in cm.rotations:
-        here = {cm.face_of(d) for d in rot}
+        here = {cm.face_of_dart[d] for d in rot}
         for f in here:
             adj[f] |= here
     dist = [-1] * cm.num_faces
@@ -231,15 +231,16 @@ def test_boundary_walks_cover_their_level_once_and_chain():
             typed_i = []
             by_level = [[] for _ in range(max(dist) + 1)]
             for d in range(cm.num_darts):
-                if dist[cm.face_of(d)] == dist[cm.left_face(d)] + 1:
-                    by_level[dist[cm.face_of(d)]].append(d)
+                if dist[cm.face_of_dart[d]] == dist[cm.face_of_dart[d ^ 1]] + 1:
+                    by_level[dist[cm.face_of_dart[d]]].append(d)
             for k in range(1, len(by_level)):
                 loops = sg.boundary_loops(i, k)
                 levels += 1
                 assert sorted(d for lp in loops for d in lp.darts) == by_level[k]
                 for lp in loops:
                     nxt = lp.darts[1:] + lp.darts[:1]
-                    assert [cm.head(d) for d in lp.darts] == [cm.tail(d) for d in nxt]
+                    heads = [cm.dart_vertex[d ^ 1] for d in lp.darts]
+                    assert heads == [cm.dart_vertex[d] for d in nxt]
                     tails = lp.vertices(cm)
                     assert len(set(tails)) == len(tails), lp
                 types = [sg.classify(lp) for lp in loops]

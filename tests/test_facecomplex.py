@@ -24,10 +24,10 @@ def test_two_triangles_make_a_sphere():
     assert built.face_darts == ((0, 2, 4), (5, 3, 1))
     assert len(set(built.face_index)) == 2
     for f, darts in enumerate(built.face_darts):
-        assert {cm.left_face(d) for d in darts} == {built.face_index[f]}
+        assert {cm.face_of_dart[d ^ 1] for d in darts} == {built.face_index[f]}
         # the corner rule
         for j in range(len(darts)):
-            assert cm.rotation_next(darts[j]) == darts[j - 1] ^ 1
+            assert cm.rotation_next[darts[j]] == darts[j - 1] ^ 1
 
 
 @pytest.mark.parametrize("faces", [("abc", "cb"), ("abc", "cba", "a")])

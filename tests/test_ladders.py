@@ -90,7 +90,7 @@ def test_mirror_reverses_rotation(t):
     phi = block_mirror(t)
     cm = block_graph(t).cmap
     for d in range(cm.num_darts):
-        assert cm.rotation_next(phi[cm.rotation_next(d)]) == phi[d]
+        assert cm.rotation_next[phi[cm.rotation_next[d]]] == phi[d]
 
 
 @pytest.mark.parametrize("t", SAMPLE_TUPLES)

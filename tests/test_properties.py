@@ -88,7 +88,7 @@ def test_face_distance_one_means_shared_vertex(cm):
     sg = SigmaGraph(cm, (0, 1, 2))
     dm = distance_matrix(sg)
     verts_of = [
-        {cm.tail(d) for d in face} for face in cm.faces
+        {cm.dart_vertex[d] for d in face} for face in cm.faces
     ]
     for f in range(cm.num_faces):
         assert dm[f][f] == 0
@@ -154,7 +154,7 @@ def test_layer_boundary_separates_near_from_far(sg):
                 # the near face along each strand sits exactly one
                 # step in, the far face at k or beyond
                 for d in lp.darts:
-                    pair = {sg.cmap.face_of(d), sg.cmap.left_face(d)}
+                    pair = {sg.cmap.face_of_dart[d], sg.cmap.face_of_dart[d ^ 1]}
                     dists = sorted(dm[src][f] for f in pair)
                     assert dists[0] == k - 1
                     assert dists[1] >= k
@@ -171,7 +171,7 @@ def test_layer_boundary_separates_near_from_far(sg):
 @given(marked_graphs(max_faces=9))
 @PROPERTY_SETTINGS
 def test_interlock_law_on_random_graphs(sg):
-    fams = [special_family(sg, i).loops for i in (1, 2, 3)]
+    fams = [special_family(sg, i) for i in (1, 2, 3)]
     assert pair_meeting_breaches(sg, fams) == []
 
 
@@ -182,8 +182,8 @@ def test_complementary_inner_sides_are_disjoint(sg):
     for i in range(3):
         d_i = tau.delta[i]
         ia, ib = (i + 1) % 3 + 1, (i + 2) % 3 + 1
-        fa = special_family(sg, ia).loops
-        fb = special_family(sg, ib).loops
+        fa = special_family(sg, ia)
+        fb = special_family(sg, ib)
         for k in range(1, d_i + 1):
             j = d_i + 1 - k
             if k > len(fa) or j > len(fb):
@@ -201,9 +201,9 @@ def test_edge_deletion_never_grows_signature(sg, data):
     cm = sg.cmap
     candidates = []
     for k in non_bridge_edges(cm):
-        sides = {cm.face_of(2 * k), cm.face_of(2 * k + 1)}
+        sides = {cm.face_of_dart[2 * k], cm.face_of_dart[2 * k + 1]}
         if len(sides & set(sg.marked)) < 2 and all(
-            any(cm.edge_of(d) != k for d in cm.faces[f]) for f in sg.marked
+            any(d >> 1 != k for d in cm.faces[f]) for f in sg.marked
         ):
             candidates.append(k)
     assume(candidates)
@@ -211,8 +211,8 @@ def test_edge_deletion_never_grows_signature(sg, data):
     smaller = delete_edge(cm, k)
 
     def tracked(f: int) -> int:
-        d = next(d for d in cm.faces[f] if cm.edge_of(d) != k)
-        return smaller.face_of(d - 2 if d > 2 * k + 1 else d)
+        d = next(d for d in cm.faces[f] if d >> 1 != k)
+        return smaller.face_of_dart[d - 2 if d > 2 * k + 1 else d]
 
     new_marks = tuple(tracked(f) for f in sg.marked)
     assume(len(set(new_marks)) == 3)
@@ -235,7 +235,7 @@ def test_mirror_preserves_loop_types(t):
     g = block_graph(t)
     phi = block_mirror(t)
     for i in (1, 2, 3):
-        for lp in special_family(g, i).loops:
+        for lp in special_family(g, i):
             image = Loop(tuple(phi[d] for d in lp.darts))
             assert g.classify(image) == i
 
@@ -306,7 +306,7 @@ def _mirrored(sg):
     """Every rotation reversed; a face right of d now lies right of its twin."""
     cm = sg.cmap
     new = CombinatorialMap([r[::-1] for r in cm.rotations])
-    return SigmaGraph(new, tuple(new.face_of(cm.faces[f][0] ^ 1) for f in sg.marked))
+    return SigmaGraph(new, tuple(new.face_of_dart[cm.faces[f][0] ^ 1] for f in sg.marked))
 
 
 def _renumbered(sg, seed):
@@ -328,7 +328,7 @@ def _renumbered(sg, seed):
         s = rng.randrange(len(r))
         rots.append(r[s:] + r[:s])
     new = CombinatorialMap(rots)
-    return SigmaGraph(new, tuple(new.face_of(dmap[cm.faces[f][0]]) for f in sg.marked))
+    return SigmaGraph(new, tuple(new.face_of_dart[dmap[cm.faces[f][0]]] for f in sg.marked))
 
 
 def test_large_signature_survives_mirroring_renumbering_and_subdivision():

@@ -50,7 +50,7 @@ def test_highlight_changes_output():
     sg = theta_graph()
     fam = special_family(sg, 1)
     plain = render_svg(sg)
-    marked = render_svg(sg, highlight=[[lp.darts for lp in fam.loops]])
+    marked = render_svg(sg, highlight=[fam])
     assert marked != plain
     ET.fromstring(marked)
 
@@ -85,8 +85,8 @@ def _dense_layout(cmap, outer):
     """
     ring = []
     for d in cmap.faces[outer]:
-        if cmap.tail(d) not in ring:
-            ring.append(cmap.tail(d))
+        if cmap.dart_vertex[d] not in ring:
+            ring.append(cmap.dart_vertex[d])
     pinned = {}
     for j, v in enumerate(ring):
         ang = math.pi / 2 + 2 * math.pi * j / len(ring)
@@ -98,7 +98,7 @@ def _dense_layout(cmap, outer):
     rows = [[0.0] * (n + 2) for _ in inner]
     for j, v in enumerate(inner):
         for d in cmap.rotations[v]:
-            u = cmap.head(d)
+            u = cmap.dart_vertex[d ^ 1]
             if u == v:
                 continue
             rows[j][j] += 1.0
