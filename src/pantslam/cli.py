@@ -4,7 +4,7 @@ Verbs: analyze, check, construct, roundtrip, render, oracle.  Exit codes
 are scriptable: 0 for success or a positive verdict, 1 for a negative
 domain result (not realizable, sweep mismatch, oracle disagreement),
 2 for unreadable or malformed input or an exhausted resource (a search
-limit, or memory).
+limit, a size cap, or memory).
 """
 
 from __future__ import annotations
@@ -21,11 +21,15 @@ from .constructor import construct_detailed
 from .errors import ConstructionFailed, LimitExceeded, NotRealizable, OutOfRange, PantsError
 from .exploration import SigmaGraph
 from .oracle import candidate_cycles, lamination_space_bruteforce
-from .polytope import _point_runs, check_realizable, enumerate_points, nu_transform
+from .polytope import _columns, check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
 
 __all__ = ["main"]
+
+# the sweep tests (m + 1)^3 (2m)^3 candidates for --max-mu m: at 6, 592,704
+# of them and 8,745 witnesses, a few seconds; at 10 it would be 10^7
+MAX_ROUNDTRIP_MU = 6
 
 
 def _load_json(path: str):
@@ -54,27 +58,34 @@ def _load_graph(path: str) -> SigmaGraph:
 def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
     sg = _load_graph(path)
     tau = sigma_of(sg)
+    cols = list(_columns(tau))
+    count = sum(sum(tops, len(tops)) for _, tops in cols) - exclude_origin
     # a block graph's points can run to gigabytes of text, written here in
-    # chunks of about 1 MiB; the runs, about m3 times fewer, are kept, as a
-    # second pass of the generator would cost more
-    runs = list(_point_runs(tau))
-    # the first run is (0, 0), so skipping the origin starts it at z = 1
-    lo = int(exclude_origin)
-    count = sum(top + 1 for _, _, top in runs) - lo
+    # chunks of about 1 MiB.  The lines of (x, y) are one string, "x y "
+    # joined over ["", "0\n", ..., "top\n"], a slice of one list.  A
+    # column's slices are kept while its tops repeat, and its strings come
+    # from two C-level maps, so the interpreter steps once per column.
+    # (Joining whole columns over a table of "y z\n" lines was slower on
+    # long columns, whose lines no longer stay in cache.)
     chunk = ["sigma = %s\nnu = %s\nlamination points (%d):\n"
              % (tuple(tau), tuple(nu_transform(tau)), count)]
     size = 0
-    zstr = ["%d\n" % z for z in range(tau.m3 + 1)]
-    for x, y, top in runs:
-        if lo <= top:
-            prefix = "%d %d " % (x, y)
-            run = prefix + prefix.join(zstr[lo:top + 1])
-            chunk.append(run)
-            size += len(run)
-            if size >= 1 << 20:
-                sys.stdout.write("".join(chunk))
-                chunk, size = [], 0
-        lo = 0
+    tops0 = cols[0][1]
+    zs = [""] + ["%d\n" % z for z in range(tops0[0] + 1)]
+    ys = ["%d " % y for y in range(len(tops0))]
+    last = None
+    for x, tops in cols:
+        if tops != last:
+            last = tops
+            table = [zs[:top + 2] for top in tops]
+        texts = list(map(str.join, map(("%d " % x).__add__, ys), table))
+        if exclude_origin and x == 0:
+            texts[0] = texts[0][len("0 0 0\n"):]
+        chunk += texts
+        size += sum(map(len, texts))
+        if size >= 1 << 20:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
     sys.stdout.write("".join(chunk))
     return 0
 
@@ -130,8 +141,8 @@ def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
 
 
 def cmd_roundtrip(max_mu: int) -> int:
-    if max_mu < 0:
-        raise OutOfRange("--max-mu must be at least 0, got %d" % max_mu)
+    if not 0 <= max_mu <= MAX_ROUNDTRIP_MU:
+        raise OutOfRange("--max-mu must be 0 to %d, got %d" % (MAX_ROUNDTRIP_MU, max_mu))
     taus = _realizable_box(max_mu)
     if not taus:
         print("swept 0 realizable signatures (empty sweep)")
@@ -206,7 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output graph JSON path")
 
     p = sub.add_parser("roundtrip", help="sweep all realizable signatures")
-    p.add_argument("--max-mu", type=int, default=2)
+    p.add_argument("--max-mu", type=int, default=2,
+                   help="largest family size swept, 0 to %d (default 2)"
+                        % MAX_ROUNDTRIP_MU)
 
     p = sub.add_parser("render", help="draw a graph JSON file to SVG")
     p.add_argument("path")

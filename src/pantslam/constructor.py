@@ -12,7 +12,12 @@ So a realizable tau has a closed-form preimage (family_params): start
 from c = mu and d = nu, take the index i of the largest depth and lower
 c_i, d_j and d_k by extra = max(0, d_i - max(d_j, d_k) - 1); depth i then
 exceeds the others by 2 extra + 1, which adds the loops back to family i.
-The witness is that drawing, verified by measuring it.
+The witness is that drawing, verified by measuring it.  Its size is
+known before it is drawn (`chords.drawing_size`), and one of more than
+MAX_WITNESS_DARTS darts is refused with LimitExceeded.  Building and
+verifying takes about 250 bytes per dart, so a witness at the cap needs
+some 2.5 GB; the size grows with the square of the interlock, and
+(20000, 20000, 20000, 20001, 20001, 20001) would need 4.8e9 darts.
 
 Position i of a signature half, of counts or of depths belongs to marked
 face i+1, as everywhere in the package.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
 
 from . import chords
-from .errors import ConstructionFailed, NotRealizable
+from .errors import ConstructionFailed, LimitExceeded, NotRealizable
 from .exploration import SigmaGraph
 from .polytope import check_realizable, nu_transform, validate_tau
 from .special_loops import SigmaVector, sigma_of
@@ -32,6 +37,8 @@ from .special_loops import SigmaVector, sigma_of
 __all__ = ["ConstructionResult", "family_params", "construct", "construct_detailed"]
 
 Triple = tuple[int, int, int]
+
+MAX_WITNESS_DARTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -77,14 +84,19 @@ def _search_detailed(tau: SigmaVector, counts: Triple, depths: Triple) -> NoRetu
 def construct_detailed(tau: Sequence[int]) -> ConstructionResult:
     """Build and verify a witness, reporting its counts and depths.
 
-    Raises NotRealizable when the target fails the linear conditions and
-    ConstructionFailed when the built map does not measure tau.
+    Raises NotRealizable when the target fails the linear conditions,
+    LimitExceeded when the witness would have more than MAX_WITNESS_DARTS
+    darts, and ConstructionFailed when the built map does not measure tau.
     """
     tv = validate_tau(tau)
     verdict = check_realizable(tv)
     if not verdict:
         raise NotRealizable(str(verdict))
     counts, depths = family_params(tv)
+    darts = 2 * chords.drawing_size(counts, depths)[1]
+    if darts > MAX_WITNESS_DARTS:
+        raise LimitExceeded("witness for %r would have %d darts, more than the cap of %d"
+                            % (tuple(tv), darts, MAX_WITNESS_DARTS))
     res = _verified(chords.family_graph(counts, depths), tv, counts, depths)
     if res is None:
         _search_detailed(tv, counts, depths)

@@ -81,7 +81,8 @@ class ConstructionFailed(PantsError):
 
 
 class LimitExceeded(PantsError):
-    """Brute-force enumeration exceeded its configured work limits."""
+    """A computation would pass a documented limit: the brute-force
+    search's cycle or step limit, or the dart cap of a witness."""
 
 
 class NonPositiveDelta(NotRealizable):

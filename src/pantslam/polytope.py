@@ -11,13 +11,22 @@ taken cyclically:
 The integer points of the associated polytope are the triples
 (x, y, z) of nonnegative integers bounded above by the family sizes
 coordinatewise and with each two-coordinate sum at most the matching
-distance.
+distance.  They come column by column in x; with the cap
+c = min(m3, d2 - x), column x holds z = 0..tops[y] for y < len(tops):
+
+  x       <= min(m1, d2, d3)
+  y       <= min(m2, d1, d3 - x)        the cut at d3 - x
+  tops[y]  = min(c, d1 - y)             at c while y < d1 - c, then d1 - y
+
+The extra caps x <= d2, x <= d3 and y <= d1 keep every top nonnegative,
+so each column is nonempty, and the first one starts with the origin.
+As x grows, neither the cap nor the column's length rises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 from .errors import NegativeParameter, NonPositiveDelta, OutOfRange
@@ -94,26 +103,22 @@ class LaminationPolytope:
         return len(self.points)
 
 
-def _point_runs(tau: SigmaVector):
-    """The polytope's points as runs: (x, y, top) for z = 0..top.
+def _columns(tau: SigmaVector):
+    """The polytope's points column by column: (x, tops) for each x.
 
-    Runs come out in lexicographic order of (x, y), and top >= 0 in each.
-    The coordinatewise caps and the pair sums give x <= min(m1, d2),
-    y <= min(m2, d1, d3 - x) and top = min(m3, d1 - y, d2 - x); the extra
-    caps x <= d2 and y <= d1 keep every run nonempty.  The first run is
-    always (0, 0, ...), the one holding the origin.  For one x, with
-    c = min(m3, d2 - x), top is c while y < d1 - c and d1 - y after that,
-    so each x's runs are zipped from C iterators: the interpreter steps
-    once per x, not once per run.
+    The formula is the module docstring's.  Each column's tops are sliced
+    from C iterators: the interpreter steps once per column, not once per
+    (x, y).
     """
     m1, m2, m3, d1, d2, d3 = tau
 
-    def runs_at(x):
+    def tops_at(x):
         c = min(m3, d2 - x)
         tops = chain(repeat(c, d1 - c), range(min(c, d1), -1, -1))
-        return zip(repeat(x), range(min(m2, d1, d3 - x) + 1), tops)
+        return list(islice(tops, min(m2, d1, d3 - x) + 1))
 
-    return chain.from_iterable(map(runs_at, range(min(m1, d2) + 1)))
+    xs = range(min(m1, d2, d3) + 1)
+    return zip(xs, map(tops_at, xs))
 
 
 def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
@@ -122,7 +127,8 @@ def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
     Points come out in lexicographic order.
     """
     vals = validate_tau(tau)
-    pts = tuple((x, y, z) for x, y, top in _point_runs(vals) for z in range(top + 1))
+    pts = tuple((x, y, z) for x, tops in _columns(vals)
+                for y, top in enumerate(tops) for z in range(top + 1))
     return LaminationPolytope(vals, pts)
 
 

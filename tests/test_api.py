@@ -87,6 +87,16 @@ def test_readme_library_prints_what_its_comments_say(capsys):
     assert len(said) == 7
 
 
+def test_readme_states_the_src_line_count():
+    """README's "`src/pantslam` is N lines in M modules" is the tree's `wc -l`."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines, modules = re.search(
+        r"`src/pantslam` is ([\d,]+) lines in (\d+) modules", readme).groups()
+    files = sorted((ROOT / "src" / "pantslam").glob("*.py"))
+    assert int(modules) == len(files)
+    assert int(lines.replace(",", "")) == sum(p.read_bytes().count(b"\n") for p in files)
+
+
 def _parse(path):
     return ast.parse((ROOT / path).read_text(encoding="utf-8"))
 

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from pantslam.chords import family_graph
+from pantslam.chords import drawing_size, family_graph
 from pantslam.errors import NegativeParameter, OutOfRange, OverlappingCrossings
 from pantslam.special_loops import sigma_of
 
@@ -97,6 +97,14 @@ def test_signature_law_on_every_uncapped_spec():
     assert len(specs) == 1871
     for counts, depths in specs:
         assert tuple(sigma_of(family_graph(counts, depths))) == sigma_cd(counts, depths)
+
+
+def test_drawing_size_matches_every_drawing():
+    specs = family_corpus(3)
+    assert len(specs) == 831
+    for spec in specs:
+        g = family_graph(*spec).cmap
+        assert drawing_size(*spec) == (g.num_vertices, g.num_edges), spec
 
 
 # sha256 over repr((cmap.rotations, marked)) of every spec of

@@ -5,9 +5,10 @@ import io
 import json
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pantslam import cli, constructor, errors
@@ -180,6 +181,34 @@ def test_roundtrip_negative_max_mu_is_input_error(capsys):
     out = capsys.readouterr().out
     assert out.startswith("OutOfRange: --max-mu ")
     assert "empty sweep" not in out
+
+
+def test_roundtrip_max_mu_above_the_cap_is_input_error(capsys, monkeypatch):
+    # refused before the sweep starts: at --max-mu 10 it would test 10^7
+    # candidates
+    def no_sweep(max_mu):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(cli, "_realizable_box", no_sweep)
+    for value in (cli.MAX_ROUNDTRIP_MU + 1, 10):
+        assert main(["roundtrip", "--max-mu", str(value)]) == 2
+        out = capsys.readouterr().out
+        assert out == "OutOfRange: --max-mu must be 0 to %d, got %d\n" % (
+            cli.MAX_ROUNDTRIP_MU, value)
+
+
+def test_construct_above_the_dart_cap_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    # the forecast is 1.2e9 vertices; nothing is drawn
+    def no_drawing(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(constructor.chords, "family_graph", no_drawing)
+    out = tmp_path / "huge.json"
+    argv = ["construct", "20000", "20000", "20000", "20001", "20001", "20001", str(out)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("LimitExceeded: "), lines
+    assert not out.exists()
 
 
 def test_render_writes_svg(theta_file, tmp_path, capsys):
@@ -429,6 +458,32 @@ def test_analyze_prints_every_point_of_any_signature(theta_file, capsys, monkeyp
         for flag in ([], ["--exclude-origin"]):
             assert main(["analyze", theta_file] + flag) == 0
             assert capsys.readouterr().out == _expected_analyze(tau, bool(flag)), (tau, flag)
+
+
+@pytest.fixture(scope="module")
+def theta_path(tmp_path_factory):
+    # module-scoped, so that every hypothesis example may share it
+    path = tmp_path_factory.mktemp("theta") / "theta.json"
+    path.write_text(json.dumps(theta_graph().to_dict()))
+    return str(path)
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(mu=st.tuples(*[st.integers(0, 15)] * 3), delta=st.tuples(*[st.integers(1, 30)] * 3),
+       exclude=st.booleans())
+# a column cap that falls partway, below d1 and cut by d3 - x; d1 under
+# the cap; only the origin
+@example(mu=(15, 15, 15), delta=(30, 20, 10), exclude=False)
+@example(mu=(10, 10, 15), delta=(5, 30, 30), exclude=True)
+@example(mu=(0, 0, 0), delta=(1, 1, 1), exclude=True)
+def test_analyze_prints_every_point_of_larger_signatures(theta_path, mu, delta, exclude):
+    # realizable or not: the writer reads only the polytope's columns
+    tau = SigmaVector(*mu, *delta)
+    buf = io.StringIO()
+    with mock.patch.object(cli, "sigma_of", lambda sg: tau), contextlib.redirect_stdout(buf):
+        assert main(["analyze", theta_path] + ["--exclude-origin"] * exclude) == 0
+    assert buf.getvalue() == _expected_analyze(tau, exclude)
 
 
 class _Sink:

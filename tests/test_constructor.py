@@ -4,8 +4,10 @@ import pytest
 
 from pantslam import constructor
 from pantslam.constructor import construct, construct_detailed, family_params
+from pantslam.chords import drawing_size
 from pantslam.errors import (
     ConstructionFailed,
+    LimitExceeded,
     NegativeParameter,
     NotRealizable,
     OutOfRange,
@@ -82,6 +84,38 @@ def test_witness_no_larger_than_ladder_blocks():
             blocks = block_graph(tuple(v - 1 for v in counts + depths))
             assert construct(tau).cmap.num_edges <= blocks.cmap.num_edges, tau
     assert positive == 493
+
+
+# (tau, V, E) of the witness table in ROADMAP.md; the last one is not
+# built here, it takes about 1.7 s
+WITNESS_TABLE = [
+    ((3, 3, 3, 3, 3, 3), 27, 54),
+    ((100, 100, 100, 167, 167, 167), 3669, 7137),
+    ((200, 200, 200, 334, 334, 334), 13872, 27342),
+    ((50, 50, 50, 51, 51, 51), 7209, 14415),
+    ((200, 200, 200, 201, 201, 201), 118809, 237615),
+]
+
+
+def test_drawing_size_forecasts_every_witness():
+    for tau in realizable_grid(3):
+        g = construct(tau).cmap
+        assert drawing_size(*family_params(tau)) == (g.num_vertices, g.num_edges), tau
+    for tau, v, e in WITNESS_TABLE:
+        assert drawing_size(*family_params(tau)) == (v, e), tau
+        if v < 20000:
+            g = construct(tau).cmap
+            assert (g.num_vertices, g.num_edges) == (v, e), tau
+
+
+def test_witness_above_the_dart_cap_is_refused(monkeypatch):
+    # (3,3,3,3,3,3) has 108 darts: built at a cap of 108, refused below it
+    monkeypatch.setattr(constructor, "MAX_WITNESS_DARTS", 108)
+    assert construct((3, 3, 3, 3, 3, 3)).cmap.num_darts == 108
+    monkeypatch.setattr(constructor, "MAX_WITNESS_DARTS", 107)
+    with pytest.raises(LimitExceeded) as exc:
+        construct_detailed((3, 3, 3, 3, 3, 3))
+    assert "108 darts, more than the cap of 107" in str(exc.value)
 
 
 def test_every_signature_up_to_five_verifies():

@@ -8,7 +8,7 @@ import pytest
 
 from pantslam.errors import NegativeParameter, NonPositiveDelta, OutOfRange, PantsError
 from pantslam.polytope import (
-    _point_runs,
+    _columns,
     check_realizable,
     enumerate_points,
     lamination_space,
@@ -156,8 +156,8 @@ def test_all_relabelings_has_six_entries():
 
 
 def test_points_equal_box_filter_in_order():
-    # the runs behind enumerate_points against a plain filter of the box of
-    # family sizes, on every validated signature in a small box; these
+    # the columns behind enumerate_points against a plain filter of the box
+    # of family sizes, on every validated signature in a small box; these
     # include unrealizable ones with x > d2 or y > d1 (the plain z bound
     # would be negative) and x > d3 (no y at all)
     cut = {"x > d2": 0, "y > d1": 0, "x > d3": 0}
@@ -169,10 +169,14 @@ def test_points_equal_box_filter_in_order():
             if y + z <= d1 and x + z <= d2 and x + y <= d3
         ]
         assert list(enumerate_points(tau).points) == box, tau
-        runs = list(_point_runs(validate_tau(tau)))
-        assert runs[0][:2] == (0, 0)
-        assert all(top >= 0 for _, _, top in runs)
-        assert [(x, y) for x, y, _ in runs] == sorted({p[:2] for p in box})
+        cols = list(_columns(validate_tau(tau)))
+        assert all(tops and min(tops) >= 0 for _, tops in cols)
+        assert [(x, y) for x, tops in cols for y in range(len(tops))] == sorted(
+            {p[:2] for p in box})
+        # neither a column's first top nor its length rises with x
+        for key in (lambda tops: tops[0], len):
+            seq = [key(tops) for _, tops in cols]
+            assert seq == sorted(seq, reverse=True), tau
         cut["x > d2"] += m1 > d2
         cut["y > d1"] += m2 > d1
         cut["x > d3"] += m1 > d3
