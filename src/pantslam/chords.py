@@ -78,32 +78,29 @@ from .errors import InvariantViolated, NegativeParameter, OutOfRange, Overlappin
 from .exploration import SigmaGraph
 
 
-def drawing_size(
-    counts: Sequence[int], depths: Sequence[int], caps: Iterable[int] = ()
-) -> tuple[int, int]:
-    """Vertex and edge counts of `family_graph(counts, depths, caps)`, undrawn.
+def drawing_size(counts: Sequence[int], depths: Sequence[int]) -> tuple[int, int]:
+    """Vertex and edge counts of `family_graph(counts, depths)`, undrawn.
 
     Depth d interlocks the curves a, b >= 1 of two families with a + b <= d,
     so X = sum d(d - 1)/2 over the depths counts the crossings, each with its
-    mirror.  The axis holds 2 sum c - sum d + |caps| points, and each curve's
-    chord and mirror are cut into one more segment than it has crossings:
+    mirror.  The axis holds 2 sum c - sum d points, and each curve's chord
+    and mirror are cut into one more segment than it has crossings:
 
-      V = 2 sum c - sum d + |caps| + 2X
-      E = 2 (sum c + |caps|) + 4X + A
+      V = 2 sum c - sum d + 2X
+      E = 2 sum c + 4X + A
 
     A counts the axis arcs: max(0, c_i - max(d_j, d_k, 1)) inside family i,
     and one per join of the nonempty families that no depth >= 1 joins
-    already.  The arguments are those `family_graph` accepts.
+    already.  The arguments are those `family_graph` takes besides caps.
     """
     c1, c2, c3 = counts
     d1, d2, d3 = depths
-    ncaps = len(frozenset(caps))
     x = (d1 * (d1 - 1) + d2 * (d2 - 1) + d3 * (d3 - 1)) // 2
     arcs = (max(0, c1 - max(d2, d3, 1)) + max(0, c2 - max(d3, d1, 1))
             + max(0, c3 - max(d1, d2, 1)))
     joins = (c1 > 0) + (c2 > 0) + (c3 > 0) - 1 - (d1 > 0) - (d2 > 0) - (d3 > 0)
-    v = 2 * (c1 + c2 + c3) - (d1 + d2 + d3) + ncaps + 2 * x
-    return v, 2 * (c1 + c2 + c3 + ncaps) + 4 * x + arcs + max(0, joins)
+    v = 2 * (c1 + c2 + c3) - (d1 + d2 + d3) + 2 * x
+    return v, 2 * (c1 + c2 + c3) + 4 * x + arcs + max(0, joins)
 
 
 def family_graph(

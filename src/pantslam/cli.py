@@ -63,29 +63,36 @@ def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
     # a block graph's points can run to gigabytes of text, written here in
     # chunks of about 1 MiB.  The lines of (x, y) are one string, "x y "
     # joined over ["", "0\n", ..., "top\n"], a slice of one list.  A
-    # column's slices are kept while its tops repeat, and its strings come
-    # from two C-level maps, so the interpreter steps once per column.
-    # (Joining whole columns over a table of "y z\n" lines was slower on
-    # long columns, whose lines no longer stay in cache.)
+    # column's rows come from two C-level maps, at most about 2^15 points
+    # at a time, and their slices are kept while the tops repeat: the
+    # interpreter steps once per column of a deep block graph, and a long
+    # column is never held whole.  (Joining whole columns over a table of
+    # "y z\n" lines was slower on long columns, whose lines no longer stay
+    # in cache.)
     chunk = ["sigma = %s\nnu = %s\nlamination points (%d):\n"
              % (tuple(tau), tuple(nu_transform(tau)), count)]
     size = 0
     tops0 = cols[0][1]
     zs = [""] + ["%d\n" % z for z in range(tops0[0] + 1)]
     ys = ["%d " % y for y in range(len(tops0))]
+    # no column's cap, tops[0], exceeds the first one's
+    step = max(1, (1 << 15) // (tops0[0] + 1))
     last = None
     for x, tops in cols:
-        if tops != last:
-            last = tops
-            table = [zs[:top + 2] for top in tops]
-        texts = list(map(str.join, map(("%d " % x).__add__, ys), table))
-        if exclude_origin and x == 0:
-            texts[0] = texts[0][len("0 0 0\n"):]
-        chunk += texts
-        size += sum(map(len, texts))
-        if size >= 1 << 20:
-            sys.stdout.write("".join(chunk))
-            chunk, size = [], 0
+        prefix = "%d " % x
+        for lo in range(0, len(tops), step):
+            part = tops[lo:lo + step]
+            if part != last:
+                last = part
+                table = [zs[:top + 2] for top in part]
+            texts = list(map(str.join, map(prefix.__add__, ys[lo:lo + step]), table))
+            if exclude_origin and x == lo == 0:
+                texts[0] = texts[0][len("0 0 0\n"):]
+            chunk += texts
+            size += sum(map(len, texts))
+            if size >= 1 << 20:
+                sys.stdout.write("".join(chunk))
+                chunk, size = [], 0
     sys.stdout.write("".join(chunk))
     return 0
 

@@ -92,19 +92,14 @@ def test_non_int_parameters_rejected(field, bad):
 
 def test_signature_law_on_every_uncapped_spec():
     # counts up to 4 include (4,4,4),(4,4,4): all three families cross
-    # pairwise, four deep
+    # pairwise, four deep; uncapped specs are all the drawings
+    # family_params asks for, and the ones drawing_size forecasts
     specs = [(c, d) for c, d, caps in family_corpus(4) if not caps]
     assert len(specs) == 1871
     for counts, depths in specs:
-        assert tuple(sigma_of(family_graph(counts, depths))) == sigma_cd(counts, depths)
-
-
-def test_drawing_size_matches_every_drawing():
-    specs = family_corpus(3)
-    assert len(specs) == 831
-    for spec in specs:
-        g = family_graph(*spec).cmap
-        assert drawing_size(*spec) == (g.num_vertices, g.num_edges), spec
+        g = family_graph(counts, depths)
+        assert tuple(sigma_of(g)) == sigma_cd(counts, depths)
+        assert drawing_size(counts, depths) == (g.cmap.num_vertices, g.cmap.num_edges)
 
 
 # sha256 over repr((cmap.rotations, marked)) of every spec of

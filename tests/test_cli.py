@@ -473,10 +473,12 @@ def theta_path(tmp_path_factory):
 @given(mu=st.tuples(*[st.integers(0, 15)] * 3), delta=st.tuples(*[st.integers(1, 30)] * 3),
        exclude=st.booleans())
 # a column cap that falls partway, below d1 and cut by d3 - x; d1 under
-# the cap; only the origin
+# the cap; only the origin; three columns of about 90,000 points, each
+# written in slices of rows
 @example(mu=(15, 15, 15), delta=(30, 20, 10), exclude=False)
 @example(mu=(10, 10, 15), delta=(5, 30, 30), exclude=True)
 @example(mu=(0, 0, 0), delta=(1, 1, 1), exclude=True)
+@example(mu=(2, 300, 300), delta=(600, 300, 300), exclude=True)
 def test_analyze_prints_every_point_of_larger_signatures(theta_path, mu, delta, exclude):
     # realizable or not: the writer reads only the polytope's columns
     tau = SigmaVector(*mu, *delta)
@@ -487,9 +489,12 @@ def test_analyze_prints_every_point_of_larger_signatures(theta_path, mu, delta, 
 
 
 class _Sink:
-    """A stdout that discards what it is given."""
+    """A stdout that discards what it is given, counting its lines."""
+
+    lines = 0
 
     def write(self, text):
+        self.lines += text.count("\n")
         return len(text)
 
     def flush(self):
@@ -534,6 +539,22 @@ def test_analyze_memory_stays_bounded(deep_block_file):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 8_000_000, peak
+
+
+def test_analyze_memory_stays_bounded_on_one_long_column(theta_file, monkeypatch):
+    # m1 = 0 puts all 1001^2 points in the column x = 0, 11.9 MB of text
+    tau = SigmaVector(0, 1000, 1000, 2000, 1000, 1000)
+    monkeypatch.setattr(cli, "sigma_of", lambda sg: tau)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["analyze", theta_file]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 3 + 1001 * 1001
     assert peak < 8_000_000, peak
 
 
