@@ -17,7 +17,7 @@ drawing measures the signature
   family size i = c_i + max(0, floor((d_i - max(d_j, d_k)) / 2))
   distance i    = c_j + c_k - d_i
 
-which is `ladders.block_signature` with every parameter one larger; a
+which block graph (l, n) of `ladders` measures at c = l + 1, d = n + 1; a
 tangent cap changes neither.  Family i gains loops only where the other
 two families interlock at least two deeper than either does with it.
 
@@ -50,11 +50,12 @@ not depend on them.  Curve a of family i crosses or touches family i+1
 exactly when a is at most their depth, likewise family i-1, and curve
 1 of that neighbor meets all such curves; a cap touches curve 1.  So
 an arc from the right end of curve a+1 to that of curve a, for each
-a >= 1 at or above both flanking depths, ties a family together, and
-an arc from the last axis point of a family to the first of the next
-joins two nonempty families that no depth >= 1 joins already.  The
-emission order makes the ends of each arc axis neighbors.  The
-connectivity and Euler checks of the map guard this and planarity.
+a >= 1 at or above both flanking depths, ties a family together.  The
+k nonempty families need k - 1 joins, and each depth >= 1 makes one.
+While joins are missing, an arc from the last axis point of a nonempty
+family to the first of the next, in zone order, joins two that meet at
+depth 0.  The emission order makes the ends of each arc axis neighbors.
+The connectivity and Euler checks of the map guard this and planarity.
 
 The marked faces are read off the drawing.  The innermost curve of a
 nonempty family i, number a = c_i, crosses no curve: that would need
@@ -191,20 +192,13 @@ def family_graph(
     for i in range(3):
         for a in range(counts[i] - 1, max(q[(i - 1) % 3], q[i], 1) - 1, -1):
             segments.append(index[rlab(i, a + 1)])
-    label = [0, 1, 2]  # zones with equal labels are already connected
-
-    def join(za: int, zb: int) -> bool:
-        old, new = label[za], label[zb]
-        label[:] = [new if z == old else z for z in label]
-        return old != new
-
-    for i in range(3):
-        if q[i] >= 1:
-            join(i, (i + 1) % 3)
     nonempty = [i for i in range(3) if counts[i] > 0]
+    need = len(nonempty) - 1 - sum(p > 0 for p in depths)
     for za, zb in zip(nonempty, nonempty[1:]):
-        if join(za, zb):
+        # depth 3 - za - zb interlocks zones za and zb
+        if need > 0 and depths[3 - za - zb] == 0:
             segments.append(last[za])
+            need -= 1
 
     # -- darts and rotations ---------------------------------------------
     # Edges are numbered as emitted: per curve, its chord's segments in

@@ -27,8 +27,8 @@ from .special_loops import sigma_of, special_family
 
 __all__ = ["main"]
 
-# the sweep tests (m + 1)^3 (2m)^3 candidates for --max-mu m: at 6, 592,704
-# of them and 8,745 witnesses, a few seconds; at 10 it would be 10^7
+# the sweep builds and verifies one witness per realizable signature: 8,745
+# of them for --max-mu 6, a few seconds; at 10 it would be 99,365
 MAX_ROUNDTRIP_MU = 6
 
 
@@ -107,7 +107,7 @@ def cmd_check(tau: Sequence[int]) -> int:
 
 
 def _witness_text(sg: SigmaGraph) -> str:
-    """The text of json.dumps(sg.to_dict(), indent=1, sort_keys=True) + "\\n"."""
+    """sg's "vertices" and "marked_faces" as json.dumps(.., indent=1, sort_keys=True) + "\\n"."""
     # a valid map has no empty rotation, so no list takes json's [] form
     rows = ",\n  ".join(["[\n   " + ",\n   ".join(map(str, r)) + "\n  ]"
                          for r in sg.cmap.rotations])
@@ -137,13 +137,13 @@ def _roundtrip_one(tau: tuple[int, ...]) -> str:
 
 
 def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
+    """Realizable signatures with family sizes at most max_mu; each distance
+    runs over its T1 interval, so only T2 can reject a candidate."""
     out = []
     for mu in product(range(max_mu + 1), repeat=3):
-        hi = 2 * max_mu
-        for delta in product(range(1, hi + 1), repeat=3):
-            tau = mu + delta
-            if check_realizable(tau):
-                out.append(tau)
+        spans = [range(max(mu[j], mu[k], 1), mu[j] + mu[k] + 1)
+                 for j, k in ((1, 2), (2, 0), (0, 1))]
+        out.extend(mu + delta for delta in product(*spans) if check_realizable(mu + delta))
     return out
 
 

@@ -153,9 +153,6 @@ class CombinatorialMap:
 
     # -- serialization --------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {"vertices": [list(r) for r in self.rotations]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "CombinatorialMap":
         """Map from parsed JSON; rotations must be lists of plain ints."""

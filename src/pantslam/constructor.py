@@ -2,16 +2,12 @@
 
 The chord drawing (`chords.family_graph`) takes family counts c and
 interlock depths d (depth i interlocks the two families other than i)
-and measures the signature sigma(c, d); with index i cyclic and j, k
-the other two:
-
-  family size i = c_i + max(0, floor((d_i - max(d_j, d_k)) / 2))
-  distance i    = c_j + c_k - d_i
-
-So a realizable tau has a closed-form preimage (family_params): start
-from c = mu and d = nu, take the index i of the largest depth and lower
-c_i, d_j and d_k by extra = max(0, d_i - max(d_j, d_k) - 1); depth i then
-exceeds the others by 2 extra + 1, which adds the loops back to family i.
+and measures the signature sigma(c, d) that the `chords` docstring
+states.  A realizable tau has a closed-form preimage (family_params):
+start from c = mu and d = nu, take the index i of the largest depth and,
+with j and k the other two, lower c_i, d_j and d_k by
+extra = max(0, d_i - max(d_j, d_k) - 1); depth i then exceeds the
+others by 2 extra + 1, which adds the loops back to family i.
 The witness is that drawing, verified by measuring it.  Its size is
 known before it is drawn (`chords.drawing_size`), and one of more than
 MAX_WITNESS_DARTS darts is refused with LimitExceeded.  Building and

@@ -129,11 +129,6 @@ class SigmaGraph:
 
     # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        d = self.cmap.to_dict()
-        d["marked_faces"] = list(self.marked)
-        return d
-
     @classmethod
     def from_dict(cls, data: dict) -> "SigmaGraph":
         if not isinstance(data, dict):

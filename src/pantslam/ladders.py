@@ -8,7 +8,8 @@ a closed marked graph whose three marked faces are those caps.
 
 Parameters t = (l1, l2, l3, n1, n2, n3): li is the length of ladder i,
 ni the size of the web opposite ladder i, with 0 <= ni <= min of the
-two neighboring lengths.
+two neighboring lengths.  Block graph t measures the signature of the
+chord drawing (see `chords`) with counts l + 1 and depths n + 1.
 """
 
 from __future__ import annotations
@@ -96,15 +97,3 @@ def block_graph(t: Sequence[int]) -> SigmaGraph:
     built = doubled(fc, spared).to_map()
     return SigmaGraph(built.cmap, built.face_index[2 * len(fc.faces):])
 
-
-def block_signature(t: Sequence[int]) -> tuple[int, int, int, int, int, int]:
-    """Loop-family sizes and face distances of block_graph(t), closed form."""
-    t = validate_params(t)
-    ls, ns = t[:3], t[3:]
-    ms = []
-    ds = []
-    for i in range(3):
-        n1, n2 = ns[(i + 1) % 3], ns[(i + 2) % 3]
-        ms.append(1 + ls[i] + max(0, (ns[i] - max(n1, n2)) // 2))
-        ds.append(1 + ls[(i + 1) % 3] + ls[(i + 2) % 3] - ns[i])
-    return (ms[0], ms[1], ms[2], ds[0], ds[1], ds[2])

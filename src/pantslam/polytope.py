@@ -94,9 +94,8 @@ def nu_transform(tau: Sequence[int]) -> NuVector:
 
 @dataclass(frozen=True)
 class LaminationPolytope:
-    """A signature together with all its admissible integer triples."""
+    """The admissible integer triples of a signature, in lexicographic order."""
 
-    tau: SigmaVector
     points: tuple[tuple[int, int, int], ...]
 
     def __len__(self) -> int:
@@ -129,7 +128,7 @@ def enumerate_points(tau: Sequence[int]) -> LaminationPolytope:
     vals = validate_tau(tau)
     pts = tuple((x, y, z) for x, tops in _columns(vals)
                 for y, top in enumerate(tops) for z in range(top + 1))
-    return LaminationPolytope(vals, pts)
+    return LaminationPolytope(pts)
 
 
 def lamination_space(sg: SigmaGraph) -> LaminationPolytope:

@@ -141,6 +141,12 @@ def sigma_cd(counts, depths):
     return tuple(mu + delta)
 
 
+def block_sigma(t):
+    """Signature block_graph(t) measures: the drawing's, at counts l + 1
+    and depths n + 1 (see the `ladders` docstring)."""
+    return sigma_cd([v + 1 for v in t[:3]], [v + 1 for v in t[3:]])
+
+
 def corpus_jobs(block_limit: int = 2, family_limit: int = 3) -> list[tuple]:
     """The full corpus as (kind, params) pairs, deduplicated."""
     jobs = [("theta", None)]

@@ -2,6 +2,7 @@
 search, the level-by-level packing search, and the helpers that only the
 tests call."""
 
+import json
 from collections import deque
 from itertools import combinations, permutations
 
@@ -222,6 +223,21 @@ def is_downward_closed(points):
 
 
 # -- maps -------------------------------------------------------------------
+
+
+def write_graph(path, g):
+    """Write g, a SigmaGraph or a CombinatorialMap, as a graph file at path
+    and return the path as a string.
+
+    The file holds the rotations as "vertices" and, for a SigmaGraph, its
+    "marked_faces", the form `from_dict` reads.
+    """
+    cm = g.cmap if isinstance(g, SigmaGraph) else g
+    data = {"vertices": [list(r) for r in cm.rotations]}
+    if isinstance(g, SigmaGraph):
+        data["marked_faces"] = list(g.marked)
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def block_mirror(t):

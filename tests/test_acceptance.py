@@ -15,7 +15,7 @@ from pantslam.cli import main
 from pantslam.constructor import construct_detailed
 from pantslam.errors import LimitExceeded
 from pantslam.exploration import loop_sides
-from pantslam.ladders import block_graph, block_signature
+from pantslam.ladders import block_graph
 from pantslam.oracle import (
     candidate_cycles,
     lamination_space_bruteforce,
@@ -30,7 +30,7 @@ from pantslam.polytope import (
 from pantslam.randmaps import random_map, random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
-from conftest import build_corpus_graph, corpus_jobs, realizable_grid
+from conftest import block_sigma, build_corpus_graph, corpus_jobs, realizable_grid
 from helpers import is_downward_closed
 
 WORKERS = 8
@@ -107,7 +107,7 @@ def test_criterion_2():
     grid = closed_form_grid(3)
     assert len(grid) == 571
     for t in grid:
-        assert tuple(sigma_of(block_graph(t))) == block_signature(t)
+        assert tuple(sigma_of(block_graph(t))) == block_sigma(t)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print("criterion 2: PASS (%d closed-form signatures, %.1fs)" % (len(grid), elapsed))

@@ -101,11 +101,16 @@ def _parse(path):
     return ast.parse((ROOT / path).read_text(encoding="utf-8"))
 
 
-def _tracing_targets():
-    """The strings in the benchmark's install_tracing: the names it wraps."""
+def _tracing():
+    """The benchmark's install_tracing, parsed."""
     (tracing,) = [node for node in _parse("perfbench/worker.py").body
                   if isinstance(node, ast.FunctionDef) and node.name == "install_tracing"]
-    return {node.value for node in ast.walk(tracing)
+    return tracing
+
+
+def _tracing_targets():
+    """The strings in the benchmark's install_tracing: the names it wraps."""
+    return {node.value for node in ast.walk(_tracing())
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
@@ -122,10 +127,31 @@ def test_every_public_function_is_reached_outside_the_tests():
     assert unreached == [], "reached only by tests: " + ", ".join(unreached)
 
 
+def _reads(tree):
+    """The nodes of the names the parsed code reads, bare or as an attribute.
+
+    A name read inside a function of the same name is left out: a recursive
+    call, or a method calling its namesake on another object, is no use.
+    """
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name is not None and name not in inside:
+            found.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
 def _named(tree):
-    """Names the parsed code reads, bare or as an attribute."""
-    return {node.attr if isinstance(node, ast.Attribute) else node.id
-            for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    """Names the parsed code reads, bare or as an attribute (see `_reads`)."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.id for node in _reads(tree)}
 
 
 def test_every_public_method_is_named_outside_the_tests():
@@ -143,6 +169,53 @@ def test_every_public_method_is_named_outside_the_tests():
     assert len(public) > 10
     unnamed = [name for name in public if name.split(".")[1] not in named]
     assert unnamed == [], "named only by tests: " + ", ".join(unnamed)
+
+
+SRC_MODULES = sorted(p.stem for p in (ROOT / "src" / "pantslam").glob("*.py")
+                     if p.stem != "__init__")
+
+
+def _qualified(tree):
+    """"module.name" for each name the parsed code imports from a module
+    of the package or reads as an attribute of one."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            package, _, module = node.module.rpartition(".")
+            if module in SRC_MODULES and (node.level == 1 or package == "pantslam"):
+                out.update(module + "." + alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in SRC_MODULES):
+            out.add(node.value.id + "." + node.attr)
+    return out
+
+
+def _traced():
+    """"module.name" of each module function the benchmark's tracing wraps,
+    listed there as a (module, "name", ...) tuple."""
+    return {node.elts[0].id + "." + node.elts[1].value for node in ast.walk(_tracing())
+            if isinstance(node, ast.Tuple) and len(node.elts) > 1
+            and isinstance(node.elts[0], ast.Name) and node.elts[0].id in SRC_MODULES
+            and isinstance(node.elts[1], ast.Constant)}
+
+
+def test_every_module_function_is_reached_outside_the_tests():
+    """A public module-level function of any module, exported or not, stays
+    only when its own module uses it outside its def, or another module,
+    a benchmark workload or README's Library example imports it or names
+    it through its module, or the benchmark's tracing wraps it."""
+    trees = {module: _parse("src/pantslam/%s.py" % module) for module in SRC_MODULES}
+    reached = (_traced() | _qualified(_parse("perfbench/workloads.py"))
+               | _qualified(ast.parse(_readme_library())))
+    for module, tree in trees.items():
+        # no module imports from itself, so its _qualified names are others'
+        reached |= _qualified(tree)
+        reached |= {module + "." + node.id for node in _reads(tree) if isinstance(node, ast.Name)}
+    public = [module + "." + node.name for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert len(public) > 30
+    unreached = [name for name in public if name not in reached]
+    assert unreached == [], "reached only by tests: " + ", ".join(unreached)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

@@ -21,13 +21,12 @@ from pantslam.polytope import enumerate_points, nu_transform
 from pantslam.special_loops import SigmaVector, sigma_of
 
 from conftest import build_corpus_graph, corpus_jobs, realizable_grid, theta_graph
+from helpers import write_graph
 
 
 @pytest.fixture
 def theta_file(tmp_path):
-    path = tmp_path / "theta.json"
-    path.write_text(json.dumps(theta_graph().to_dict()))
-    return str(path)
+    return write_graph(tmp_path / "theta.json", theta_graph())
 
 
 def test_analyze_theta(theta_file, capsys):
@@ -97,7 +96,8 @@ def test_construct_writes_witness(tmp_path, capsys):
 
 
 def _json_reference(sg):
-    return json.dumps(sg.to_dict(), indent=1, sort_keys=True) + "\n"
+    data = {"vertices": [list(r) for r in sg.cmap.rotations], "marked_faces": list(sg.marked)}
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
 
 
 def test_construct_witness_bytes_match_json_dump(tmp_path, capsys):
@@ -176,6 +176,12 @@ def test_roundtrip_small_sweep(capsys):
     assert "tau=(1, 1, 1, 1, 1, 1) ok" in out.splitlines()
 
 
+@pytest.mark.parametrize("max_mu", range(cli.MAX_ROUNDTRIP_MU + 1))
+def test_realizable_box_is_the_realizable_grid(max_mu):
+    # the same signatures in the same order, the rows roundtrip prints
+    assert cli._realizable_box(max_mu) == realizable_grid(max_mu)
+
+
 def test_roundtrip_negative_max_mu_is_input_error(capsys):
     assert main(["roundtrip", "--max-mu", "-1"]) == 2
     out = capsys.readouterr().out
@@ -184,8 +190,8 @@ def test_roundtrip_negative_max_mu_is_input_error(capsys):
 
 
 def test_roundtrip_max_mu_above_the_cap_is_input_error(capsys, monkeypatch):
-    # refused before the sweep starts: at --max-mu 10 it would test 10^7
-    # candidates
+    # refused before the sweep starts: at --max-mu 10 it would build and
+    # verify 99,365 witnesses, against 8,745 at the cap of 6
     def no_sweep(max_mu):
         raise AssertionError("swept")
 
@@ -238,9 +244,8 @@ def test_oracle_agreement(theta_file, capsys):
 
 def test_oracle_long_theta_exits_0(tmp_path, capsys):
     # three 500-edge paths: the cycle search runs 1,000 vertices deep
-    path = tmp_path / "long_theta.json"
-    path.write_text(json.dumps(theta_graph(500).to_dict()))
-    assert main(["oracle", str(path)]) == 0
+    path = write_graph(tmp_path / "long_theta.json", theta_graph(500))
+    assert main(["oracle", path]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "minimal cycles by type: 1 1 1" in out
     assert "agreement: yes" in out
@@ -249,9 +254,8 @@ def test_oracle_long_theta_exits_0(tmp_path, capsys):
 def test_oracle_checks_a_block_past_the_full_catalog(tmp_path, capsys):
     # all simple cycles of this block pass the default cycle limit; the
     # pruned search keeps few enough to finish
-    path = tmp_path / "block.json"
-    path.write_text(json.dumps(block_graph((1, 2, 2, 2, 1, 1)).to_dict()))
-    assert main(["oracle", str(path)]) == 0
+    path = write_graph(tmp_path / "block.json", block_graph((1, 2, 2, 2, 1, 1)))
+    assert main(["oracle", path]) == 0
     assert "agreement: yes" in capsys.readouterr().out.splitlines()
 
 
@@ -442,11 +446,10 @@ def test_analyze_prints_every_point_on_the_corpus(tmp_path, capsys):
     graphs = [build_corpus_graph(*job) for job in corpus_jobs()]
     graphs.append(block_graph((28, 28, 28, 9, 9, 9)))
     for n, sg in enumerate(graphs):
-        path = tmp_path / ("g%d.json" % n)
-        path.write_text(json.dumps(sg.to_dict()))
+        path = write_graph(tmp_path / ("g%d.json" % n), sg)
         tau = sigma_of(sg)
         for flag in ([], ["--exclude-origin"]):
-            assert main(["analyze", str(path)] + flag) == 0
+            assert main(["analyze", path] + flag) == 0
             assert capsys.readouterr().out == _expected_analyze(tau, bool(flag)), (n, flag)
 
 
@@ -463,9 +466,7 @@ def test_analyze_prints_every_point_of_any_signature(theta_file, capsys, monkeyp
 @pytest.fixture(scope="module")
 def theta_path(tmp_path_factory):
     # module-scoped, so that every hypothesis example may share it
-    path = tmp_path_factory.mktemp("theta") / "theta.json"
-    path.write_text(json.dumps(theta_graph().to_dict()))
-    return str(path)
+    return write_graph(tmp_path_factory.mktemp("theta") / "theta.json", theta_graph())
 
 
 @seed(20261020)
@@ -513,9 +514,7 @@ class _CountingBuffer(io.StringIO):
 def deep_block_file(tmp_path_factory):
     # about 7.9 MB of analyze output: several 1 MiB chunks
     sg = block_graph((100, 100, 100, 33, 33, 33))
-    path = tmp_path_factory.mktemp("deep") / "block.json"
-    path.write_text(json.dumps(sg.to_dict()))
-    return str(path), sigma_of(sg)
+    return write_graph(tmp_path_factory.mktemp("deep") / "block.json", sg), sigma_of(sg)
 
 
 @pytest.mark.parametrize("flag", [[], ["--exclude-origin"]])

@@ -8,6 +8,7 @@ from pantslam.combmap import CombinatorialMap
 from pantslam.errors import Disconnected, MalformedRotation, NonSpherical
 
 from conftest import THETA_ROTATIONS
+from helpers import write_graph
 
 
 def theta_map() -> CombinatorialMap:
@@ -104,14 +105,16 @@ def test_faces_helper_matches_attribute():
         assert {cm.face_of_dart[d] for d in orbit} == {f}
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(tmp_path):
     cm = theta_map()
-    blob = json.dumps(cm.to_dict())
-    again = CombinatorialMap.from_dict(json.loads(blob))
-    assert again.rotations == cm.rotations
-    assert json.loads(blob)["vertices"] == [[0, 2, 4], [5, 3, 1]]
+    path = tmp_path / "theta.json"
+    write_graph(path, cm)
+    data = json.loads(path.read_text())
+    assert data == {"vertices": [[0, 2, 4], [5, 3, 1]]}
+    assert CombinatorialMap.from_dict(data).rotations == cm.rotations
 
 
 def test_dict_roundtrip():
     cm = theta_map()
-    assert CombinatorialMap.from_dict(cm.to_dict()).rotations == cm.rotations
+    data = {"vertices": [list(r) for r in cm.rotations]}
+    assert CombinatorialMap.from_dict(data).rotations == cm.rotations

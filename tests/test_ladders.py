@@ -1,13 +1,14 @@
-"""Doubled-ladder graphs, their closed-form signatures and mirror symmetry."""
+"""Doubled-ladder graphs, the chord formula they measure and mirror symmetry."""
 
 from itertools import product
 
 import pytest
 
 from pantslam.errors import NegativeParameter, OutOfRange
-from pantslam.ladders import block_graph, block_signature, validate_params
+from pantslam.ladders import block_graph, validate_params
 from pantslam.special_loops import sigma_of
 
+from conftest import block_sigma
 from helpers import block_mirror
 
 SAMPLE_TUPLES = [
@@ -27,7 +28,8 @@ def test_minimal_block():
 
 
 def test_closed_form_spot_value():
-    assert block_signature((4, 3, 2, 0, 1, 3)) == (5, 4, 4, 6, 6, 5)
+    t = (4, 3, 2, 0, 1, 3)
+    assert block_sigma(t) == tuple(sigma_of(block_graph(t))) == (5, 4, 4, 6, 6, 5)
 
 
 def test_closed_form_matches_measurement():
@@ -38,7 +40,7 @@ def test_closed_form_matches_measurement():
             ):
                 continue
             t = ls + ns
-            assert tuple(sigma_of(block_graph(t))) == block_signature(t), t
+            assert tuple(sigma_of(block_graph(t))) == block_sigma(t), t
 
 
 def test_negative_parameter_rejected():
@@ -61,7 +63,7 @@ def test_non_int_parameters_rejected(bad):
     with pytest.raises(OutOfRange):
         block_graph((bad, 0, 0, 0, 0, 0))
     with pytest.raises(OutOfRange):
-        block_signature((1, 1, 1, 0, 0, bad))
+        block_graph((1, 1, 1, 0, 0, bad))
 
 
 def test_marked_faces_are_digons():

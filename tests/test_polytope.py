@@ -190,7 +190,6 @@ def test_origin_always_present():
 def test_polytope_json():
     blob = json.dumps(asdict(enumerate_points((1, 1, 1, 1, 1, 1))))
     data = json.loads(blob)
-    assert data["tau"] == [1, 1, 1, 1, 1, 1]
     assert [0, 0, 0] in data["points"]
     assert len(data["points"]) == 4
 

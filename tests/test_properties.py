@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import Loop, SigmaGraph, loop_sides
-from pantslam.ladders import block_graph, block_signature
+from pantslam.ladders import block_graph
 from pantslam.polytope import check_realizable, enumerate_points, nu_transform
 from pantslam.randmaps import random_map, random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
+from conftest import block_sigma
 from helpers import (
     block_mirror,
     delete_edge,
@@ -226,7 +227,7 @@ def test_edge_deletion_never_grows_signature(sg, data):
 @given(block_tuples())
 @PROPERTY_SETTINGS
 def test_closed_form_signature_everywhere(t):
-    assert tuple(sigma_of(block_graph(t))) == block_signature(t)
+    assert tuple(sigma_of(block_graph(t))) == block_sigma(t)
 
 
 @given(block_tuples(cap=2))
@@ -291,7 +292,7 @@ def test_block_closed_form_on_large_ladders():
     for t in BIG_BLOCKS:
         sg = block_graph(t)
         assert sg.cmap.num_faces >= 1000
-        assert tuple(sigma_of(sg)) == tuple(block_signature(t))
+        assert tuple(sigma_of(sg)) == block_sigma(t)
 
 
 def test_relabeling_permutes_large_signature():
