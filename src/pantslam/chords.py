@@ -22,10 +22,20 @@ tangent cap changes neither.  Family i gains loops only where the other
 two families interlock at least two deeper than either does with it.
 
 The drawing is combinatorial: only the cyclic order of the axis points
-matters.  They are numbered counterclockwise in the order they are
-emitted, and a curve is a chord between two of them plus its mirror
-image outside the axis.  Two chords cross exactly when their ends
-alternate around the axis, which is the interlock pattern above.
+matters.  They are numbered counterclockwise, zone by zone.  With
+q_i = d_{i+2} the interlock depth of zones i and i+1 and cap_i in {0, 1},
+zone i holds 2c_i - q_{i-1} + cap_i points from start_i on, start_i being
+the sum of the earlier zones' counts, and n = start_3.  A curve is a chord
+between two of them plus its mirror image outside the axis:
+
+  curve a of zone i runs from point (start_i - q_{i-1} - 1 + a) mod n to
+  point start_i + 2c_i - q_{i-1} - a, and a cap from start_i to
+  start_i + 2c_i.
+
+When a <= q_{i-1}, the left end is point start_i - m, mod n, with
+m = q_{i-1} + 1 - a: the right end of curve m of zone i-1, which curve a
+touches there.  Two chords cross exactly when their ends alternate
+around the axis, which is the interlock pattern above.
 Walking a chord of family i from its left end to its right end, it
 meets the curves of family i-1 innermost first (curve number
 decreasing), then those of family i+1 outermost first (increasing).
@@ -50,23 +60,24 @@ not depend on them.  Curve a of family i crosses or touches family i+1
 exactly when a is at most their depth, likewise family i-1, and curve
 1 of that neighbor meets all such curves; a cap touches curve 1.  So
 an arc from the right end of curve a+1 to that of curve a, for each
-a >= 1 at or above both flanking depths, ties a family together.  The
-k nonempty families need k - 1 joins, and each depth >= 1 makes one.
+a >= 1 at or above both flanking depths, ties a family together: zone
+i's arcs leave the points from start_i + c_i - q_{i-1} up to, not
+including, start_i + 2c_i - q_{i-1} - max(q_{i-1}, q_i, 1).  The k
+nonempty families need k - 1 joins, and each depth >= 1 makes one.
 While joins are missing, an arc from the last axis point of a nonempty
-family to the first of the next, in zone order, joins two that meet at
-depth 0.  The emission order makes the ends of each arc axis neighbors.
+family, start_{i+1} - 1, to the first of the next, in zone order, joins
+two that meet at depth 0.  So each arc joins axis neighbors j and j + 1.
 The connectivity and Euler checks of the map guard this and planarity.
 
 The marked faces are read off the drawing.  The innermost curve of a
 nonempty family i, number a = c_i, crosses no curve: that would need
 a + b <= d for some b >= 1 and a flanking depth d <= c_i.  So its chord
-is one segment, between axis points the emission order puts side by
-side, and with its mirror it bounds a digon: the face right of the
-chord dart leaving its left end, since the axis points run
-counterclockwise.  An empty family emits no axis point, since c_i = 0
-forces both flanking depths to 0 and forbids a cap.  Its stretch of the
-axis is thus the gap from the last point of the zone before it to the
-next point, and its marked face is the face right of the first dart
+is one segment, between axis neighbors, and with its mirror it bounds
+a digon: the face right of the chord dart leaving its left end, since
+the axis points run counterclockwise.  An empty family holds no axis
+point, since c_i = 0 forces both flanking depths to 0 and forbids a
+cap.  Its stretch of the axis is thus the gap after point (start_i - 1) mod n, the last of the
+zone before it, and its marked face is the face right of the first dart
 after the mirror arcs at the gap's start.
 """
 
@@ -147,34 +158,21 @@ def family_graph(
                 "cap at zone %d needs a nonempty family with free flanks" % i
             )
 
-    # -- emit axis points zone by zone ---------------------------------
-    emitted: list[tuple] = []
-    last: list[int] = []  # per zone, the last point emitted up to its end
+    # -- axis points, curves and the arcs inside each family ---------------
+    # (see the module docstring); a cap is curve number 0
+    start = [0]
     for i in range(3):
-        qL, qR = q[(i - 1) % 3], q[i]
-        emitted.extend(("L", i, b) for b in range(qL + 1, counts[i] + 1))
-        emitted.extend(("R", i, a) for a in range(counts[i], qR, -1))
-        if i in caps:
-            emitted.append(("CR", i))
-        emitted.extend(("T", i, m) for m in range(qR, 0, -1))
-        last.append(len(emitted) - 1)
-    index = {lab: k for k, lab in enumerate(emitted)}
-    n = len(emitted)
-
-    def llab(i: int, b: int) -> tuple:
-        qL = q[(i - 1) % 3]
-        return ("L", i, b) if b > qL else ("T", (i - 1) % 3, qL + 1 - b)
-
-    def rlab(i: int, a: int) -> tuple:
-        return ("R", i, a) if a > q[i] else ("T", i, a)
-
-    # -- curves: (zone, number, left end, right end); cap is number 0 ----
-    curves: list[tuple[int, int, int, int]] = []
+        start.append(start[i] + 2 * counts[i] - q[i - 1] + (i in caps))
+    n = start[3]
+    curves: list[tuple[int, int, int, int]] = []  # (zone, number, left, right)
+    segments: list[int] = []  # an axis arc from point j to point j + 1
     for i in range(3):
+        right = start[i] + 2 * counts[i] - q[i - 1]
         for a in range(1, counts[i] + 1):
-            curves.append((i, a, index[llab(i, a)], index[rlab(i, a)]))
+            curves.append((i, a, (start[i] - q[i - 1] - 1 + a) % n, right - a))
         if i in caps:
-            curves.append((i, 0, index[("L", i, 1)], index[("CR", i)]))
+            curves.append((i, 0, start[i], right))
+        segments.extend(range(right - counts[i], right - max(q[i - 1], q[i], 1)))
     curve_of = {(z, a): ci for ci, (z, a, _, _) in enumerate(curves)}
 
     # the curves each one meets, in walking order from its left end
@@ -187,17 +185,13 @@ def family_graph(
         )
     crossings = sorted((c1, c2) for c1, w in enumerate(walks) for c2 in w if c1 < c2)
 
-    # -- connectivity: axis arcs where the curves leave gaps --------------
-    segments: list[int] = []  # an axis arc from point j to point j + 1
-    for i in range(3):
-        for a in range(counts[i] - 1, max(q[(i - 1) % 3], q[i], 1) - 1, -1):
-            segments.append(index[rlab(i, a + 1)])
+    # -- connectivity: axis arcs joining the families --------------------
     nonempty = [i for i in range(3) if counts[i] > 0]
     need = len(nonempty) - 1 - sum(p > 0 for p in depths)
     for za, zb in zip(nonempty, nonempty[1:]):
         # depth 3 - za - zb interlocks zones za and zb
         if need > 0 and depths[3 - za - zb] == 0:
-            segments.append(last[za])
+            segments.append(start[za + 1] - 1)
             need -= 1
 
     # -- darts and rotations ---------------------------------------------
@@ -261,6 +255,6 @@ def family_graph(
         if counts[i] >= 1:
             marked.append(cmap.face_of_dart[first[curve_of[i, counts[i]]]])
         else:
-            j = last[(i - 1) % 3]
+            j = (start[i] - 1) % n
             marked.append(cmap.face_of_dart[cmap.rotations[j][len(chord_ends[j])]])
     return SigmaGraph(cmap, marked)

@@ -14,18 +14,17 @@ import functools
 import json
 import sys
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
 from .constructor import construct_detailed
-from .errors import ConstructionFailed, LimitExceeded, NotRealizable, OutOfRange, PantsError
+from .errors import (BadFaceIndex, ConstructionFailed, MalformedRotation, NotRealizable,
+                     OutOfRange, PantsError)
 from .exploration import SigmaGraph
 from .oracle import candidate_cycles, lamination_space_bruteforce
 from .polytope import _columns, check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
-
-__all__ = ["main"]
 
 # the sweep builds and verifies one witness per realizable signature: 8,745
 # of them for --max-mu 6, a few seconds; at 10 it would be 99,365
@@ -51,12 +50,8 @@ def _load_json(path: str):
             raise PantsError("%s: %s" % (path, exc)) from None
 
 
-def _load_graph(path: str) -> SigmaGraph:
-    return SigmaGraph.from_dict(_load_json(path))
-
-
 def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
-    sg = _load_graph(path)
+    sg = _graph_of(_load_json(path))
     tau = sigma_of(sg)
     cols = list(_columns(tau))
     count = sum(sum(tops, len(tops)) for _, tops in cols) - exclude_origin
@@ -115,6 +110,23 @@ def _witness_text(sg: SigmaGraph) -> str:
     return '{\n "marked_faces": [\n  %s\n ],\n "vertices": [\n  %s\n ]\n}\n' % (marks, rows)
 
 
+def _graph_of(data, marked: bool = True) -> Union[SigmaGraph, CombinatorialMap]:
+    """The marked graph a parsed graph file holds, or its bare map when not
+    marked: "vertices" lists the rotations and "marked_faces" the marked
+    faces, as `_witness_text` writes them."""
+    if not isinstance(data, dict):
+        raise MalformedRotation("a %s must be a dict, got %s"
+                                % ("graph" if marked else "map", type(data).__name__))
+    faces = data.get("marked_faces")
+    if marked and not isinstance(faces, list):
+        raise BadFaceIndex("marked_faces must be a list of face indices")
+    rots = data.get("vertices")
+    if not isinstance(rots, list) or not all(isinstance(r, list) for r in rots):
+        raise MalformedRotation("vertices must be a list of dart lists")
+    cmap = CombinatorialMap(rots)
+    return SigmaGraph(cmap, faces) if marked else cmap
+
+
 def cmd_construct(tau: Sequence[int], out_path: str) -> int:
     # construct_detailed returns only a witness that measures tau
     res = construct_detailed(tau)
@@ -167,12 +179,11 @@ def cmd_roundtrip(max_mu: int) -> int:
 
 def cmd_render(path: str, out_svg: str) -> int:
     data = _load_json(path)
-    if isinstance(data, dict) and "marked_faces" in data:
-        sg = SigmaGraph.from_dict(data)
-        groups = [special_family(sg, i) for i in (1, 2, 3)]
-        svg = render_svg(sg, highlight=groups)
+    g = _graph_of(data, isinstance(data, dict) and "marked_faces" in data)
+    if isinstance(g, SigmaGraph):
+        svg = render_svg(g, highlight=[special_family(g, i) for i in (1, 2, 3)])
     else:
-        svg = render_svg(CombinatorialMap.from_dict(data))
+        svg = render_svg(g)
     with open(out_svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print("wrote %s" % out_svg)
@@ -182,7 +193,7 @@ def cmd_render(path: str, out_svg: str) -> int:
 def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
     if cycle_limit is not None and cycle_limit < 1:
         raise OutOfRange("--cycle-limit must be at least 1, got %d" % cycle_limit)
-    sg = _load_graph(path)
+    sg = _graph_of(_load_json(path))
     kwargs = {} if cycle_limit is None else {"cycle_limit": cycle_limit}
     cat = candidate_cycles(sg, **kwargs)
     brute_pts = lamination_space_bruteforce(sg, cat)
@@ -259,9 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotRealizable, ConstructionFailed) as exc:
         print("%s: %s" % (type(exc).__name__, exc))
         return 1
-    except LimitExceeded as exc:
-        print("LimitExceeded: %s" % exc)
-        return 2
     except MemoryError:
         print("MemoryError: out of memory")
         return 2

@@ -151,18 +151,6 @@ class CombinatorialMap:
             faces.append(tuple(orbit))
         return tuple(faces), tuple(face_of)
 
-    # -- serialization --------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CombinatorialMap":
-        """Map from parsed JSON; rotations must be lists of plain ints."""
-        if not isinstance(data, dict):
-            raise MalformedRotation("a map must be a dict, got %s" % type(data).__name__)
-        rots = data.get("vertices")
-        if not isinstance(rots, list) or not all(isinstance(r, list) for r in rots):
-            raise MalformedRotation("vertices must be a list of dart lists")
-        return cls(rots)
-
     def __repr__(self) -> str:
         return "CombinatorialMap(V=%d, E=%d, F=%d)" % (
             self.num_vertices,

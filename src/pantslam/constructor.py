@@ -30,8 +30,6 @@ from .exploration import SigmaGraph
 from .polytope import check_realizable, nu_transform, validate_tau
 from .special_loops import SigmaVector, sigma_of
 
-__all__ = ["ConstructionResult", "family_params", "construct", "construct_detailed"]
-
 Triple = tuple[int, int, int]
 
 MAX_WITNESS_DARTS = 10_000_000

@@ -59,7 +59,6 @@ from .errors import (
     BadFaceIndex,
     DuplicateMarkedFace,
     EmptyLayer,
-    MalformedRotation,
     NotClosed,
     NotSimple,
     OutOfRange,
@@ -126,17 +125,6 @@ class SigmaGraph:
         self._dist_cache: dict[int, tuple[int, ...]] = {}
         self._bucket_cache: dict[int, list[list[int]]] = {}
         self._tree: Optional[tuple[list[int], list[int], list[int]]] = None
-
-    # -- serialization ---------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SigmaGraph":
-        if not isinstance(data, dict):
-            raise MalformedRotation("a graph must be a dict, got %s" % type(data).__name__)
-        marked = data.get("marked_faces")
-        if not isinstance(marked, list):
-            raise BadFaceIndex("marked_faces must be a list of face indices")
-        return cls(CombinatorialMap.from_dict(data), marked)
 
     # -- face distances ---------------------------------------------------
 

@@ -78,14 +78,6 @@ from .combmap import CombinatorialMap
 from .errors import LimitExceeded
 from .exploration import _TYPE_OF_PARITY, SigmaGraph, _marked_index
 
-__all__ = [
-    "CycleCatalog",
-    "all_simple_cycles",
-    "candidate_cycles",
-    "max_disjoint_type",
-    "lamination_space_bruteforce",
-]
-
 
 @dataclass(frozen=True)
 class CycleCatalog:

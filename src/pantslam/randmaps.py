@@ -20,11 +20,6 @@ from .combmap import CombinatorialMap
 from .errors import OutOfRange
 from .exploration import SigmaGraph
 
-__all__ = [
-    "random_map",
-    "random_sigma_graph",
-]
-
 
 class _Rotations:
     """A growing rotation system that keeps the canonical face order.

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence, Union
 from .combmap import CombinatorialMap
 from .exploration import Loop, SigmaGraph
 
-__all__ = ["layout", "render_svg"]
-
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#af601a", "#7d3c98")
 _SIZE = 520  # width and height of the drawing in pixels
 

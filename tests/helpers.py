@@ -230,7 +230,7 @@ def write_graph(path, g):
     and return the path as a string.
 
     The file holds the rotations as "vertices" and, for a SigmaGraph, its
-    "marked_faces", the form `from_dict` reads.
+    "marked_faces", the form `cli` reads and writes.
     """
     cm = g.cmap if isinstance(g, SigmaGraph) else g
     data = {"vertices": [list(r) for r in cm.rotations]}

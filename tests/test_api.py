@@ -218,6 +218,15 @@ def test_every_module_function_is_reached_outside_the_tests():
     assert unreached == [], "reached only by tests: " + ", ".join(unreached)
 
 
+def test_only_the_package_lists_its_exports():
+    """`pantslam.__all__` is the one export list: no module assigns its own."""
+    listing = [module for module in SRC_MODULES
+               for node in ast.walk(_parse("src/pantslam/%s.py" % module))
+               if isinstance(node, ast.Name) and node.id == "__all__"
+               and isinstance(node.ctx, ast.Store)]
+    assert listing == []
+
+
 @pytest.mark.parametrize("i", [0, 4, -1])
 def test_boundary_loops_number_marked_faces_from_1(i):
     sg = SigmaGraph(CombinatorialMap([list(r) for r in THETA_ROTATIONS]), (0, 1, 2))

@@ -235,6 +235,21 @@ def test_render_plain_map(tmp_path, capsys):
     assert "F1" not in out.read_text()
 
 
+def test_json_roundtrip(tmp_path):
+    cm = theta_graph().cmap
+    path = tmp_path / "theta.json"
+    write_graph(path, cm)
+    data = json.loads(path.read_text())
+    assert data == {"vertices": [[0, 2, 4], [5, 3, 1]]}
+    assert cli._graph_of(data, marked=False).rotations == cm.rotations
+
+
+def test_dict_roundtrip():
+    cm = theta_graph().cmap
+    data = {"vertices": [list(r) for r in cm.rotations]}
+    assert cli._graph_of(data, marked=False).rotations == cm.rotations
+
+
 def test_oracle_agreement(theta_file, capsys):
     assert main(["oracle", theta_file]) == 0
     out = capsys.readouterr().out

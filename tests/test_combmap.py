@@ -1,14 +1,11 @@
 """Dart-level checks on the rotation-system map type."""
 
-import json
-
 import pytest
 
 from pantslam.combmap import CombinatorialMap
 from pantslam.errors import Disconnected, MalformedRotation, NonSpherical
 
 from conftest import THETA_ROTATIONS
-from helpers import write_graph
 
 
 def theta_map() -> CombinatorialMap:
@@ -103,18 +100,3 @@ def test_faces_helper_matches_attribute():
     for f, orbit in enumerate(cm.faces):
         assert [cm.rotation_next[d ^ 1] for d in orbit] == list(orbit[1:] + orbit[:1])
         assert {cm.face_of_dart[d] for d in orbit} == {f}
-
-
-def test_json_roundtrip(tmp_path):
-    cm = theta_map()
-    path = tmp_path / "theta.json"
-    write_graph(path, cm)
-    data = json.loads(path.read_text())
-    assert data == {"vertices": [[0, 2, 4], [5, 3, 1]]}
-    assert CombinatorialMap.from_dict(data).rotations == cm.rotations
-
-
-def test_dict_roundtrip():
-    cm = theta_map()
-    data = {"vertices": [list(r) for r in cm.rotations]}
-    assert CombinatorialMap.from_dict(data).rotations == cm.rotations
