@@ -48,7 +48,6 @@ from .polytope import (
 from .randmaps import random_map, random_sigma_graph
 from .render import render_svg
 from .special_loops import (
-    NuVector,
     SigmaVector,
     sigma_of,
     special_family,
@@ -76,7 +75,6 @@ __all__ = [
     "NotClosed",
     "NotRealizable",
     "NotSimple",
-    "NuVector",
     "OutOfRange",
     "OverlappingCrossings",
     "PantsError",

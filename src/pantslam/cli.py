@@ -3,8 +3,8 @@
 Verbs: analyze, check, construct, roundtrip, render, oracle.  Exit codes
 are scriptable: 0 for success or a positive verdict, 1 for a negative
 domain result (not realizable, sweep mismatch, oracle disagreement),
-2 for unreadable or malformed input or an exhausted resource (a search
-limit, a size cap, or memory).
+2 for unreadable or malformed input, an exhausted resource (a search
+limit, a size cap, or memory) or a closed stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import product
 from typing import Optional, Sequence, Union
@@ -21,7 +22,7 @@ from .constructor import construct_detailed
 from .errors import (BadFaceIndex, ConstructionFailed, MalformedRotation, NotRealizable,
                      OutOfRange, PantsError)
 from .exploration import SigmaGraph
-from .oracle import candidate_cycles, lamination_space_bruteforce
+from .oracle import CYCLE_LIMIT, candidate_cycles, lamination_space_bruteforce
 from .polytope import _columns, check_realizable, enumerate_points, nu_transform
 from .render import render_svg
 from .special_loops import sigma_of, special_family
@@ -50,11 +51,11 @@ def _load_json(path: str):
             raise PantsError("%s: %s" % (path, exc)) from None
 
 
-def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
-    sg = _graph_of(_load_json(path))
+def cmd_analyze(args: argparse.Namespace) -> int:
+    sg = _graph_of(_load_json(args.path))
     tau = sigma_of(sg)
     cols = list(_columns(tau))
-    count = sum(sum(tops, len(tops)) for _, tops in cols) - exclude_origin
+    count = sum(sum(tops, len(tops)) for _, tops in cols) - args.exclude_origin
     # a block graph's points can run to gigabytes of text, written here in
     # chunks of about 1 MiB.  The lines of (x, y) are one string, "x y "
     # joined over ["", "0\n", ..., "top\n"], a slice of one list.  A
@@ -81,7 +82,7 @@ def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
                 last = part
                 table = [zs[:top + 2] for top in part]
             texts = list(map(str.join, map(prefix.__add__, ys[lo:lo + step]), table))
-            if exclude_origin and x == lo == 0:
+            if args.exclude_origin and x == lo == 0:
                 texts[0] = texts[0][len("0 0 0\n"):]
             chunk += texts
             size += sum(map(len, texts))
@@ -92,13 +93,10 @@ def cmd_analyze(path: str, exclude_origin: bool = False) -> int:
     return 0
 
 
-def cmd_check(tau: Sequence[int]) -> int:
-    verdict = check_realizable(tau)
-    if verdict:
-        print("Realizable")
-        return 0
-    print("%s violated at i=%d" % (verdict.condition, verdict.index))
-    return 1
+def cmd_check(args: argparse.Namespace) -> int:
+    verdict = check_realizable(args.tau)
+    print("Realizable" if verdict else "%s violated at i=%d" % (verdict.condition, verdict.index))
+    return 0 if verdict else 1
 
 
 def _witness_text(sg: SigmaGraph) -> str:
@@ -127,25 +125,16 @@ def _graph_of(data, marked: bool = True) -> Union[SigmaGraph, CombinatorialMap]:
     return SigmaGraph(cmap, faces) if marked else cmap
 
 
-def cmd_construct(tau: Sequence[int], out_path: str) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     # construct_detailed returns only a witness that measures tau
-    res = construct_detailed(tau)
+    res = construct_detailed(args.tau)
     print("params: counts=%s depths=%s" % (res.counts, res.depths))
-    print("verified: sigma = %s" % (tuple(tau),))
+    print("verified: sigma = %s" % (tuple(args.tau),))
     # not json.dumps: with indent, json encodes dart by dart in pure Python
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_witness_text(res.graph))
-    print("wrote %s" % out_path)
+    print("wrote %s" % args.out)
     return 0
-
-
-def _roundtrip_one(tau: tuple[int, ...]) -> str:
-    """The row verdict: ok once a witness verifies, else MISMATCH and its error."""
-    try:
-        construct_detailed(tau)
-    except PantsError as exc:
-        return "MISMATCH " + type(exc).__name__
-    return "ok"
 
 
 def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
@@ -159,17 +148,20 @@ def _realizable_box(max_mu: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cmd_roundtrip(max_mu: int) -> int:
-    if not 0 <= max_mu <= MAX_ROUNDTRIP_MU:
-        raise OutOfRange("--max-mu must be 0 to %d, got %d" % (MAX_ROUNDTRIP_MU, max_mu))
-    taus = _realizable_box(max_mu)
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    if not 0 <= args.max_mu <= MAX_ROUNDTRIP_MU:
+        raise OutOfRange("--max-mu must be 0 to %d, got %d" % (MAX_ROUNDTRIP_MU, args.max_mu))
+    taus = _realizable_box(args.max_mu)
     if not taus:
         print("swept 0 realizable signatures (empty sweep)")
         return 0
     bad = 0
     for tau in taus:
-        verdict = _roundtrip_one(tau)
-        if verdict != "ok":
+        try:
+            construct_detailed(tau)
+            verdict = "ok"
+        except PantsError as exc:
+            verdict = "MISMATCH " + type(exc).__name__
             bad += 1
         print("tau=%s %s" % (tau, verdict))
     print("swept %d realizable signatures: %d ok, %d mismatches"
@@ -177,41 +169,36 @@ def cmd_roundtrip(max_mu: int) -> int:
     return 1 if bad else 0
 
 
-def cmd_render(path: str, out_svg: str) -> int:
-    data = _load_json(path)
-    g = _graph_of(data, isinstance(data, dict) and "marked_faces" in data)
-    if isinstance(g, SigmaGraph):
-        svg = render_svg(g, highlight=[special_family(g, i) for i in (1, 2, 3)])
-    else:
-        svg = render_svg(g)
-    with open(out_svg, "w", encoding="utf-8") as fh:
+def cmd_render(args: argparse.Namespace) -> int:
+    data = _load_json(args.path)
+    marked = isinstance(data, dict) and "marked_faces" in data
+    g = _graph_of(data, marked)
+    # the families are found only once render_svg has checked the drawing's size
+    svg = render_svg(g, (special_family(g, i) for i in (1, 2, 3) if marked))
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    print("wrote %s" % out_svg)
+    print("wrote %s" % args.out)
     return 0
 
 
-def cmd_oracle(path: str, cycle_limit: Optional[int] = None) -> int:
-    if cycle_limit is not None and cycle_limit < 1:
-        raise OutOfRange("--cycle-limit must be at least 1, got %d" % cycle_limit)
-    sg = _graph_of(_load_json(path))
-    kwargs = {} if cycle_limit is None else {"cycle_limit": cycle_limit}
-    cat = candidate_cycles(sg, **kwargs)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.cycle_limit < 1:
+        raise OutOfRange("--cycle-limit must be at least 1, got %d" % args.cycle_limit)
+    sg = _graph_of(_load_json(args.path))
+    cat = candidate_cycles(sg, args.cycle_limit)
     brute_pts = lamination_space_bruteforce(sg, cat)
     # packing number i is the largest x_i among the achievable triples
     brute_m = tuple(max(p[i] for p in brute_pts) for i in range(3))
     tau = sigma_of(sg)
-    pipe_m = tau.mu
     pipe_pts = frozenset(enumerate_points(tau).points)
     print("minimal cycles by type: %d %d %d"
           % tuple(len(cat.minimal_masks(i)) for i in (1, 2, 3)))
-    print("packing numbers: bruteforce %s pipeline %s" % (brute_m, pipe_m))
+    print("packing numbers: bruteforce %s pipeline %s" % (brute_m, tau.mu))
     print("lamination points: bruteforce %d pipeline %d"
           % (len(brute_pts), len(pipe_pts)))
-    if brute_m == pipe_m and brute_pts == pipe_pts:
-        print("agreement: yes")
-        return 0
-    print("agreement: NO")
-    return 1
+    agree = brute_m == tau.mu and brute_pts == pipe_pts
+    print("agreement: %s" % ("yes" if agree else "NO"))
+    return 0 if agree else 1
 
 
 @functools.cache
@@ -224,58 +211,59 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("analyze", help="print sigma, nu and lamination points")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("path")
     p.add_argument("--exclude-origin", action="store_true")
 
     p = sub.add_parser("check", help="test realizability of six integers")
+    p.set_defaults(run=cmd_check)
     p.add_argument("tau", type=int, nargs=6)
 
     p = sub.add_parser("construct", help="build a witness map for a signature")
+    p.set_defaults(run=cmd_construct)
     p.add_argument("tau", type=int, nargs=6)
     p.add_argument("out", help="output graph JSON path")
 
     p = sub.add_parser("roundtrip", help="sweep all realizable signatures")
+    p.set_defaults(run=cmd_roundtrip)
     p.add_argument("--max-mu", type=int, default=2,
-                   help="largest family size swept, 0 to %d (default 2)"
+                   help="largest family size swept, 0 to %d (default %%(default)d)"
                         % MAX_ROUNDTRIP_MU)
 
     p = sub.add_parser("render", help="draw a graph JSON file to SVG")
+    p.set_defaults(run=cmd_render)
     p.add_argument("path")
     p.add_argument("out")
 
     p = sub.add_parser("oracle", help="compare brute force against the pipeline")
+    p.set_defaults(run=cmd_oracle)
     p.add_argument("path")
-    p.add_argument("--cycle-limit", type=int, default=None,
+    p.add_argument("--cycle-limit", type=int, default=CYCLE_LIMIT,
                    help="most cycles the pruned search may keep before it "
-                        "stops with exit 2 (default 100000)")
+                        "stops with exit 2 (default %(default)d)")
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "analyze":
-            return cmd_analyze(args.path, args.exclude_origin)
-        if args.verb == "check":
-            return cmd_check(tuple(args.tau))
-        if args.verb == "construct":
-            return cmd_construct(tuple(args.tau), args.out)
-        if args.verb == "roundtrip":
-            return cmd_roundtrip(args.max_mu)
-        if args.verb == "render":
-            return cmd_render(args.path, args.out)
-        if args.verb == "oracle":
-            return cmd_oracle(args.path, args.cycle_limit)
-        raise AssertionError(args.verb)
-    except (NotRealizable, ConstructionFailed) as exc:
-        print("%s: %s" % (type(exc).__name__, exc))
-        return 1
-    except MemoryError:
-        print("MemoryError: out of memory")
+        try:
+            code = args.run(args)
+        except BrokenPipeError:
+            raise
+        except (PantsError, OSError, json.JSONDecodeError, MemoryError) as exc:
+            print("%s: %s" % (type(exc).__name__,
+                              "out of memory" if isinstance(exc, MemoryError) else exc))
+            code = 1 if isinstance(exc, (NotRealizable, ConstructionFailed)) else 2
+        sys.stdout.flush()  # a closed stdout fails here at the latest
+    except BrokenPipeError:
+        # the reader has gone: write nothing more, and send what the process's
+        # own stdout still buffers to devnull, so its final flush stays quiet
+        if sys.stdout is sys.__stdout__:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return 2
-    except (PantsError, OSError, json.JSONDecodeError) as exc:
-        print("%s: %s" % (type(exc).__name__, exc))
-        return 2
+    return code
 
 
 if __name__ == "__main__":

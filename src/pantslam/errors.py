@@ -81,8 +81,8 @@ class ConstructionFailed(PantsError):
 
 
 class LimitExceeded(PantsError):
-    """A computation would pass a documented limit: the brute-force
-    search's cycle or step limit, or the dart cap of a witness."""
+    """A computation would pass a documented limit: the brute-force search's
+    cycle or step limit, a witness's dart cap or a drawing's vertex cap."""
 
 
 class NonPositiveDelta(NotRealizable):

@@ -78,6 +78,8 @@ from .combmap import CombinatorialMap
 from .errors import LimitExceeded
 from .exploration import _TYPE_OF_PARITY, SigmaGraph, _marked_index
 
+CYCLE_LIMIT = 100_000  # the most cycles a search keeps before LimitExceeded
+
 
 @dataclass(frozen=True)
 class CycleCatalog:
@@ -110,7 +112,7 @@ class CycleCatalog:
 
 def all_simple_cycles(
     sg: SigmaGraph,
-    cycle_limit: int = 100_000,
+    cycle_limit: int = CYCLE_LIMIT,
     node_limit: int = 10_000_000,
 ) -> CycleCatalog:
     """Enumerate every vertex-simple cycle of the underlying multigraph.
@@ -174,7 +176,7 @@ def all_simple_cycles(
 
 def candidate_cycles(
     sg: SigmaGraph,
-    cycle_limit: int = 100_000,
+    cycle_limit: int = CYCLE_LIMIT,
     node_limit: int = 10_000_000,
 ) -> CycleCatalog:
     """The cycles of types 1..3 whose vertex masks can be minimal.

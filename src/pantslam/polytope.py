@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import NegativeParameter, NonPositiveDelta, OutOfRange
 from .exploration import SigmaGraph
-from .special_loops import NuVector, SigmaVector, sigma_of
+from .special_loops import SigmaVector, sigma_of
 
 
 def validate_tau(tau: Sequence[int]) -> SigmaVector:
@@ -85,11 +85,11 @@ def check_realizable(tau: Sequence[int]) -> RealizabilityVerdict:
     return RealizabilityVerdict()
 
 
-def nu_transform(tau: Sequence[int]) -> NuVector:
+def nu_transform(tau: Sequence[int]) -> tuple[int, int, int]:
     """Slack triple of a signature: far family sizes minus the distance."""
     vals = validate_tau(tau)
     m, d = vals.mu, vals.delta
-    return NuVector(*(m[(i + 1) % 3] + m[(i + 2) % 3] - d[i] for i in range(3)))
+    return tuple(m[(i + 1) % 3] + m[(i + 2) % 3] - d[i] for i in range(3))
 
 
 @dataclass(frozen=True)

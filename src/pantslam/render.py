@@ -5,7 +5,9 @@ pinned to a regular polygon and every other vertex solves to the
 average of its neighbors, found by conjugate gradients on the sparse
 Laplacian.
 Parallel edges bow apart, self-loops become small circles, marked faces
-get labels, and any supplied loops are drawn bold.
+get labels, and any supplied loops are drawn bold.  The layout takes
+time of about n^1.7 on n vertices, so a map of more than
+MAX_DRAWN_VERTICES vertices is refused with LimitExceeded.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import math
 from typing import Iterable, Sequence, Union
 
 from .combmap import CombinatorialMap
+from .errors import LimitExceeded
 from .exploration import Loop, SigmaGraph
 
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#af601a", "#7d3c98")
 _SIZE = 520  # width and height of the drawing in pixels
+MAX_DRAWN_VERTICES = 20_000  # see the module docstring
 
 _CG_TOL = 1e-13  # stop once the residual falls below this share of |b|
 _CG_ROUNDS = 4  # iteration cap, in multiples of the number of unknowns
@@ -112,7 +116,8 @@ def render_svg(
     """Render a map (marked or bare) to an SVG 1.1 document string.
 
     highlight takes groups of loops; every loop in group i is stroked
-    bold in the i-th palette color.
+    bold in the i-th palette color; it is read after the layout.
+    LimitExceeded when the map has more than MAX_DRAWN_VERTICES vertices.
     """
     if isinstance(graph, SigmaGraph):
         cmap = graph.cmap
@@ -120,6 +125,9 @@ def render_svg(
     else:
         cmap = graph
         marked = ()
+    if cmap.num_vertices > MAX_DRAWN_VERTICES:
+        raise LimitExceeded("drawing would have %d vertices, more than the cap of %d"
+                            % (cmap.num_vertices, MAX_DRAWN_VERTICES))
     pos, outer_face = layout(cmap)
     cx = _SIZE / 2.0
     scale = _SIZE * 0.40

@@ -79,14 +79,6 @@ class SigmaVector(NamedTuple):
         return (self.d1, self.d2, self.d3)
 
 
-class NuVector(NamedTuple):
-    """Slack triple: far family sizes minus the opposite distance."""
-
-    n1: int
-    n2: int
-    n3: int
-
-
 def special_family(sg: SigmaGraph, i: int) -> tuple[Loop, ...]:
     """Loops around marked face i separating it from both other marked
     faces, innermost first.

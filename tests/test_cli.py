@@ -1,9 +1,16 @@
 """Command line round trips, exit codes and message formats."""
 
+import argparse
 import contextlib
+import errno
+import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from itertools import product
 from unittest import mock
 
@@ -11,12 +18,15 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from pantslam import cli, constructor, errors
+import pantslam
+from pantslam import cli, constructor, errors, render
+from pantslam.chords import family_graph
 from pantslam.cli import _build_parser, main
 from pantslam.errors import PantsError
 from pantslam.combmap import CombinatorialMap
 from pantslam.exploration import SigmaGraph
 from pantslam.ladders import block_graph
+from pantslam.oracle import candidate_cycles
 from pantslam.polytope import enumerate_points, nu_transform
 from pantslam.special_loops import SigmaVector, sigma_of
 
@@ -235,6 +245,25 @@ def test_render_plain_map(tmp_path, capsys):
     assert "F1" not in out.read_text()
 
 
+@pytest.mark.parametrize("marked", [True, False])
+def test_render_above_the_vertex_cap_exits_2_at_once(tmp_path, capsys, monkeypatch, marked):
+    # three 7,000-edge paths: 20,999 vertices; neither the layout nor the
+    # special families are computed
+    def not_drawn(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(render, "layout", not_drawn)
+    monkeypatch.setattr(cli, "special_family", not_drawn)
+    sg = theta_graph(7000)
+    assert sg.cmap.num_vertices == 20_999 > render.MAX_DRAWN_VERTICES
+    path = write_graph(tmp_path / "long.json", sg if marked else sg.cmap)
+    out = tmp_path / "long.svg"
+    assert main(["render", path, str(out)]) == 2
+    assert capsys.readouterr().out == (
+        "LimitExceeded: drawing would have 20999 vertices, more than the cap of 20000\n")
+    assert not out.exists()
+
+
 def test_json_roundtrip(tmp_path):
     cm = theta_graph().cmap
     path = tmp_path / "theta.json"
@@ -296,6 +325,21 @@ def test_memory_error_is_exit_2(theta_file, tmp_path, capsys, monkeypatch, verb)
     assert main(argv) == 2
     assert capsys.readouterr().out == "MemoryError: out of memory\n"
     assert not out.exists()
+
+
+def test_construct_on_a_full_disk_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the witness write fails as it does on /dev/full; no disk is filled
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    assert main(["construct", "2", "3", "0", "3", "2", "5", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "params: counts=(2, 3, 0) depths=(0, 0, 0)",
+        "verified: sigma = (2, 3, 0, 3, 2, 5)",
+        "OSError: [Errno %d] %s" % (errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    ]
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])
@@ -584,3 +628,105 @@ def test_parser_is_built_once_and_parses_afresh(theta_file, capsys):
     assert out.index("lamination points (3):") < out.index("Realizable")
     assert out.index("Realizable") < out.index("lamination points (4):")
     assert _build_parser() is _build_parser()
+
+
+def test_every_verb_dispatches_to_its_own_handler():
+    (verbs,) = [action.choices for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(verbs) == ["analyze", "check", "construct", "oracle", "render", "roundtrip"]
+    for verb, parser in verbs.items():
+        assert parser.get_default("run") is getattr(cli, "cmd_" + verb), verb
+
+
+def test_cycle_limit_default_is_the_search_default():
+    default = inspect.signature(candidate_cycles).parameters["cycle_limit"].default
+    assert _build_parser().parse_args(["oracle", "g.json"]).cycle_limit == default
+
+
+class _ClosedAfter(io.StringIO):
+    """A stdout whose reader leaves after `limit` characters: from then on
+    every write raises BrokenPipeError, as a closed pipe does."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            self.limit = -1  # the reader has gone
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+
+@pytest.fixture(scope="module")
+def long_analyze_file(tmp_path_factory):
+    # about 227,000 point lines, 1.9 MB of analyze output: two chunks
+    path = tmp_path_factory.mktemp("long") / "family.json"
+    return write_graph(path, family_graph((60, 60, 60), (0, 0, 0)))
+
+
+@pytest.mark.parametrize("verb, limit", [
+    ("analyze", 0), ("analyze", 40), ("analyze", 1_500_000),
+    ("oracle", 0), ("oracle", 40), ("oracle", 100),
+])
+def test_closed_stdout_ends_in_exit_2(long_analyze_file, theta_file, verb, limit):
+    path = long_analyze_file if verb == "analyze" else theta_file
+    whole = io.StringIO()
+    with contextlib.redirect_stdout(whole):
+        assert main([verb, path]) == 0
+    assert len(whole.getvalue()) > limit
+    stdout = _ClosedAfter(limit)
+    with contextlib.redirect_stdout(stdout):
+        assert main([verb, path]) == 2
+        assert sys.stdout is stdout
+    # what the reader got is a prefix of the output, and no error line follows
+    assert whole.getvalue().startswith(stdout.getvalue())
+
+
+def _pantslam(argv, stdout, flags=()):
+    """`python -m pantslam.cli <argv>` in a child process, with no
+    PYTHONUNBUFFERED, so stdout buffers unless flags holds -u."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(pantslam.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *flags, "-m", "pantslam.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)])
+def test_analyze_into_a_pipe_closed_after_one_line(long_analyze_file, flags):
+    proc = _pantslam(["analyze", long_analyze_file], subprocess.PIPE, flags)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert first == b"sigma = (60, 60, 60, 120, 120, 120)\n"
+    assert err == b""
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{theta}"],
+    ["analyze", "/nonexistent/g.json"],
+    ["check", "0", "0", "0", "1", "1", "1"],
+    ["construct", "2", "3", "0", "3", "2", "5", "{tmp}/w.json"],
+    ["construct", "0", "0", "0", "1", "1", "1", "{tmp}/w.json"],
+    ["roundtrip", "--max-mu", "1"],
+    ["render", "{theta}", "{tmp}/t.svg"],
+    ["oracle", "{theta}"],
+], ids=["analyze", "analyze-missing", "check-T1", "construct", "construct-unrealizable",
+        "roundtrip", "render", "oracle"])
+def test_every_verb_into_a_closed_pipe_exits_2_quietly(theta_file, tmp_path, argv, flags):
+    # the reader is gone before the child starts, so its first write or
+    # flush fails, also on the paths that would exit 1 (a negative check
+    # verdict, an unrealizable construct) or 2 (a missing file)
+    argv = [arg.format(theta=theta_file, tmp=tmp_path) for arg in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _pantslam(argv, write, flags)
+    finally:
+        os.close(write)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""  # no traceback, no "Exception ignored" from the final flush

@@ -9,12 +9,7 @@ from pantslam.errors import OutOfRange
 from pantslam.exploration import SigmaGraph
 from pantslam.polytope import nu_transform
 from pantslam.randmaps import random_sigma_graph
-from pantslam.special_loops import (
-    NuVector,
-    SigmaVector,
-    sigma_of,
-    special_family,
-)
+from pantslam.special_loops import SigmaVector, sigma_of, special_family
 
 from conftest import build_corpus_graph, corpus_jobs, family_corpus, theta_graph
 from helpers import flood_sides, pair_meeting_breaches
@@ -94,7 +89,7 @@ def test_depth_vector_triple(triple_ring):
 
 def test_depth_matches_signature_arithmetic(triple_ring):
     m1, m2, m3, d1, d2, d3 = sigma_of(triple_ring)
-    n = NuVector(m2 + m3 - d1, m3 + m1 - d2, m1 + m2 - d3)
+    n = (m2 + m3 - d1, m3 + m1 - d2, m1 + m2 - d3)
     assert nu_transform(sigma_of(triple_ring)) == n
 
 
