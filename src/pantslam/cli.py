@@ -245,11 +245,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
         try:
+            args = _build_parser().parse_args(argv)
             code = args.run(args)
         except BrokenPipeError:
+            raise
+        except SystemExit:  # argparse's: flush --help's text while a closed pipe is caught
+            sys.stdout.flush()
             raise
         except (PantsError, OSError, json.JSONDecodeError, MemoryError) as exc:
             print("%s: %s" % (type(exc).__name__,

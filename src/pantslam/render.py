@@ -56,57 +56,38 @@ def _conjugate_gradient(
     return x
 
 
-def layout(cmap: CombinatorialMap) -> tuple[dict[int, tuple[float, float]], int]:
-    """Vertex coordinates in the unit disk, and the outer face used.
+def layout(cmap: CombinatorialMap) -> tuple[list[complex], int]:
+    """Complex vertex positions in the unit disk, by vertex, and the outer face.
 
     The outer face is the first with the most sides; its vertices go on a
     circle and the rest solve the barycentric system.
     """
     outer = max(range(cmap.num_faces), key=lambda f: len(cmap.faces[f]))
-    ring: list[int] = []
-    for d in cmap.faces[outer]:
-        v = cmap.dart_vertex[d]
-        if v not in ring:
-            ring.append(v)
-    nv = cmap.num_vertices
-    pos = {}
+    ring = dict.fromkeys(cmap.dart_vertex[d] for d in cmap.faces[outer])
+    pos = [0j] * cmap.num_vertices
     for j, v in enumerate(ring):
         ang = math.pi / 2 + 2 * math.pi * j / len(ring)
-        pos[v] = (math.cos(ang), math.sin(ang))
-    inner = [v for v in range(nv) if v not in pos]
-    if inner:
-        index = {v: j for j, v in enumerate(inner)}
-        # the pinned-ring Laplacian: diag[j] counts the non-loop edges at
-        # inner vertex j, nbrs[j] lists its inner neighbors with multiplicity
-        nbrs: list[list[int]] = [[] for _ in inner]
-        diag = [0.0] * len(inner)
-        b = [0j] * len(inner)
-        for j, v in enumerate(inner):
-            for d in cmap.rotations[v]:
-                u = cmap.dart_vertex[d ^ 1]
-                if u == v:
-                    continue
-                diag[j] += 1.0
-                if u in index:
-                    nbrs[j].append(index[u])
-                else:
-                    b[j] += complex(*pos[u])
-        zs = _conjugate_gradient(nbrs, diag, b)
-        for v, j in index.items():
-            pos[v] = (zs[j].real, zs[j].imag)
+        pos[v] = complex(math.cos(ang), math.sin(ang))
+    inner = [v for v in range(cmap.num_vertices) if v not in ring]
+    index = {v: j for j, v in enumerate(inner)}
+    # the pinned-ring Laplacian: diag[j] counts the non-loop edges at
+    # inner vertex j, nbrs[j] lists its inner neighbors with multiplicity
+    nbrs: list[list[int]] = [[] for _ in inner]
+    diag = [0.0] * len(inner)
+    b = [0j] * len(inner)
+    for j, v in enumerate(inner):
+        for d in cmap.rotations[v]:
+            u = cmap.dart_vertex[d ^ 1]
+            if u == v:
+                continue
+            diag[j] += 1.0
+            if u in index:
+                nbrs[j].append(index[u])
+            else:
+                b[j] += pos[u]
+    for v, z in zip(inner, _conjugate_gradient(nbrs, diag, b)):
+        pos[v] = z
     return pos, outer
-
-
-def _edge_groups(cmap: CombinatorialMap):
-    plain: dict[tuple[int, int], list[int]] = {}
-    loops: dict[int, list[int]] = {}
-    for k in range(cmap.num_edges):
-        u, v = cmap.dart_vertex[2 * k], cmap.dart_vertex[2 * k + 1]
-        if u == v:
-            loops.setdefault(u, []).append(k)
-        else:
-            plain.setdefault((min(u, v), max(u, v)), []).append(k)
-    return plain, loops
 
 
 def render_svg(
@@ -129,11 +110,9 @@ def render_svg(
         raise LimitExceeded("drawing would have %d vertices, more than the cap of %d"
                             % (cmap.num_vertices, MAX_DRAWN_VERTICES))
     pos, outer_face = layout(cmap)
-    cx = _SIZE / 2.0
-    scale = _SIZE * 0.40
-
-    def pix(p: tuple[float, float]) -> tuple[float, float]:
-        return (cx + scale * p[0], cx - scale * p[1])
+    centre = complex(_SIZE / 2.0, _SIZE / 2.0)
+    # pixel positions: the SVG's y axis points down, hence the conjugate
+    pix = [centre + _SIZE * 0.40 * z.conjugate() for z in pos]
 
     edge_color: dict[int, str] = {}  # per bold edge
     for gi, group in enumerate(highlight):
@@ -154,50 +133,46 @@ def render_svg(
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 
-    plain, loops = _edge_groups(cmap)
+    plain: dict[tuple[int, int], list[int]] = {}
+    loops: dict[int, list[int]] = {}
+    for k in range(cmap.num_edges):
+        u, v = cmap.dart_vertex[2 * k], cmap.dart_vertex[2 * k + 1]
+        if u == v:
+            loops.setdefault(u, []).append(k)
+        else:
+            plain.setdefault((min(u, v), max(u, v)), []).append(k)
     for (u, v), ks in sorted(plain.items()):
-        x1, y1 = pix(pos[u])
-        x2, y2 = pix(pos[v])
-        n = len(ks)
-        nx, ny = y2 - y1, x1 - x2
-        norm = math.hypot(nx, ny) or 1.0
-        nx, ny = nx / norm, ny / norm
-        span = math.hypot(x2 - x1, y2 - y1)
+        a, b = pix[u], pix[v]
+        span = abs(b - a)
+        normal = (a - b) * 1j / (span or 1.0)  # the unit normal (b - a) * -i
         for j, k in enumerate(ks):
-            off = (j - (n - 1) / 2.0) * min(0.35 * span, 26.0)
+            off = (j - (len(ks) - 1) / 2.0) * min(0.35 * span, 26.0)
             if abs(off) < 1e-9:
                 parts.append('<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" %s fill="none"/>'
-                             % (x1, y1, x2, y2, stroke(k)))
+                             % (a.real, a.imag, b.real, b.imag, stroke(k)))
             else:
-                mx, my = (x1 + x2) / 2 + nx * off, (y1 + y2) / 2 + ny * off
+                bow = (a + b) / 2 + normal * off
                 parts.append('<path d="M %.1f %.1f Q %.1f %.1f %.1f %.1f" %s fill="none"/>'
-                             % (x1, y1, mx, my, x2, y2, stroke(k)))
+                             % (a.real, a.imag, bow.real, bow.imag, b.real, b.imag,
+                                stroke(k)))
     for u, ks in sorted(loops.items()):
-        x, y = pix(pos[u])
-        dx, dy = x - cx, y - cx
-        norm = math.hypot(dx, dy)
-        if norm < 1e-9:
-            dx, dy = 0.0, -1.0
-        else:
-            dx, dy = dx / norm, dy / norm
+        away = pix[u] - centre
+        # a loop points away from the centre, or up from a vertex at it
+        out = away / abs(away) if abs(away) >= 1e-9 else -1j
         for j, k in enumerate(ks):
             r = 10.0 + 8.0 * j
+            c = pix[u] + out * r
             parts.append('<circle cx="%.1f" cy="%.1f" r="%.1f" %s fill="none"/>'
-                         % (x + dx * r, y + dy * r, r, stroke(k)))
+                         % (c.real, c.imag, r, stroke(k)))
 
-    for v, p in sorted(pos.items()):
-        x, y = pix(p)
-        parts.append('<circle cx="%.1f" cy="%.1f" r="3.2" fill="#222"/>' % (x, y))
+    for p in pix:
+        parts.append('<circle cx="%.1f" cy="%.1f" r="3.2" fill="#222"/>' % (p.real, p.imag))
 
     for idx, f in enumerate(marked):
-        if f == outer_face:
-            x, y = 14.0, 20.0 + 16.0 * idx
-        else:
-            vs = [cmap.dart_vertex[d] for d in cmap.faces[f]]
-            x = sum(pix(pos[v])[0] for v in vs) / len(vs)
-            y = sum(pix(pos[v])[1] for v in vs) / len(vs)
+        vs = [pix[cmap.dart_vertex[d]] for d in cmap.faces[f]]
+        at = complex(14.0, 20.0 + 16.0 * idx) if f == outer_face else sum(vs) / len(vs)
         parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="14" fill="#8e44ad">F%d</text>' % (x, y, idx + 1))
+                     'font-size="14" fill="#8e44ad">F%d</text>' % (at.real, at.imag, idx + 1))
 
     parts.append("</svg>")
     return "\n".join(parts)

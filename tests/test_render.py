@@ -1,11 +1,14 @@
 """SVG rendering sanity: structure, labels, highlights, layout accuracy."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 import pantslam
 from pantslam.combmap import CombinatorialMap
@@ -63,13 +66,59 @@ def test_self_loops_render_as_circles():
     ET.fromstring(svg)
 
 
+def _hub_map():
+    """A hub joined to an eight-vertex rim, with a loop at the hub (vertex 8),
+    which solves to the centre of the disk."""
+    rim = [[2 * i, 2 * (8 + i) + 1, 2 * ((i - 1) % 8) + 1] for i in range(8)]
+    return CombinatorialMap(rim + [[16, 32, 33] + list(range(18, 31, 2))])
+
+
+def test_loop_at_the_centre_points_up():
+    cm = _hub_map()
+    assert abs(layout(cm)[0][8]) < 1e-12
+    # the drawing's centre is (260, 260); a loop there has no way out of
+    # it, so its circle sits straight above the vertex
+    assert '<circle cx="260.0" cy="250.0" r="10.0" ' in render_svg(cm)
+
+
+# sha1 of render_svg's output, pinned byte for byte: maps with bowed
+# parallel edges, loops away from and at the centre, marked-face labels
+# and highlighted families
+_FROZEN_SVGS = {
+    "theta": (theta_graph, True, "3b1730102ee9c489614dd22fe7386e023282fee2"),
+    "theta-bare": (lambda: theta_graph().cmap, False,
+                   "318935e108465c838cf7e3f1689d4a2ee4fb560c"),
+    "self-loops": (lambda: CombinatorialMap([[0, 1, 2, 4], [3, 5]]), False,
+                   "127001a3edbf0c93c4aa1983bddb6c58b6cf90c4"),
+    "hub": (_hub_map, False, "13986373c1e8543d7c7dcc48b69264ddea1aa06f"),
+    "block": (lambda: block_graph((1, 0, 0, 0, 0, 0)), False,
+              "4d5f9a9c8917019051888b11c199a31a793f56f4"),
+    "random-0": (lambda: random_sigma_graph(0, 60), True,
+                 "56f3f1c2a5b4b01e2e079fd8c5188ee442c9fb4b"),
+    "random-1": (lambda: random_sigma_graph(1, 60), True,
+                 "b4212a8fb0626c94ad12d2b720aa7cc8a701b2fe"),
+    "random-2": (lambda: random_sigma_graph(2, 60), True,
+                 "c46affb24ff58557a57172c63c72b2fb19f791e2"),
+    "random-5": (lambda: random_sigma_graph(5, 60), True,
+                 "410e8dd6b3572be9ab1fac5c6b2ddd02a5088c11"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FROZEN_SVGS))
+def test_svg_bytes_are_frozen(name):
+    make, with_families, sha1 = _FROZEN_SVGS[name]
+    g = make()
+    families = [special_family(g, i) for i in (1, 2, 3)] if with_families else ()
+    assert hashlib.sha1(render_svg(g, families).encode()).hexdigest() == sha1
+
+
 def test_layout_positions_every_vertex():
     cm = block_graph((2, 1, 1, 0, 1, 1)).cmap
     pos, outer = layout(cm)
-    assert set(pos) == set(range(cm.num_vertices))
+    assert len(pos) == cm.num_vertices
     assert len(cm.faces[outer]) == max(map(len, cm.faces))
-    for x, y in pos.values():
-        assert abs(x) < 10 and abs(y) < 10
+    for z in pos:
+        assert isinstance(z, complex) and abs(z.real) < 10 and abs(z.imag) < 10
 
 
 def test_render_deterministic():
@@ -136,9 +185,9 @@ def test_layout_matches_dense_solve():
     for sg in graphs:
         pos, outer = layout(sg.cmap)
         ref = _dense_layout(sg.cmap, outer)
-        assert set(pos) == set(ref)
+        assert set(range(len(pos))) == set(ref)
         for v, (x, y) in ref.items():
-            assert abs(pos[v][0] - x) < 1e-9 and abs(pos[v][1] - y) < 1e-9, (sg.cmap, v)
+            assert abs(pos[v].real - x) < 1e-9 and abs(pos[v].imag - y) < 1e-9, (sg.cmap, v)
 
 
 def test_cli_import_leaves_numpy_out():
