@@ -53,19 +53,28 @@ projected onto the branch vertices, its masks have the same minimal ones
 per type.  A step is one scanned dart of the reduced multigraph, so a
 chain costs one step however long it is.
 
-Each base follows its darts in increasing order, and once the branch
-leaving by dart a is done, edge a leaves the 2-core but still cuts
-cycles as a chord (Read and Tarjan, Networks 5, 1975).  A kept cycle
-leaves the base by its smaller base dart, so those through a are found
-by then, and the later ones avoid a: each of their vertices keeps its
-two cycle edges in the core.
+The bases go by decreasing row length, ties by vertex number, so a
+vertex of many darts leaves the 2-core of the bases still to come early
+and the later searches skip its darts; each cycle is searched from the
+first of its vertices taken.  Each base follows its darts in increasing
+order, and once the branch leaving by dart a is done, edge a leaves the
+2-core but still cuts cycles as a chord (Read and Tarjan, Networks 5,
+1975).  A kept cycle leaves the base by its smaller base dart, so those
+through a are found by then, and the later ones avoid a: each of their
+vertices keeps its two cycle edges in the core.
 
 Packing enumerates the disjoint collections of minimal masks depth
 first; a node's candidates are the later masks disjoint from its union.
 Below a node, counts are at most its own plus the per-type counts of
 its candidates left.  The reached counts are kept downward closed, and
 the bound only falls as candidates are used, so once it is reached the
-node is done (Bron and Kerbosch, CACM 16, 1973).
+node is done (Bron and Kerbosch, CACM 16, 1973).  The masks are indexed
+by type, scarcest first, and a node's candidates are one bitset over
+those indices: a child's are its parent's left ANDed with the bitset of
+the masks disjoint from the one taken, and the bound's per-type counts
+are popcounts against each type's bitset (San Segundo, Rodriguez-Losada
+and Jimenez, Computers & OR 38, 2011).  The table of disjoint masks
+costs M^2/8 bytes for M minimal masks.
 """
 
 from __future__ import annotations
@@ -187,6 +196,7 @@ def candidate_cycles(
     masks hold branch vertices only; its (type, mask) pairs are among
     those of `all_simple_cycles` with the masks projected onto the branch
     vertices, and per type both have the same inclusion-minimal masks.
+    The bases go by decreasing row length, ties by vertex number.
     Meeting a vertex reads its row once, for its chords, parallel edges
     and self-loops and for the darts the path may leave it by; a vertex
     with none is not entered.
@@ -284,9 +294,9 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
     the map is one cycle and vertex 0 ends its chain.  Each reduced dart
     is a tuple (d, x, b, r): d is the dart it leaves its branch vertex
     by, x its head, b the XOR of the crossing bits along it and r the d
-    of the reduced dart back.  Returns the branch vertices in increasing order
-    and per vertex its row (its reduced darts in rotation order, None for
-    an inner vertex).
+    of the reduced dart back.  Returns the branch vertices by decreasing
+    row length, ties by vertex number, and per vertex its row (its reduced
+    darts in rotation order, None for an inner vertex).
     """
     rotations, tail, nxt = cm.rotations, cm.dart_vertex, cm.rotation_next
     inner = [len(rot) == 2 and tail[rot[0] ^ 1] != v for v, rot in enumerate(rotations)]
@@ -304,6 +314,7 @@ def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, li
                 b ^= bits[d >> 1]
                 w = tail[d ^ 1]
             row.append((d0, w, b, d ^ 1))
+    bases.sort(key=lambda v: -len(rows[v]))  # stable: ties keep vertex order
     return bases, rows
 
 
@@ -311,17 +322,17 @@ def _peeled_bases(rows: Sequence, bases: Sequence[int]) -> Iterator[tuple[int, l
     """Each base vertex in turn, with the list of live vertices and a drop.
 
     rows[v] lists the darts at base v as tuples that start with the dart
-    and its head; bases lists the vertices with a row, in increasing
-    order.  A vertex with fewer than two non-loop darts to live vertices
-    lies on no cycle through another vertex, so it dies, and so may its
-    neighbours in turn; base b dies before the next base is yielded.  The
-    live vertices thus form the 2-core from the base up, which holds
-    every cycle through the base and higher vertices only.  drop(v, t)
-    takes the edge of dart t at v, whose tuple ends with the dart back,
-    out of that core for good, with the same cascade.  Each edge is
-    counted off at most once, so the deaths cost O(V+E) in total.  A
-    caller that marks vertices dead while searching from a base revives
-    them before asking for the next.
+    and its head; bases lists the vertices with a row, in the order they
+    are searched.  A vertex with fewer than two non-loop darts to live
+    vertices lies on no cycle through another vertex, so it dies, and so
+    may its neighbours in turn; base b dies before the next base is
+    yielded.  The live vertices thus form the 2-core of the base and the
+    bases after it, which holds every cycle through the base and later
+    bases only.  drop(v, t) takes the edge of dart t at v, whose tuple
+    ends with the dart back, out of that core for good, with the same
+    cascade.  Each edge is counted off at most once, so the deaths cost
+    O(V+E) in total.  A caller that marks vertices dead while searching
+    from a base revives them before asking for the next.
     """
     # deg: non-loop darts to live vertices, by edges not dropped (darts in gone)
     deg = [0] * len(rows)
@@ -387,25 +398,39 @@ def _disjoint_counts(per_type: Sequence[Sequence[int]]) -> frozenset[tuple[int, 
     order = sorted(range(3), key=lambda j: len(per_type[j]))  # the scarcest type first
     masks = [m for j in order for m in per_type[j]]
     kinds = [j for j in order for _ in per_type[j]]
+    kind_bits = [0, 0, 0]  # per type: the indices of its masks
+    holders: dict[int, int] = {}  # per vertex bit: the indices of the masks with it
+    for k, m in enumerate(masks):
+        kind_bits[kinds[k]] |= 1 << k
+        while m:
+            low = m & -m
+            holders[low] = holders.get(low, 0) | 1 << k
+            m ^= low
+    every = (1 << len(masks)) - 1
+    compat = []  # per mask: the indices of the masks disjoint from it
+    for m in masks:
+        meets = 0
+        while m:
+            low = m & -m
+            meets |= holders[low]
+            m ^= low
+        compat.append(every ^ meets)
+    b1, b2, b3 = kind_bits
     reached = {(0, 0, 0)}
-    # per node: its counts, its candidates, the next one to take, and the
-    # per-type count of the candidates from that one on
-    stack = [((0, 0, 0), list(range(len(masks))), 0, [len(ms) for ms in per_type])]
+    stack = [((0, 0, 0), every)]  # per node: its counts and its candidates left
     while stack:
-        here, cands, i, rest = stack[-1]
-        if i == len(cands) or (here[0] + rest[0], here[1] + rest[1], here[2] + rest[2]) in reached:
+        here, rest = stack[-1]
+        if not rest or (here[0] + (rest & b1).bit_count(), here[1] + (rest & b2).bit_count(),
+                        here[2] + (rest & b3).bit_count()) in reached:
             stack.pop()
             continue
-        k = cands[i]
-        j, m = kinds[k], masks[k]
-        rest[j] -= 1
-        stack[-1] = (here, cands, i + 1, rest)
+        low = rest & -rest
+        k = low.bit_length() - 1
+        rest ^= low
+        stack[-1] = (here, rest)
+        j = kinds[k]
         child = here[:j] + (here[j] + 1,) + here[j + 1:]
-        later = [c for c in cands[i + 1:] if not masks[c] & m]
-        counts = [0, 0, 0]
-        for c in later:
-            counts[kinds[c]] += 1
-        stack.append((child, later, 0, counts))
+        stack.append((child, rest & compat[k]))
         below = [child]
         while below:
             p = below.pop()
