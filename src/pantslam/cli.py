@@ -56,8 +56,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     tau = sigma_of(sg)
     cols = list(_columns(tau))
     count = sum(sum(tops, len(tops)) for _, tops in cols) - args.exclude_origin
-    # a block graph's points can run to gigabytes of text, written here in
-    # chunks of about 1 MiB.  The lines of (x, y) are one string, "x y "
+    # a block graph's points can run to gigabytes of text, written here to
+    # sys.stdout slice by slice.  The lines of (x, y) are one string, "x y "
     # joined over ["", "0\n", ..., "top\n"], a slice of one list.  A
     # column's rows come from two C-level maps, at most about 2^15 points
     # at a time, and their slices are kept while the tops repeat: the
@@ -65,9 +65,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # column is never held whole.  (Joining whole columns over a table of
     # "y z\n" lines was slower on long columns, whose lines no longer stay
     # in cache.)
-    chunk = ["sigma = %s\nnu = %s\nlamination points (%d):\n"
-             % (tuple(tau), tuple(nu_transform(tau)), count)]
-    size = 0
+    sys.stdout.write("sigma = %s\nnu = %s\nlamination points (%d):\n"
+                     % (tuple(tau), tuple(nu_transform(tau)), count))
     tops0 = cols[0][1]
     zs = [""] + ["%d\n" % z for z in range(tops0[0] + 1)]
     ys = ["%d " % y for y in range(len(tops0))]
@@ -84,12 +83,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             texts = list(map(str.join, map(prefix.__add__, ys[lo:lo + step]), table))
             if args.exclude_origin and x == lo == 0:
                 texts[0] = texts[0][len("0 0 0\n"):]
-            chunk += texts
-            size += sum(map(len, texts))
-            if size >= 1 << 20:
-                sys.stdout.write("".join(chunk))
-                chunk, size = [], 0
-    sys.stdout.write("".join(chunk))
+            sys.stdout.write("".join(texts))
     return 0
 
 

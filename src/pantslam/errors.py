@@ -26,7 +26,7 @@ class DuplicateMarkedFace(PantsError):
 
 
 class BadFaceIndex(PantsError):
-    """A face index, such as a marked face, is not an int or out of range."""
+    """A marked face is not an int or not a face index of the map."""
 
 
 class EmptyLayer(PantsError):

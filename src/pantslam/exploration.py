@@ -163,21 +163,6 @@ class SigmaGraph:
         self._dist_cache[src] = out
         return out
 
-    def face_distance(self, f: int, g: int) -> int:
-        for h in (f, g):
-            if type(h) is not int or not 0 <= h < self.cmap.num_faces:
-                raise BadFaceIndex(h)
-        return self._dist_from(f)[g]
-
-    def distances(self) -> tuple[int, int, int]:
-        """Pairwise marked-face distances, entry i facing marked face i."""
-        m = self.marked
-        return (
-            self.face_distance(m[1], m[2]),
-            self.face_distance(m[2], m[0]),
-            self.face_distance(m[0], m[1]),
-        )
-
     # -- layered regions and their boundary walks --------------------------
 
     def _bucket(self, i: int, k: int) -> list[int]:

@@ -290,20 +290,17 @@ def candidate_cycles(
 def _series_reduced(cm: CombinatorialMap, bits: Sequence[int]) -> tuple[list, list]:
     """The map's series reduction (see the module docstring), O(V+E).
 
-    Every vertex but an inner one is a branch vertex; if all are inner,
-    the map is one cycle and vertex 0 ends its chain.  Each reduced dart
-    is a tuple (d, x, b, r): d is the dart it leaves its branch vertex
-    by, x its head, b the XOR of the crossing bits along it and r the d
-    of the reduced dart back.  Returns the branch vertices by decreasing
-    row length, ties by vertex number, and per vertex its row (its reduced
-    darts in rotation order, None for an inner vertex).
+    Every vertex but an inner one is a branch vertex.  A marked map has one:
+    a map of inner vertices only is one cycle, with two faces, not three.
+    Each reduced dart is a tuple (d, x, b, r): d is the dart it leaves its
+    branch vertex by, x its head, b the XOR of the crossing bits along it and
+    r the d of the reduced dart back.  Returns the branch vertices by
+    decreasing row length, ties by vertex number, and per vertex its row
+    (its reduced darts in rotation order, None for an inner vertex).
     """
     rotations, tail, nxt = cm.rotations, cm.dart_vertex, cm.rotation_next
     inner = [len(rot) == 2 and tail[rot[0] ^ 1] != v for v, rot in enumerate(rotations)]
     bases = [v for v, i in enumerate(inner) if not i]
-    if not bases:  # one cycle: vertex 0 ends its only chain
-        inner[0] = False
-        bases = [0]
     rows = [None] * cm.num_vertices
     for v in bases:
         rows[v] = row = []

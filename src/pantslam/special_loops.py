@@ -98,13 +98,15 @@ def special_family(sg: SigmaGraph, i: int) -> tuple[Loop, ...]:
 
 def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:
     """Per face, its widest value from marked face j0 under distance from
-    marked face i0 (0-based positions), exact once face stop settles.
+    marked face i0 (0-based positions); faces not reached by the time face
+    stop settles keep -1.
 
     A bucket search from m_j with values falling from its distance: a face
     leaves bucket w settled at its widest value w, and an edge to g offers
-    g min(w, dist(g)).  Faces not settled when stop does keep lower
-    bounds; m_i settles last, at 0.  Each face is settled once and each
-    dart read once, so the search costs O(darts + max distance).
+    g min(w, dist(g)).  Buckets go widest first, so each later offer to g
+    is min(w', dist(g)) with w' <= w: none beats g's first offer, and g
+    enters one bucket once.  m_i settles last, at 0.  Each face is settled
+    once and each dart read once, so the search costs O(darts + max distance).
     """
     dist = sg._dist_from(sg.marked[i0])
     src = sg.marked[j0]
@@ -115,8 +117,6 @@ def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:
     buckets[top].append(src)
     for w in range(top, -1, -1):
         for f in buckets[w]:
-            if best[f] != w:
-                continue  # raised to a wider bucket after this entry
             if f == stop:
                 return best
             for d in faces[f]:
@@ -129,7 +129,8 @@ def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:
 
 
 def sigma_of(sg: SigmaGraph) -> SigmaVector:
-    """Six invariants of the marked graph: family sizes, then distances."""
+    """Six invariants of the marked graph: family sizes, then distances,
+    read off the BFS rows that the widths searches cached."""
     m = sg.marked
     sizes = [_widths(sg, i0, (i0 + 1) % 3, m[i0 - 1])[m[i0 - 1]] for i0 in range(3)]
-    return SigmaVector(*sizes, *sg.distances())
+    return SigmaVector(*sizes, *(sg._dist_from(m[i0 - 2])[m[i0 - 1]] for i0 in range(3)))

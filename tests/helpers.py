@@ -12,7 +12,7 @@ from pantslam.exploration import Loop, SigmaGraph
 from pantslam.ladders import block_complex, doubled
 from pantslam.oracle import CycleCatalog
 from pantslam.polytope import nu_transform, validate_tau
-from pantslam.special_loops import SigmaVector
+from pantslam.special_loops import SigmaVector, sigma_of
 
 
 def flood_sides(cmap, loop):
@@ -48,7 +48,7 @@ def pair_meeting_breaches(sg, families):
     k + l > delta; two loops of one family never share one.
     """
     verts = [[frozenset(lp.vertices(sg.cmap)) for lp in fam] for fam in families]
-    delta = sg.distances()
+    delta = sigma_of(sg).delta
     out = []
     for i0, j0 in combinations(range(3), 2):
         for k, a in enumerate(verts[i0], 1):

@@ -47,8 +47,11 @@ def test_depth_beyond_counts_rejected():
 
 
 def test_negative_count_rejected():
-    with pytest.raises(NegativeParameter):
-        family_graph((-1, 1, 1), (0, 0, 0))
+    # a negative count, two counts in place of three, a negative depth
+    cases = (((-1, 1, 1), (0, 0, 0)), ((1, 1), (0, 0, 0)), ((1, 1, 1), (0, 0, -1)))
+    for counts, depths in cases:
+        with pytest.raises(NegativeParameter):
+            family_graph(counts, depths)
 
 
 def test_cap_index_out_of_range():

@@ -186,6 +186,22 @@ def test_roundtrip_small_sweep(capsys):
     assert "tau=(1, 1, 1, 1, 1, 1) ok" in out.splitlines()
 
 
+def test_roundtrip_reports_a_failed_construction(capsys, monkeypatch):
+    # one signature's witness fails; the sweep goes on and ends in exit 1
+    build = cli.construct_detailed
+
+    def fail_one(tau):
+        if tau == (1, 1, 1, 1, 1, 1):
+            raise errors.ConstructionFailed("witness does not verify")
+        return build(tau)
+
+    monkeypatch.setattr(cli, "construct_detailed", fail_one)
+    assert main(["roundtrip", "--max-mu", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "tau=(1, 1, 1, 1, 1, 1) MISMATCH ConstructionFailed" in lines
+    assert lines[-1] == "swept 14 realizable signatures: 13 ok, 1 mismatches"
+
+
 @pytest.mark.parametrize("max_mu", range(cli.MAX_ROUNDTRIP_MU + 1))
 def test_realizable_box_is_the_realizable_grid(max_mu):
     # the same signatures in the same order, the rows roundtrip prints
@@ -571,7 +587,7 @@ class _CountingBuffer(io.StringIO):
 
 @pytest.fixture(scope="module")
 def deep_block_file(tmp_path_factory):
-    # about 7.9 MB of analyze output: several 1 MiB chunks
+    # about 7.9 MB of analyze output, written slice by slice
     sg = block_graph((100, 100, 100, 33, 33, 33))
     return write_graph(tmp_path_factory.mktemp("deep") / "block.json", sg), sigma_of(sg)
 
@@ -660,7 +676,7 @@ class _ClosedAfter(io.StringIO):
 
 @pytest.fixture(scope="module")
 def long_analyze_file(tmp_path_factory):
-    # about 227,000 point lines, 1.9 MB of analyze output: two chunks
+    # about 227,000 point lines, 1.9 MB of analyze output
     path = tmp_path_factory.mktemp("long") / "family.json"
     return write_graph(path, family_graph((60, 60, 60), (0, 0, 0)))
 

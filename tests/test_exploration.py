@@ -15,7 +15,7 @@ from pantslam.errors import (
 from pantslam.exploration import Loop, SigmaGraph, loop_sides
 from pantslam.ladders import block_graph
 from pantslam.randmaps import random_sigma_graph
-from pantslam.special_loops import special_family
+from pantslam.special_loops import sigma_of, special_family
 
 from conftest import block_corpus, build_corpus_graph, corpus_jobs, family_corpus, theta_graph
 from helpers import distance_matrix, flood_sides
@@ -33,15 +33,11 @@ def test_marked_face_must_exist():
     for marked in ((0, 1, 9), (0.0, 1, 2), (True, 0, 2), ("a", 1, 2)):
         with pytest.raises(BadFaceIndex):
             SigmaGraph(cm, marked)
-    sg = SigmaGraph(cm, (0, 1, 2))
-    for f, g in ((0, 3), (-1, 0), (0.0, 1), (1, True)):
-        with pytest.raises(BadFaceIndex):
-            sg.face_distance(f, g)
 
 
 def test_theta_distances():
     sg = theta_graph()
-    assert sg.distances() == (1, 1, 1)
+    assert sigma_of(sg).delta == (1, 1, 1)
 
 
 def test_ladder_distance_matrix():
@@ -136,7 +132,7 @@ def test_hemispheres_match_flood_reference():
         sg = random_sigma_graph(seed, 2000, 2000)
         for i, m in enumerate(sg.marked, 1):
             # every loop of the levels the signature scans around m
-            top = min(sg.face_distance(m, f) for f in sg.marked if f != m)
+            top = min(sg._dist_from(m)[f] for f in sg.marked if f != m)
             for k in range(1, min(len(special_family(sg, i)) + 1, top) + 1):
                 for lp in sg.boundary_loops(i, k):
                     assert loop_sides(sg, lp) == flood_sides(sg.cmap, lp), (seed, lp)

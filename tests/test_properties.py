@@ -106,7 +106,7 @@ def test_signature_satisfies_realizability(sg):
     tau = sigma_of(sg)
     assert check_realizable(tau)
     mu = [len(special_family(sg, i)) for i in (1, 2, 3)]
-    nu = [mu[(i + 1) % 3] + mu[(i + 2) % 3] - sg.distances()[i] for i in range(3)]
+    nu = [mu[(i + 1) % 3] + mu[(i + 2) % 3] - tau.delta[i] for i in range(3)]
     assert all(n >= 0 for n in nu)
     assert tuple(nu) == tuple(nu_transform(tau))
     # at most one empty family

@@ -240,6 +240,13 @@ def test_random_map_rejects_non_int_face_count(num_faces):
         random_map(1, num_faces)
 
 
+def test_too_few_faces_rejected():
+    with pytest.raises(OutOfRange):
+        random_map(0, 1)
+    with pytest.raises(OutOfRange):
+        random_sigma_graph(0, min_faces=2)
+
+
 def test_random_sigma_graph_rejects_max_below_min():
     with pytest.raises(OutOfRange):
         random_sigma_graph(1, max_faces=4, min_faces=5)

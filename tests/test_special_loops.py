@@ -96,7 +96,7 @@ def test_depth_matches_signature_arithmetic(triple_ring):
 def _typed_levels(sg, i):
     """Levels with a boundary loop typed i, up to the nearer far face."""
     m = sg.marked[i - 1]
-    top = min(sg.face_distance(m, g) for g in sg.marked if g != m)
+    top = min(sg._dist_from(m)[g] for g in sg.marked if g != m)
     return sum(
         any(sg.classify(lp) == i for lp in sg.boundary_loops(i, k))
         for k in range(1, top + 1)
@@ -151,7 +151,7 @@ def _reference_toward(sg, i0, j0, k):
 
 def _reference_family(sg, i0):
     far = ((i0 + 1) % 3, (i0 + 2) % 3)
-    top = min(sg.face_distance(sg.marked[i0], sg.marked[j]) for j in far)
+    top = min(sg._dist_from(sg.marked[i0])[sg.marked[j]] for j in far)
     out = []
     for k in range(1, top + 1):
         a, b = (_reference_toward(sg, i0, j, k) for j in far)
