@@ -122,11 +122,11 @@ def _graph_of(data, marked: bool = True) -> Union[SigmaGraph, CombinatorialMap]:
 def cmd_construct(args: argparse.Namespace) -> int:
     # construct_detailed returns only a witness that measures tau
     res = construct_detailed(args.tau)
-    print("params: counts=%s depths=%s" % (res.counts, res.depths))
-    print("verified: sigma = %s" % (tuple(args.tau),))
     # not json.dumps: with indent, json encodes dart by dart in pure Python
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_witness_text(res.graph))
+    print("params: counts=%s depths=%s" % (res.counts, res.depths))
+    print("verified: sigma = %s" % (tuple(args.tau),))
     print("wrote %s" % args.out)
     return 0
 

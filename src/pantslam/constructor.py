@@ -95,8 +95,3 @@ def construct_detailed(tau: Sequence[int]) -> ConstructionResult:
     if res is None:
         _search_detailed(tv, counts, depths)
     return res
-
-
-def construct(tau: Sequence[int]) -> SigmaGraph:
-    """A marked map whose measured signature equals tau exactly."""
-    return construct_detailed(tau).graph

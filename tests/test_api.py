@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import importlib
 import inspect
 import os
 import re
@@ -20,12 +21,8 @@ from pantslam.exploration import SigmaGraph
 from conftest import THETA_ROTATIONS
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_every_exported_name_resolves():
-    assert len(set(pantslam.__all__)) == len(pantslam.__all__)
-    for name in pantslam.__all__:
-        assert getattr(pantslam, name) is not None, name
+SRC_MODULES = sorted(p.stem for p in (ROOT / "src" / "pantslam").glob("*.py")
+                     if p.stem != "__init__")
 
 
 def test_version_has_one_source():
@@ -51,24 +48,6 @@ def test_benchmark_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def _called(tree):
-    """Names the parsed code calls, by name or as an attribute."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                names.add(func.id)
-            elif isinstance(func, ast.Attribute):
-                names.add(func.attr)
-    return names
-
-
-def _imported(tree):
-    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names}
 
 
 def _readme_library():
@@ -114,19 +93,6 @@ def _tracing_targets():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
-def test_every_public_function_is_reached_outside_the_tests():
-    """A public function stays only when a verb, a benchmark workload, the
-    benchmark's tracing or README's Library example reaches it."""
-    reached = _tracing_targets() | _called(ast.parse(_readme_library()))
-    for path in ("src/pantslam/cli.py", "perfbench/workloads.py"):
-        tree = _parse(path)
-        reached |= _called(tree) | _imported(tree)
-    public = [name for name in pantslam.__all__ if inspect.isfunction(getattr(pantslam, name))]
-    assert len(public) > 10
-    unreached = [name for name in public if name not in reached]
-    assert unreached == [], "reached only by tests: " + ", ".join(unreached)
-
-
 def _reads(tree):
     """The nodes of the names the parsed code reads, bare or as an attribute.
 
@@ -155,24 +121,24 @@ def _named(tree):
 
 
 def test_every_public_method_is_named_outside_the_tests():
-    """A public method or property of an exported class stays only when the
-    package, a benchmark workload, the benchmark's tracing or README's
-    Library example names it; a second spelling of a table lookup does not."""
+    """A public method or property of a public class of any module stays
+    only when the package, a benchmark workload, the benchmark's tracing or
+    README's Library example names it; a second spelling of a table lookup
+    does not."""
     named = _tracing_targets() | _named(ast.parse(_readme_library()))
     for path in sorted(ROOT.glob("src/pantslam/*.py")) + [ROOT / "perfbench/workloads.py"]:
         named |= _named(_parse(path))
     kinds = (property, functools.cached_property, classmethod, staticmethod, FunctionType)
+    modules = [importlib.import_module("pantslam." + module) for module in SRC_MODULES]
     public = ["%s.%s" % (cls.__name__, name)
-              for cls in map(pantslam.__dict__.get, pantslam.__all__) if inspect.isclass(cls)
+              for mod in modules for cls in vars(mod).values()
+              if inspect.isclass(cls) and cls.__module__ == mod.__name__
+              and not cls.__name__.startswith("_")
               for name, member in vars(cls).items()
               if not name.startswith("_") and isinstance(member, kinds)]
     assert len(public) > 10
     unnamed = [name for name in public if name.split(".")[1] not in named]
     assert unnamed == [], "named only by tests: " + ", ".join(unnamed)
-
-
-SRC_MODULES = sorted(p.stem for p in (ROOT / "src" / "pantslam").glob("*.py")
-                     if p.stem != "__init__")
 
 
 def _qualified(tree):
@@ -218,13 +184,37 @@ def test_every_module_function_is_reached_outside_the_tests():
     assert unreached == [], "reached only by tests: " + ", ".join(unreached)
 
 
-def test_only_the_package_lists_its_exports():
-    """`pantslam.__all__` is the one export list: no module assigns its own."""
-    listing = [module for module in SRC_MODULES
-               for node in ast.walk(_parse("src/pantslam/%s.py" % module))
+def test_each_public_name_has_one_import_path():
+    """A name is imported from its own module: no module, `__init__`
+    included, assigns `__all__`, and `__init__` binds only `__version__`."""
+    listing = [path.name for path in sorted((ROOT / "src" / "pantslam").glob("*.py"))
+               for node in ast.walk(_parse(path))
                if isinstance(node, ast.Name) and node.id == "__all__"
                and isinstance(node.ctx, ast.Store)]
     assert listing == []
+    init = _parse("src/pantslam/__init__.py")
+    assert ast.get_docstring(init) is not None
+    (binding,) = init.body[1:]
+    assert isinstance(binding, ast.Assign)
+    assert [target.id for target in binding.targets] == ["__version__"]
+
+
+def test_the_verbs_load_only_the_modules_they_use():
+    """No verb calls `randmaps`, `ladders` or `facecomplex`, so loading the
+    command line loads none of them."""
+    code = ("import sys, pantslam.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pantslam'))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "pantslam.cli" in loaded
+    assert loaded & {"pantslam.randmaps", "pantslam.ladders", "pantslam.facecomplex"} == set()
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

@@ -3,7 +3,7 @@
 import pytest
 
 from pantslam import constructor
-from pantslam.constructor import construct, construct_detailed, family_params
+from pantslam.constructor import construct_detailed, family_params
 from pantslam.chords import drawing_size
 from pantslam.errors import (
     ConstructionFailed,
@@ -79,7 +79,7 @@ def test_witness_no_larger_than_ladder_blocks():
         if min(counts + depths) >= 1:
             positive += 1
             blocks = block_graph(tuple(v - 1 for v in counts + depths))
-            assert construct(tau).cmap.num_edges <= blocks.cmap.num_edges, tau
+            assert construct_detailed(tau).graph.cmap.num_edges <= blocks.cmap.num_edges, tau
     assert positive == 493
 
 
@@ -98,14 +98,14 @@ def test_drawing_size_forecasts_the_witness_table():
     for tau, v, e in WITNESS_TABLE:
         assert drawing_size(*family_params(tau)) == (v, e), tau
         if v < 20000:
-            g = construct(tau).cmap
+            g = construct_detailed(tau).graph.cmap
             assert (g.num_vertices, g.num_edges) == (v, e), tau
 
 
 def test_witness_above_the_dart_cap_is_refused(monkeypatch):
     # (3,3,3,3,3,3) has 108 darts: built at a cap of 108, refused below it
     monkeypatch.setattr(constructor, "MAX_WITNESS_DARTS", 108)
-    assert construct((3, 3, 3, 3, 3, 3)).cmap.num_darts == 108
+    assert construct_detailed((3, 3, 3, 3, 3, 3)).graph.cmap.num_darts == 108
     monkeypatch.setattr(constructor, "MAX_WITNESS_DARTS", 107)
     with pytest.raises(LimitExceeded) as exc:
         construct_detailed((3, 3, 3, 3, 3, 3))
@@ -116,7 +116,7 @@ def test_every_signature_up_to_five_verifies():
     taus = realizable_grid(5)
     assert len(taus) == 3890
     for tau in taus:
-        g = construct(tau)
+        g = construct_detailed(tau).graph
         assert tuple(sigma_of(g)) == tau
         # the size forecast made before drawing
         assert drawing_size(*family_params(tau)) == (g.cmap.num_vertices, g.cmap.num_edges)
@@ -130,13 +130,13 @@ def test_verification_miss_raises(monkeypatch):
 
 
 def test_construct_returns_graph():
-    g = construct((2, 1, 1, 2, 3, 3))
+    g = construct_detailed((2, 1, 1, 2, 3, 3)).graph
     assert tuple(sigma_of(g)) == (2, 1, 1, 2, 3, 3)
 
 
 def test_construct_rejects_unrealizable():
     with pytest.raises(NotRealizable) as exc:
-        construct((0, 0, 0, 1, 1, 1))
+        construct_detailed((0, 0, 0, 1, 1, 1))
     assert "Violates(T1, 1)" in str(exc.value)
 
 
@@ -148,7 +148,7 @@ def test_construct_rejects_non_int_entries(bad):
 
 def test_construct_rejects_bad_domain():
     with pytest.raises(NegativeParameter):
-        construct((-1, 1, 1, 1, 1, 1))
+        construct_detailed((-1, 1, 1, 1, 1, 1))
 
 
 def test_construction_is_deterministic():

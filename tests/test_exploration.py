@@ -175,6 +175,9 @@ def test_loop_accessors():
     assert lp.darts == (1, 4)
     assert lp.edge_set() == frozenset({0, 2})
     assert set(lp.vertices(sg.cmap)) == {0, 1}
+    # a loop is its dart walk up to rotation
+    assert Loop((4, 1)) == lp
+    assert {lp, Loop((4, 1))} == {lp}
 
 
 def _adjacency_distances(sg, src):
