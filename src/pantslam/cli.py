@@ -18,9 +18,9 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .combmap import CombinatorialMap
-from .constructor import construct_detailed
-from .errors import (BadFaceIndex, ConstructionFailed, MalformedRotation, NotRealizable,
-                     OutOfRange, PantsError)
+from .constructor import MAX_WITNESS_DARTS, construct_detailed
+from .errors import (BadFaceIndex, ConstructionFailed, LimitExceeded, MalformedRotation,
+                     NotRealizable, OutOfRange, PantsError)
 from .exploration import SigmaGraph
 from .oracle import CYCLE_LIMIT, candidate_cycles, lamination_space_bruteforce
 from .polytope import _columns, check_realizable, enumerate_points, nu_transform
@@ -30,15 +30,26 @@ from .special_loops import sigma_of, special_family
 # the sweep builds and verifies one witness per realizable signature: 8,745
 # of them for --max-mu 6, a few seconds; at 10 it would be 99,365
 MAX_ROUNDTRIP_MU = 6
+# a witness file takes 7 bytes per dart besides its digits, its vertices
+# having four darts each: 13.9 bytes per dart at construct's cap of 10^7
+# darts, so every witness construct writes can be read back
+MAX_GRAPH_BYTES = 14 * MAX_WITNESS_DARTS
 
 
 def _load_json(path: str):
     """Parsed contents of a graph file.
 
-    Text that is not UTF-8, holds a number too long to convert, or is
-    nested too deeply to parse, is bad input.
+    A file of more than MAX_GRAPH_BYTES bytes is refused with LimitExceeded
+    before it is read: parsing it and building its map could end in the
+    kernel's out-of-memory kill rather than in MemoryError.  Text that is
+    not UTF-8, holds a number too long to convert, or is nested too deeply
+    to parse, is bad input.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > MAX_GRAPH_BYTES:
+            raise LimitExceeded("%s has %d bytes, more than the cap of %d"
+                                % (path, size, MAX_GRAPH_BYTES))
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:

@@ -63,18 +63,29 @@ order, and once the branch leaving by dart a is done, edge a leaves the
 through a are found by then, and the later ones avoid a: each of their
 vertices keeps its two cycle edges in the core.
 
-Packing enumerates the disjoint collections of minimal masks depth
-first; a node's candidates are the later masks disjoint from its union.
-Below a node, counts are at most its own plus the per-type counts of
-its candidates left.  The reached counts are kept downward closed, and
-the bound only falls as candidates are used, so once it is reached the
-node is done (Bron and Kerbosch, CACM 16, 1973).  The masks are indexed
-by type, scarcest first, and a node's candidates are one bitset over
-those indices: a child's are its parent's left ANDed with the bitset of
-the masks disjoint from the one taken, and the bound's per-type counts
-are popcounts against each type's bitset (San Segundo, Rodriguez-Losada
-and Jimenez, Computers & OR 38, 2011).  The table of disjoint masks
-costs M^2/8 bytes for M minimal masks.
+Packing reads only the inclusion-minimal distinct masks of each type:
+swapping a cycle for one of the same type whose mask is a subset keeps
+any disjoint collection disjoint, with the same type counts, for masks
+over all vertices as for masks over branch vertices alone, which decide
+disjointness too.  One table per catalog serves both steps: its distinct
+masks of types 1..3, the scarcest type first and each type's by size,
+and per vertex the bitset of the indices of the masks holding it (San
+Segundo, Rodriguez-Losada and Jimenez, Computers & OR 38, 2011).  The AND
+of those bitsets over a mask's vertices gives its supersets, so in index
+order a mask that no earlier one has struck is minimal and strikes its
+supersets of its own type.
+
+Packing then enumerates the disjoint collections of minimal masks depth
+first; a node's candidates are the later minimal masks disjoint from its
+union, one bitset over the indices.  Below a node, counts are at most its
+own plus the per-type counts of its candidates left, popcounts against
+each type's bitset.  The reached counts are kept downward closed, and the
+bound only falls as candidates are used, so once it is reached the node
+is done (Bron and Kerbosch, CACM 16, 1973).  A child's candidates are its
+parent's left ANDed with the row of the mask taken, the complement of the
+OR of its vertices' bitsets.  A row has a bit per mask, so the rows take
+up to M^2/8 bytes for M masks; a catalog of more than MASK_LIMIT masks is
+refused with LimitExceeded before any bitset is built.
 """
 
 from __future__ import annotations
@@ -88,6 +99,9 @@ from .errors import LimitExceeded
 from .exploration import _TYPE_OF_PARITY, SigmaGraph, _marked_index
 
 CYCLE_LIMIT = 100_000  # the most cycles a search keeps before LimitExceeded
+# the most distinct masks of types 1..3 a catalog packs before LimitExceeded;
+# the packing rows then take at most MASK_LIMIT^2/8 bytes, some 78 MB
+MASK_LIMIT = 25_000
 
 
 @dataclass(frozen=True)
@@ -104,19 +118,49 @@ class CycleCatalog:
     masks: tuple[int, ...]
 
     def minimal_masks(self, i: int) -> tuple[int, ...]:
-        """The inclusion-minimal distinct masks of the cycles of type i."""
-        return self._minimal[_marked_index(i)]
+        """The inclusion-minimal distinct masks of the cycles of type i, by size;
+        LimitExceeded above MASK_LIMIT distinct masks of types 1..3."""
+        i0 = _marked_index(i)
+        *_, minimal = self._table
+        return minimal[i0]
 
     @cached_property
-    def _minimal(self) -> tuple[tuple[int, ...], ...]:
-        """The minimal masks per type 1..3, reduced once per catalog."""
-        return tuple(_minimal_masks([m for t, m in zip(self.types, self.masks) if t == i])
-                     for i in (1, 2, 3))
+    def _table(self) -> tuple:
+        """The mask table of the module docstring, built once: the masks, each
+        one's type less 1, per type less 1 and per vertex bit the indices of
+        the masks of it, the indices of the minimal masks, and those masks by type."""
+        per_type = [sorted({m for t, m in zip(self.types, self.masks) if t == i},
+                           key=lambda m: (m.bit_count(), m)) for i in (1, 2, 3)]
+        if sum(map(len, per_type)) > MASK_LIMIT:
+            raise LimitExceeded("more than %d distinct masks to pack" % MASK_LIMIT)
+        masks, kinds, kind_bits = [], [], [0, 0, 0]
+        for j in sorted(range(3), key=lambda j: len(per_type[j])):  # the scarcest type first
+            kind_bits[j] = ((1 << len(per_type[j])) - 1) << len(masks)
+            masks += per_type[j]
+            kinds += [j] * len(per_type[j])
+        holders: dict[int, int] = {}
+        for k, m in enumerate(masks):
+            while m:
+                low = m & -m
+                holders[low] = holders.get(low, 0) | 1 << k
+                m ^= low
+        struck, minimal = 0, ([], [], [])  # struck: the masks with a smaller one of their type
+        for k, m in enumerate(masks):
+            if not struck >> k & 1:
+                minimal[kinds[k]].append(m)
+                supersets = kind_bits[kinds[k]]
+                while m:
+                    low = m & -m
+                    supersets &= holders[low]
+                    m ^= low
+                struck |= supersets ^ 1 << k
+        kept = ((1 << len(masks)) - 1) ^ struck
+        return masks, kinds, kind_bits, holders, kept, tuple(map(tuple, minimal))
 
     @cached_property
     def _points(self) -> frozenset[tuple[int, int, int]]:
         """The type counts of the disjoint collections, enumerated once."""
-        return _disjoint_counts(self._minimal)
+        return _disjoint_counts(self._table)
 
 
 def all_simple_cycles(
@@ -358,60 +402,18 @@ def _peeled_bases(rows: Sequence, bases: Sequence[int]) -> Iterator[tuple[int, l
             lower([base] * deg[base])
 
 
-def _minimal_masks(masks: list[int]) -> tuple[int, ...]:
-    """Inclusion-minimal distinct masks.
-
-    Packing questions are unchanged by this reduction: swapping a cycle
-    for one of the same type whose mask is a subset keeps any disjoint
-    collection disjoint, with the same type counts.  This holds for masks
-    over all vertices and for masks over branch vertices alone, which
-    decide disjointness too (see the module docstring).  The masks are kept
-    by size, each unless a kept one is its subset; the kept masks are
-    filed by their lowest bit, so a new mask meets only those filed under
-    one of its own bits.
-    """
-    distinct = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    filed: dict[int, list[int]] = {}  # per lowest bit: the kept masks with it
-    lows = 0  # the bits filed under
-    for m in distinct:
-        hit = m & lows
-        while hit:
-            low = hit & -hit
-            if any(k & m == k for k in filed[low]):
-                break
-            hit ^= low
-        else:
-            kept.append(m)
-            low = m & -m
-            filed.setdefault(low, []).append(m)
-            lows |= low
-    return tuple(kept)
-
-
-def _disjoint_counts(per_type: Sequence[Sequence[int]]) -> frozenset[tuple[int, int, int]]:
-    """The type counts of the disjoint collections of masks, per_type[j] of
-    type j+1, enumerated as the module docstring says."""
-    order = sorted(range(3), key=lambda j: len(per_type[j]))  # the scarcest type first
-    masks = [m for j in order for m in per_type[j]]
-    kinds = [j for j in order for _ in per_type[j]]
-    kind_bits = [0, 0, 0]  # per type: the indices of its masks
-    holders: dict[int, int] = {}  # per vertex bit: the indices of the masks with it
+def _disjoint_counts(table: tuple) -> frozenset[tuple[int, int, int]]:
+    """The type counts of the disjoint collections of minimal masks (see the module docstring)."""
+    masks, kinds, kind_bits, holders, every, _ = table
+    compat = {}  # per minimal mask: the indices of the minimal masks disjoint from it
     for k, m in enumerate(masks):
-        kind_bits[kinds[k]] |= 1 << k
-        while m:
-            low = m & -m
-            holders[low] = holders.get(low, 0) | 1 << k
-            m ^= low
-    every = (1 << len(masks)) - 1
-    compat = []  # per mask: the indices of the masks disjoint from it
-    for m in masks:
-        meets = 0
-        while m:
-            low = m & -m
-            meets |= holders[low]
-            m ^= low
-        compat.append(every ^ meets)
+        if every >> k & 1:
+            meets = 0
+            while m:
+                low = m & -m
+                meets |= holders[low]
+                m ^= low
+            compat[k] = every ^ (every & meets)
     b1, b2, b3 = kind_bits
     reached = {(0, 0, 0)}
     stack = [((0, 0, 0), every)]  # per node: its counts and its candidates left
@@ -441,7 +443,9 @@ def max_disjoint_type(sg: SigmaGraph, i: int, catalog: Optional[CycleCatalog] = 
     """Largest number of pairwise vertex-disjoint cycles of type i.
 
     Read off the whole lamination space, which the first call computes for
-    all three types and caches on the catalog.
+    all three types and caches on the catalog.  LimitExceeded when the
+    catalog has more than MASK_LIMIT distinct masks of types 1..3, whose
+    packing table would take more than MASK_LIMIT^2/8 bytes.
     """
     i0 = _marked_index(i)
     cat = catalog if catalog is not None else candidate_cycles(sg)

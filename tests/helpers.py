@@ -1,6 +1,6 @@
 """Test-only references: the face flood for loop sides, the plain cycle
-search, the level-by-level packing search, and the helpers that only the
-tests call."""
+search, the level-by-level packing search, the pairwise minimal-mask
+scan, and the helpers that only the tests call."""
 
 import json
 from collections import deque
@@ -156,6 +156,15 @@ def packing_by_levels(cat):
             k += 1
         maxima.append(k)
     return frozenset(achieved), tuple(maxima)
+
+
+def minimal_by_pairs(cat, i):
+    """The inclusion-minimal distinct masks of the cycles of type i in
+    catalog cat, by size, each tested against every other: the plain
+    reference for `CycleCatalog.minimal_masks`."""
+    masks = sorted({m for t, m in zip(cat.types, cat.masks) if t == i},
+                   key=lambda m: (m.bit_count(), m))
+    return tuple(m for m in masks if not any(k & m == k != m for k in masks))
 
 
 def distance_matrix(sg):

@@ -19,7 +19,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import pantslam
-from pantslam import cli, constructor, errors, render
+from pantslam import cli, constructor, errors, oracle, render
 from pantslam.chords import family_graph
 from pantslam.cli import _build_parser, main
 from pantslam.errors import PantsError
@@ -324,6 +324,29 @@ def test_oracle_checks_a_block_past_the_full_catalog(tmp_path, capsys):
 def test_oracle_limit_maps_to_input_error(theta_file, capsys):
     # the theta graph keeps three candidate cycles, one per type
     assert main(["oracle", theta_file, "--cycle-limit", "1"]) == 2
+
+
+def test_oracle_above_the_mask_limit_exits_2(crossed_rings, tmp_path, capsys, monkeypatch):
+    # the candidate catalog of the crossed rings holds 6 distinct masks of
+    # types 1..3
+    monkeypatch.setattr(oracle, "MASK_LIMIT", 5)
+    path = write_graph(tmp_path / "crossed.json", crossed_rings)
+    assert main(["oracle", path]) == 2
+    assert capsys.readouterr().out == "LimitExceeded: more than 5 distinct masks to pack\n"
+
+
+@pytest.mark.parametrize("verb", ["analyze", "render", "oracle"])
+def test_graph_file_above_the_byte_cap_exits_2(theta_file, tmp_path, capsys, monkeypatch, verb):
+    # the cap is patched to one byte below the theta file's size, then to
+    # its size; no large file is written
+    size = os.path.getsize(theta_file)
+    argv = [verb, theta_file] + ([str(tmp_path / "theta.svg")] if verb == "render" else [])
+    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == (
+        "LimitExceeded: %s has %d bytes, more than the cap of %d\n" % (theta_file, size, size - 1))
+    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size)
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("verb", ["construct", "oracle"])

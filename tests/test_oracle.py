@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from pantslam import oracle
 from pantslam.chords import family_graph
 from pantslam.combmap import CombinatorialMap
-from pantslam.errors import EmptyLayer, LimitExceeded, NonSpherical, OutOfRange
+from pantslam.errors import EmptyLayer, LimitExceeded, OutOfRange
 from pantslam.exploration import SigmaGraph, loop_sides
 from pantslam.ladders import block_graph
 from pantslam.oracle import (
@@ -21,7 +22,7 @@ from pantslam.randmaps import random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
 from conftest import OVER_LIMIT, build_corpus_graph, corpus_jobs, nested_loops, theta_graph
-from helpers import flood_sides, packing_by_levels, plain_cycles, subdivided
+from helpers import flood_sides, minimal_by_pairs, packing_by_levels, plain_cycles, subdivided
 
 
 def test_digon_around_an_unmarked_face_has_no_type():
@@ -160,6 +161,20 @@ def test_candidate_limits_enforced(crossed_rings):
         candidate_cycles(crossed_rings, node_limit=5)
 
 
+def test_mask_limit_enforced(crossed_rings, monkeypatch):
+    # the candidate catalog of the crossed rings holds 6 distinct masks of
+    # types 1..3; a limit of 5 refuses it, whichever reader builds its table
+    monkeypatch.setattr(oracle, "MASK_LIMIT", 5)
+    for read in (lambda cat: cat.minimal_masks(1),
+                 lambda cat: lamination_space_bruteforce(crossed_rings, cat),
+                 lambda cat: max_disjoint_type(crossed_rings, 1, cat)):
+        with pytest.raises(LimitExceeded):
+            read(candidate_cycles(crossed_rings))
+    monkeypatch.setattr(oracle, "MASK_LIMIT", 6)
+    assert (lamination_space_bruteforce(crossed_rings)
+            == frozenset(lamination_space(crossed_rings).points))
+
+
 def test_pruned_search_fits_a_small_step_budget():
     # the full search takes 1,493,006 steps on this block, the pruned one
     # 21,099 (26,796 while bases went by vertex number, 40,702 while masks
@@ -267,17 +282,11 @@ def _doubled(sg, seed, parallels=3, loops=2):
     e = sg.cmap.num_edges
     for _ in range(parallels):
         d = rng.randrange(2 * sg.cmap.num_edges)
-        u, v = tail[d], tail[d ^ 1]
-        for a, b in ((1, 0), (0, 1)):  # the order that keeps the map spherical
-            trial = [list(r) for r in rots]
-            trial[u].insert(trial[u].index(d) + a, 2 * e)
-            trial[v].insert(trial[v].index(d ^ 1) + b, 2 * e + 1)
-            try:
-                CombinatorialMap(trial)
-            except NonSpherical:
-                continue
-            rots = trial
-            break
+        # the copy's darts go right after d and right before d ^ 1, so the
+        # face walk runs copy, d ^ 1, copy: a digon split off the face right
+        # of d ^ 1, and the map stays spherical
+        rots[tail[d]].insert(rots[tail[d]].index(d) + 1, 2 * e)
+        rots[tail[d ^ 1]].insert(rots[tail[d ^ 1]].index(d ^ 1), 2 * e + 1)
         e += 1
     loop_darts = []
     for _ in range(loops):
@@ -369,8 +378,8 @@ def _assert_candidates_cover(sg, loops, cat):
     """The pruned search keeps the (type, branch mask) pairs of exactly the
     cycles that the lemma does not cut, as often as they occur among them,
     and per type the same inclusion-minimal masks as the full catalog cat
-    with its masks projected onto the branch vertices; loops are the
-    cycles of cat, in its order."""
+    with its masks projected onto the branch vertices, both as a plain
+    pairwise scan finds them; loops are the cycles of cat, in its order."""
     cand = candidate_cycles(sg)
     reduction = _series_reduction(sg.cmap)
     on = sum(1 << v for v, b in enumerate(reduction[0]) if b)
@@ -378,6 +387,8 @@ def _assert_candidates_cover(sg, loops, cat):
     uncut = [(cat.types[c], cat.masks[c] & on) for c in _uncut(sg, loops, cat, reduction)]
     assert sorted(zip(cand.types, cand.masks)) == sorted(uncut)
     for i in (1, 2, 3):
+        assert cand.minimal_masks(i) == minimal_by_pairs(cand, i), i
+        assert projected.minimal_masks(i) == minimal_by_pairs(projected, i), i
         assert cand.minimal_masks(i) == projected.minimal_masks(i), i
 
 
