@@ -39,27 +39,30 @@ MAX_GRAPH_BYTES = 14 * MAX_WITNESS_DARTS
 def _load_json(path: str):
     """Parsed contents of a graph file.
 
-    A file of more than MAX_GRAPH_BYTES bytes is refused with LimitExceeded
-    before it is read: parsing it and building its map could end in the
-    kernel's out-of-memory kill rather than in MemoryError.  Text that is
-    not UTF-8, holds a number too long to convert, or is nested too deeply
-    to parse, is bad input.
+    At most MAX_GRAPH_BYTES + 1 bytes are read, and a file that holds more
+    than MAX_GRAPH_BYTES is refused with LimitExceeded, so the cap holds for
+    a pipe or a FIFO as for a regular file: parsing a larger one and
+    building its map could end in the kernel's out-of-memory kill rather
+    than in MemoryError.  Text that is not UTF-8, holds a number too long
+    to convert, or is nested too deeply to parse, is bad input.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > MAX_GRAPH_BYTES:
-            raise LimitExceeded("%s has %d bytes, more than the cap of %d"
-                                % (path, size, MAX_GRAPH_BYTES))
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise PantsError("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
-        except RecursionError:
-            raise PantsError("%s is nested too deeply to parse" % path) from None
-        except json.JSONDecodeError:
-            raise
-        except ValueError as exc:
-            raise PantsError("%s: %s" % (path, exc)) from None
+    raw = bytearray()
+    with open(path, "rb") as fh:
+        # read(n) would allocate n bytes up front, so the bytes come in parts
+        while part := fh.read(min(1 << 16, MAX_GRAPH_BYTES + 1 - len(raw))):
+            raw += part
+    if len(raw) > MAX_GRAPH_BYTES:
+        raise LimitExceeded("%s has more than the cap of %d bytes" % (path, MAX_GRAPH_BYTES))
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise PantsError("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
+    except RecursionError:
+        raise PantsError("%s is nested too deeply to parse" % path) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise PantsError("%s: %s" % (path, exc)) from None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

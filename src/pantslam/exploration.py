@@ -43,11 +43,11 @@ tree path between them crosses the walk an odd number of times.
 `classify` reads the parities of the tree paths to marked faces 2 and 3,
 and `loop_sides` those of every face.  The level-k region is connected
 through shared vertices and, at each vertex of a boundary walk, the walk
-sweeps past the outside corners only, so the whole region lies left of
-each of its boundary walks.  The walk around marked face i with marked
-face j on its far side is therefore the one that separates i from j,
-and whichever side the third marked face joins, the other holds i or j
-alone: it is the one walk typed i or j.
+sweeps past the outside corners only, so the whole region, marked face
+i with it, lies left of each of its boundary walks.  A walk that
+`classify` types i thus has the other two marked faces beyond it, in the
+one complementary component it bounds, and is the only walk of its level
+typed i: it is the level's member of the special family (`special_loops`).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def _marked_index(i: int) -> int:
 class SigmaGraph:
     """Sphere map with an ordered triple of distinct marked faces.
 
-    Public methods number the marked faces 1..3; the private helpers
-    `_bucket` and `_walk` take 0-based positions into `marked`.
+    Public methods number the marked faces 1..3; only the private helper
+    `_bucket` takes a 0-based position into `marked`.
     """
 
     __slots__ = ("cmap", "marked", "_dist_cache", "_bucket_cache", "_tree")
@@ -198,28 +198,23 @@ class SigmaGraph:
         their least dart.  Marked face i is numbered 1..3.
         """
         i0 = _marked_index(i)
-        loops = []
-        seen: set[int] = set()
-        for start in self._bucket(i0, k):
-            if start not in seen:
-                walk = self._walk(i0, k, start)
-                seen.update(walk)
-                loops.append(Loop(walk))
-        return tuple(loops)
-
-    def _walk(self, i0: int, k: int, start: int) -> list[int]:
-        """The level-k walk around the marked face at position i0 through
-        dart start, which must be of level k, by the successor rule of
-        `boundary_loops`."""
+        bucket = self._bucket(i0, k)
         dist = self._dist_from(self.marked[i0])
         nxt, face_of = self.cmap.rotation_next, self.cmap.face_of_dart
-        walk, d = [], start
-        while not walk or d != start:
-            walk.append(d)
-            d = nxt[d ^ 1]
-            while dist[face_of[d ^ 1]] == k:
-                d = nxt[d]
-        return walk
+        loops = []
+        seen: set[int] = set()
+        for start in bucket:
+            if start in seen:
+                continue
+            walk, d = [], start
+            while not walk or d != start:
+                walk.append(d)
+                d = nxt[d ^ 1]
+                while dist[face_of[d ^ 1]] == k:
+                    d = nxt[d]
+            seen.update(walk)
+            loops.append(Loop(walk))
+        return tuple(loops)
 
     # -- classification -----------------------------------------------------
 

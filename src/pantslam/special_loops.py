@@ -22,12 +22,8 @@ W_i is a widest ("maximum capacity") path, Pollack, Oper. Res. 8
 (1960).  The family sizes together with the pairwise distances form the
 six-entry signature of the marked graph.
 
-The loops come from the same search.  For 1 <= k <= d_ij, the faces
-whose widest value from m_j is at least k form m_j's complementary
-component of R_k.  A level-k dart whose right face lies in it is on that
-component's boundary walk, which separates i from j.  For k <= W_i the
-component also holds m_k, and `special_family` walks from the first such
-dart for k = 1..W_i.
+The loops are the boundary walks of levels 1..W_i that `classify`
+types i, one on each level (see `exploration`).
 
 So the signature certifies the lamination space, the type counts of
 pairwise vertex-disjoint cycles: it is the polytope of `polytope`.
@@ -87,29 +83,26 @@ def special_family(sg: SigmaGraph, i: int) -> tuple[Loop, ...]:
     faces beyond it (see the module docstring).
     """
     i0 = _marked_index(i)
-    best = _widths(sg, i0, (i0 + 1) % 3, sg.marked[i0])
-    face_of = sg.cmap.face_of_dart
-    loops = []
-    for k in range(1, best[sg.marked[i0 - 1]] + 1):
-        start = next(d for d in sg._bucket(i0, k) if best[face_of[d]] >= k)
-        loops.append(Loop(sg._walk(i0, k, start)))
-    return tuple(loops)
+    dist = sg._dist_from(sg.marked[i0])
+    top = min(dist[sg.marked[i0 - 1]], dist[sg.marked[i0 - 2]])
+    return tuple(lp for k in range(1, top + 1)
+                 for lp in sg.boundary_loops(i, k) if sg.classify(lp) == i)
 
 
-def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:
-    """Per face, its widest value from marked face j0 under distance from
-    marked face i0 (0-based positions); faces not reached by the time face
-    stop settles keep -1.
+def _width(sg: SigmaGraph, i0: int) -> int:
+    """W_i for the marked face at 0-based position i0: the widest value
+    from m_{i0+1} at which m_{i0-1} settles, under distance from m_{i0}.
 
-    A bucket search from m_j with values falling from its distance: a face
-    leaves bucket w settled at its widest value w, and an edge to g offers
-    g min(w, dist(g)).  Buckets go widest first, so each later offer to g
-    is min(w', dist(g)) with w' <= w: none beats g's first offer, and g
-    enters one bucket once.  m_i settles last, at 0.  Each face is settled
-    once and each dart read once, so the search costs O(darts + max distance).
+    A bucket search from m_{i0+1} with values falling from its distance: a
+    face leaves bucket w settled at its widest value w, and an edge to g
+    offers g min(w, dist(g)).  Buckets go widest first, so each later offer
+    to g is min(w', dist(g)) with w' <= w: none beats g's first offer, and
+    g enters one bucket once.  m_{i0} settles last, at 0.  Each face is
+    settled once and each dart read once, so the search costs O(darts +
+    max distance).
     """
     dist = sg._dist_from(sg.marked[i0])
-    src = sg.marked[j0]
+    src, stop = sg.marked[(i0 + 1) % 3], sg.marked[i0 - 1]
     faces, face_of = sg.cmap.faces, sg.cmap.face_of_dart
     best = [-1] * len(dist)
     top = best[src] = dist[src]
@@ -118,19 +111,18 @@ def _widths(sg: SigmaGraph, i0: int, j0: int, stop: int) -> list[int]:
     for w in range(top, -1, -1):
         for f in buckets[w]:
             if f == stop:
-                return best
+                return w
             for d in faces[f]:
                 g = face_of[d ^ 1]
                 c = dist[g] if dist[g] < w else w
                 if c > best[g]:
                     best[g] = c
                     buckets[c].append(g)
-    return best
 
 
 def sigma_of(sg: SigmaGraph) -> SigmaVector:
     """Six invariants of the marked graph: family sizes, then distances,
-    read off the BFS rows that the widths searches cached."""
+    read off the BFS rows that the width searches cached."""
     m = sg.marked
-    sizes = [_widths(sg, i0, (i0 + 1) % 3, m[i0 - 1])[m[i0 - 1]] for i0 in range(3)]
+    sizes = [_width(sg, i0) for i0 in range(3)]
     return SigmaVector(*sizes, *(sg._dist_from(m[i0 - 2])[m[i0 - 1]] for i0 in range(3)))

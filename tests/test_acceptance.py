@@ -1,15 +1,14 @@
 """Acceptance gate: seven shipping criteria, one test per criterion.
 
 Each test asserts exact equality (no tolerances apply to integer data)
-and the pinned runtime budget where one exists.  Corpus-wide checks run
-on a process pool; the worker functions live at module level so they
-pickle across the fork.
+and the pinned runtime budget where one exists.  The brute-force check
+runs on a process pool; its worker function lives at module level so it
+pickles across the fork.
 """
 
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product
 
 from pantslam.cli import main
 from pantslam.constructor import construct_detailed
@@ -30,20 +29,10 @@ from pantslam.polytope import (
 from pantslam.randmaps import random_map, random_sigma_graph
 from pantslam.special_loops import sigma_of, special_family
 
-from conftest import block_sigma, build_corpus_graph, corpus_jobs, realizable_grid
-from helpers import is_downward_closed
+from conftest import block_corpus, block_sigma, build_corpus_graph, corpus_jobs, realizable_grid
+from helpers import is_downward_closed, pair_meeting_breaches
 
 WORKERS = 8
-
-
-def closed_form_grid(cap: int = 3):
-    """All block parameter tuples with rung counts at most cap."""
-    out = []
-    for ls in product(range(cap + 1), repeat=3):
-        ranges = [range(min(ls[(i + 1) % 3], ls[(i + 2) % 3]) + 1) for i in range(3)]
-        for ns in product(*ranges):
-            out.append(ls + ns)
-    return out
 
 
 def _equivalence_job(job):
@@ -59,30 +48,6 @@ def _equivalence_job(job):
     if set(lamination_space_bruteforce(g, cat)) != set(lamination_space(g).points):
         return (job, "mismatch", "point sets differ")
     return (job, "ok", "")
-
-
-def _interlock_job(job):
-    kind, params = job
-    g = build_corpus_graph(kind, params)
-    tau = sigma_of(g)
-    fams = {i: special_family(g, i) for i in (1, 2, 3)}
-    bad = []
-    for i in range(3):
-        fa = fams[(i + 1) % 3 + 1]
-        fb = fams[(i + 2) % 3 + 1]
-        for k in range(1, len(fa) + 1):
-            va = set(fa[k - 1].vertices(g.cmap))
-            for j in range(1, len(fb) + 1):
-                vb = set(fb[j - 1].vertices(g.cmap))
-                if va.isdisjoint(vb) != (j + k <= tau.delta[i]):
-                    bad.append((i + 1, j, k))
-    return (job, bad)
-
-
-def _pooled(fn, jobs):
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=WORKERS, mp_context=ctx) as pool:
-        return list(pool.map(fn, jobs, chunksize=4))
 
 
 def test_criterion_1(tmp_path, capsys):
@@ -104,7 +69,7 @@ def test_criterion_1(tmp_path, capsys):
 
 def test_criterion_2():
     start = time.perf_counter()
-    grid = closed_form_grid(3)
+    grid = block_corpus(3)
     assert len(grid) == 571
     for t in grid:
         assert tuple(sigma_of(block_graph(t))) == block_sigma(t)
@@ -116,7 +81,9 @@ def test_criterion_2():
 def test_criterion_3():
     start = time.perf_counter()
     jobs = corpus_jobs()
-    results = _pooled(_equivalence_job, jobs)
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=WORKERS, mp_context=ctx) as pool:
+        results = list(pool.map(_equivalence_job, jobs, chunksize=4))
     mismatches = [(j, msg) for j, status, msg in results if status == "mismatch"]
     skipped = [j for j, status, _ in results if status == "over-limit"]
     checked = sum(1 for _, status, _ in results if status == "ok")
@@ -151,8 +118,12 @@ def test_criterion_4():
 def test_criterion_5():
     start = time.perf_counter()
     jobs = corpus_jobs()
-    results = _pooled(_interlock_job, jobs)
-    violations = [(j, bad) for j, bad in results if bad]
+    violations = []
+    for job in jobs:
+        g = build_corpus_graph(*job)
+        bad = pair_meeting_breaches(g, [special_family(g, i) for i in (1, 2, 3)])
+        if bad:
+            violations.append((job, bad))
     elapsed = time.perf_counter() - start
     assert violations == []
     print(

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from itertools import product
@@ -344,9 +345,27 @@ def test_graph_file_above_the_byte_cap_exits_2(theta_file, tmp_path, capsys, mon
     monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size - 1)
     assert main(argv) == 2
     assert capsys.readouterr().out == (
-        "LimitExceeded: %s has %d bytes, more than the cap of %d\n" % (theta_file, size, size - 1))
+        "LimitExceeded: %s has more than the cap of %d bytes\n" % (theta_file, size - 1))
     monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size)
     assert main(argv) == 0
+
+
+def test_graph_fifo_above_the_byte_cap_exits_2(theta_file, tmp_path, capsys, monkeypatch):
+    # a FIFO reports size 0 to fstat, so only a bounded read caps it; one
+    # daemon thread writes the theta graph into each FIFO
+    data = Path(theta_file).read_bytes()
+    over = str(tmp_path / "over.fifo")
+    for fifo, cap, code in ((over, len(data) - 1, 2), (str(tmp_path / "at.fifo"), len(data), 0)):
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=Path(fifo).write_bytes, args=(data,), daemon=True)
+        writer.start()
+        monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", cap)
+        assert main(["analyze", fifo]) == code
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert capsys.readouterr().out.startswith(
+        "LimitExceeded: %s has more than the cap of %d bytes\nsigma = (1, 1, 1, 1, 1, 1)\n"
+        % (over, len(data) - 1))
 
 
 @pytest.mark.parametrize("verb", ["construct", "oracle"])
