@@ -196,7 +196,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cat = candidate_cycles(sg, args.cycle_limit)
     brute_pts = lamination_space_bruteforce(sg, cat)
     # packing number i is the largest x_i among the achievable triples
-    brute_m = tuple(max(p[i] for p in brute_pts) for i in range(3))
+    brute_m = tuple(map(max, zip(*brute_pts)))
     tau = sigma_of(sg)
     pipe_pts = frozenset(enumerate_points(tau).points)
     print("minimal cycles by type: %d %d %d"

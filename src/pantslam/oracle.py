@@ -73,7 +73,8 @@ and per vertex the bitset of the indices of the masks holding it (San
 Segundo, Rodriguez-Losada and Jimenez, Computers & OR 38, 2011).  The AND
 of those bitsets over a mask's vertices gives its supersets, so in index
 order a mask that no earlier one has struck is minimal and strikes its
-supersets of its own type.
+supersets of its own type; the same walk ORs them into the mask's meets,
+the indices of the masks that share a vertex with it.
 
 Packing then enumerates the disjoint collections of minimal masks depth
 first; a node's candidates are the later minimal masks disjoint from its
@@ -81,17 +82,21 @@ union, one bitset over the indices.  Below a node, counts are at most its
 own plus the per-type counts of its candidates left, popcounts against
 each type's bitset.  The reached counts are kept downward closed, and the
 bound only falls as candidates are used, so once it is reached the node
-is done (Bron and Kerbosch, CACM 16, 1973).  A child's candidates are its
-parent's left ANDed with the row of the mask taken, the complement of the
-OR of its vertices' bitsets.  A row has a bit per mask, so the rows take
-up to M^2/8 bytes for M masks; a catalog of more than MASK_LIMIT masks is
-refused with LimitExceeded before any bitset is built.
+is done (Bron and Kerbosch, CACM 16, 1973).  A child not yet reached
+adds only the points below it whose coordinate j, the type taken, is its
+own, one product of ranges: every other point below it lies below its
+parent, already reached.  A child's candidates are its parent's left
+ANDed with the row of the mask taken, the minimal masks outside its
+meets.  A row has a bit per mask, so the rows take up to M^2/8 bytes for
+M masks; a catalog of more than MASK_LIMIT masks is refused with
+LimitExceeded before any bitset is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .combmap import CombinatorialMap
@@ -126,9 +131,9 @@ class CycleCatalog:
 
     @cached_property
     def _table(self) -> tuple:
-        """The mask table of the module docstring, built once: the masks, each
-        one's type less 1, per type less 1 and per vertex bit the indices of
-        the masks of it, the indices of the minimal masks, and those masks by type."""
+        """The mask table of the module docstring, built once: each mask's type
+        less 1, per type less 1 the indices of its masks, per minimal mask's
+        index its meets, the indices of the minimal masks, and those masks by type."""
         per_type = [sorted({m for t, m in zip(self.types, self.masks) if t == i},
                            key=lambda m: (m.bit_count(), m)) for i in (1, 2, 3)]
         if sum(map(len, per_type)) > MASK_LIMIT:
@@ -145,17 +150,20 @@ class CycleCatalog:
                 holders[low] = holders.get(low, 0) | 1 << k
                 m ^= low
         struck, minimal = 0, ([], [], [])  # struck: the masks with a smaller one of their type
+        meets = {}  # per minimal mask: the indices of the masks sharing a vertex with it
         for k, m in enumerate(masks):
             if not struck >> k & 1:
                 minimal[kinds[k]].append(m)
-                supersets = kind_bits[kinds[k]]
+                supersets, meet = kind_bits[kinds[k]], 0
                 while m:
                     low = m & -m
                     supersets &= holders[low]
+                    meet |= holders[low]
                     m ^= low
                 struck |= supersets ^ 1 << k
+                meets[k] = meet
         kept = ((1 << len(masks)) - 1) ^ struck
-        return masks, kinds, kind_bits, holders, kept, tuple(map(tuple, minimal))
+        return kinds, kind_bits, meets, kept, tuple(map(tuple, minimal))
 
     @cached_property
     def _points(self) -> frozenset[tuple[int, int, int]]:
@@ -404,16 +412,9 @@ def _peeled_bases(rows: Sequence, bases: Sequence[int]) -> Iterator[tuple[int, l
 
 def _disjoint_counts(table: tuple) -> frozenset[tuple[int, int, int]]:
     """The type counts of the disjoint collections of minimal masks (see the module docstring)."""
-    masks, kinds, kind_bits, holders, every, _ = table
-    compat = {}  # per minimal mask: the indices of the minimal masks disjoint from it
-    for k, m in enumerate(masks):
-        if every >> k & 1:
-            meets = 0
-            while m:
-                low = m & -m
-                meets |= holders[low]
-                m ^= low
-            compat[k] = every ^ (every & meets)
+    kinds, kind_bits, meets, every, _ = table
+    # per minimal mask: the indices of the minimal masks disjoint from it
+    compat = {k: every ^ (every & meet) for k, meet in meets.items()}
     b1, b2, b3 = kind_bits
     reached = {(0, 0, 0)}
     stack = [((0, 0, 0), every)]  # per node: its counts and its candidates left
@@ -430,12 +431,10 @@ def _disjoint_counts(table: tuple) -> frozenset[tuple[int, int, int]]:
         j = kinds[k]
         child = here[:j] + (here[j] + 1,) + here[j + 1:]
         stack.append((child, rest & compat[k]))
-        below = [child]
-        while below:
-            p = below.pop()
-            if p not in reached:
-                reached.add(p)
-                below.extend(p[:t] + (p[t] - 1,) + p[t + 1:] for t in range(3) if p[t])
+        if child not in reached:
+            slab = [range(c + 1) for c in child]  # the points below child not below here
+            slab[j] = (child[j],)
+            reached.update(product(*slab))
     return frozenset(reached)
 
 

@@ -494,6 +494,25 @@ def test_packing_matches_level_search(case):
     assert lamination_space_bruteforce(sg, candidate_cycles(sg)) == space
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_packing_matches_level_search_on_random_masks(seed):
+    # masks no map produces, of one to four vertices so that several
+    # pack: repeats, nested masks across and within a type, and untyped
+    # cycles among them; neither search reads the map
+    rng = random.Random(seed)
+    n = rng.randint(4, 14)
+    cycles = [(rng.choice((1, 2, 3, None)),
+               sum(1 << v for v in rng.sample(range(n), rng.randint(1, 4))))
+              for _ in range(rng.randint(10, 40))]
+    cycles += [(t, m | 1 << rng.randrange(n)) for t, m in rng.sample(cycles, 5)]
+    cat = CycleCatalog(*map(tuple, zip(*cycles)))
+    for i in (1, 2, 3):
+        assert cat.minimal_masks(i) == minimal_by_pairs(cat, i), i
+    space, maxima = packing_by_levels(cat)
+    assert lamination_space_bruteforce(None, cat) == space
+    assert tuple(max_disjoint_type(None, i, cat) for i in (1, 2, 3)) == maxima
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_parity_types_match_flood_types_on_random_boundaries(seed):
     sg = random_sigma_graph(seed, max_faces=60, min_faces=40)
